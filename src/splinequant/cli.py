@@ -34,7 +34,7 @@ from .quantizer_design import (
 )
 from .reference_oracles import ConvergenceError, lloyd_max, mc_distortion, true_distortion
 from .spline_fit import fit
-from .threshold_optimizer import SweepError, sweep
+from .threshold_optimizer import SweepError, evaluate_candidate, sweep
 
 __all__ = ["main"]
 
@@ -227,9 +227,7 @@ def _table1_rows(grid_step: float) -> list[dict]:
         source = SourceModel()
         x_max = support_threshold(source, n)
         midpoint = 0.5 * x_max
-        config = standard_config(n, (midpoint,), source)
-        target = lambda x: compressor(source, x_max, x)
-        equ = sqnr(build(fit(target, config.knots), config))
+        equ = evaluate_candidate(n, midpoint, source)
         swept = sweep(n, grid_step, source)
         opt = lloyd_max(source, n)
         out.append(

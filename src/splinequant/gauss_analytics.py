@@ -1,11 +1,13 @@
 """Gaussian source model: density, tail statistics, the SQNR-optimal compressor,
-and the adaptive quadrature routine shared by the rest of the package."""
+and the batched adaptive quadrature routine shared by the rest of the package."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "SourceModel",
@@ -18,7 +20,9 @@ __all__ = [
     "compressor_derivative",
     "support_threshold",
     "tail_centroid",
+    "erf",
     "integrate",
+    "Nodes",
     "TAIL_CENTROID_CUTOFF",
 ]
 
@@ -28,6 +32,10 @@ _SQRT6 = math.sqrt(6.0)
 # Beyond this many standard deviations the upper-tail probability leaves the
 # normal double range and the centroid ratio is no longer trustworthy.
 TAIL_CENTROID_CUTOFF = 35.0
+
+_CHUNK = 32  # intervals integrate() refines together; bounds its working set
+_MAX_DEPTH = 60  # interval width shrinks by 2^-60; past that refinement is noise
+_ERF = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -62,18 +70,19 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature ran out of subdivisions before meeting tolerance.
 
-    ``best_estimate`` carries the value assembled so far.
+    ``best_estimate`` carries the values assembled so far.
     """
 
-    def __init__(self, message: str, best_estimate: float):
+    def __init__(self, message: str, best_estimate: np.ndarray):
         super().__init__(message)
         self.best_estimate = best_estimate
 
 
-def pdf(model: SourceModel, x: float) -> float:
-    """Gaussian density of ``model`` at amplitude ``x``."""
+def pdf(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
+    """Gaussian density of ``model`` at amplitude ``x``, a float or an array."""
     z = x / model.sigma
-    return math.exp(-0.5 * z * z) / (model.sigma * _SQRT_2PI)
+    exp = np.exp if isinstance(x, np.ndarray) else math.exp
+    return exp(-0.5 * z * z) / (model.sigma * _SQRT_2PI)
 
 
 def upper_tail(model: SourceModel, x: float) -> float:
@@ -81,18 +90,28 @@ def upper_tail(model: SourceModel, x: float) -> float:
     return 0.5 * math.erfc(x / (model.sigma * math.sqrt(2.0)))
 
 
-def compressor(model: SourceModel, x_max: float, x: float) -> float:
+def erf(z: np.ndarray) -> np.ndarray:
+    """``math.erf`` applied elementwise: bit-identical to the scalar function."""
+    return np.asarray(_ERF(z), dtype=float)
+
+
+def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float | np.ndarray:
     """SQNR-optimal compressor for the Gaussian source on [-x_max, x_max].
 
     Odd, strictly increasing, maps 0 to 0 and +/-x_max to +/-x_max.  Equals
     x_max * sgn(x) * erf(|x| / (sigma*sqrt(6))) / erf(x_max / (sigma*sqrt(6))),
-    the closed form of the normalized cube-root-density integral.
+    the closed form of the normalized cube-root-density integral.  An array
+    ``x`` is mapped elementwise, with the same bits as the scalar path.
     """
     if x_max <= 0.0:
         raise ValueError(f"x_max must be positive, got {x_max}")
+    s = model.sigma * _SQRT6
+    if isinstance(x, np.ndarray):
+        if np.any(np.abs(x) > x_max * (1.0 + 1e-12)):
+            raise ValueError(f"|x|={np.abs(x).max()} outside compressor domain [0, {x_max}]")
+        return x_max * np.copysign(1.0, x) * erf(np.abs(x) / s) / math.erf(x_max / s)
     if abs(x) > x_max * (1.0 + 1e-12):
         raise ValueError(f"|x|={abs(x)} outside compressor domain [0, {x_max}]")
-    s = model.sigma * _SQRT6
     return x_max * math.copysign(1.0, x) * math.erf(abs(x) / s) / math.erf(x_max / s)
 
 
@@ -135,63 +154,96 @@ def tail_centroid(model: SourceModel, x_max: float) -> float:
     return model.sigma**2 * pdf(model, x_max) / upper_tail(model, x_max)
 
 
+# What integrate() hands an integrand: abscissae and the index of each one's interval.
+Nodes = NamedTuple("Nodes", [("x", np.ndarray), ("interval", np.ndarray)])
+
+
 def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+    f: Callable[[Nodes], np.ndarray],
+    a: float | np.ndarray,
+    b: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Adaptive Simpson quadrature of ``f`` over [a, b].
+) -> np.ndarray:
+    """Adaptive Simpson quadrature of ``f`` over each interval [a[i], b[i]].
 
-    Deterministic for identical inputs.  The interval is split until the
-    Richardson error estimate of each piece falls under its share of
-    max(absolute_tolerance, relative_tolerance * |whole|); exceeding
-    ``spec.max_subdivisions`` raises QuadratureError carrying the best
-    estimate assembled so far.
+    ``f`` maps Nodes to an array whose last axis runs over the nodes; leading
+    axes are components.  The result has the shape of ``f``'s value with the
+    node axis replaced by the shape of ``a`` and ``b``.  Each (interval,
+    component) pair gets the subdivision tree and value of a scalar recursive
+    adaptive Simpson: a piece is split until its Richardson error estimate
+    falls under its share of max(absolute_tolerance, relative_tolerance *
+    |whole|), the share halving per level, down to depth 60.  The trees of
+    _CHUNK intervals are grown breadth first, with one call of ``f`` for the
+    ends and midpoints of all intervals and one per level for all midpoints.
+    More than ``spec.max_subdivisions`` splits of one pair raise
+    QuadratureError carrying the best estimates of all pairs.
     """
-    if a > b:
-        raise ValueError(f"integration bounds out of order: {a} > {b}")
-    if a == b:
-        return 0.0
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(a > b):
+        raise ValueError(f"integration bounds out of order: {a[a > b]} > {b[a > b]}")
+    values, exhausted = zip(*(
+        _simpson_chunk(f, a.ravel()[i : i + _CHUNK], b.ravel()[i : i + _CHUNK], i, spec)
+        for i in range(0, a.size, _CHUNK)
+    ))
+    values = np.concatenate(values, axis=-1).reshape(values[0].shape[:-1] + a.shape)
+    if any(exhausted):
+        raise QuadratureError(
+            f"quadrature did not converge within {spec.max_subdivisions} subdivisions",
+            best_estimate=values,
+        )
+    return values
 
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not all(map(math.isfinite, (fa, fm, fb))):
+
+def _simpson_chunk(f, a, b, first, spec):
+    """integrate() over intervals first, first + 1, ...: values, and whether a pair gave up."""
+    m = a.size
+    owner = np.arange(first, first + m)
+
+    def evaluate(*xs):  # one call of f at the abscissae xs of the current nodes, split back
+        x = np.concatenate(xs)
+        v = np.asarray(f(Nodes(x, np.tile(owner[node], len(xs)))), dtype=float)
+        v = np.broadcast_to(v, v.shape[:-1] + x.shape)
+        return v.shape[:-1], np.split(v.reshape(-1, x.size), len(xs), axis=1)
+
+    node = np.arange(m)
+    x0, x2 = a, b
+    shape, (f0, f2, f1) = evaluate(a, b, 0.5 * (a + b))
+    if not all(np.isfinite(v).all() for v in (f0, f1, f2)):
         raise ValueError("integrand not finite on the integration interval")
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(whole))
-
-    budget = [spec.max_subdivisions]
-    exhausted = [False]
-    max_depth = 60  # interval width shrinks by 2^-60; past that refinement is noise
-
-    def recurse(
-        x0: float, x2: float, f0: float, f1: float, f2: float, s: float, tol_i: float, depth: int
-    ) -> float:
+    s = (b - a) * (f0 + 4.0 * f1 + f2) / 6.0
+    tol = np.maximum(spec.absolute_tolerance, spec.relative_tolerance * np.abs(s))
+    active = np.ones(s.shape, dtype=bool)
+    pair = np.arange(s.shape[0])[:, None] * m
+    used = np.zeros(s.size)
+    exhausted, tree = False, []
+    for depth in range(_MAX_DEPTH + 1):
         x1 = 0.5 * (x0 + x2)
-        left_mid = 0.5 * (x0 + x1)
-        right_mid = 0.5 * (x1 + x2)
-        fl, fr = f(left_mid), f(right_mid)
+        _, (fl, fr) = evaluate(0.5 * (x0 + x1), 0.5 * (x1 + x2))
         h = x2 - x0
         s_left = h * (f0 + 4.0 * fl + f1) / 12.0
         s_right = h * (f1 + 4.0 * fr + f2) / 12.0
         err = (s_left + s_right - s) / 15.0
-        if abs(err) <= tol_i:
-            return s_left + s_right + err
-        if budget[0] <= 0 or depth >= max_depth:
-            exhausted[0] = True
-            return s_left + s_right + err
-        budget[0] -= 1
-        half_tol = 0.5 * tol_i
-        return recurse(x0, x1, f0, fl, f1, s_left, half_tol, depth + 1) + recurse(
-            x1, x2, f1, fr, f2, s_right, half_tol, depth + 1
-        )
-
-    result = recurse(a, b, fa, fm, fb, whole, tol, 0)
-    if exhausted[0]:
-        raise QuadratureError(
-            f"quadrature did not converge within {spec.max_subdivisions} subdivisions",
-            best_estimate=result,
-        )
-    return result
+        fail = active & ~(np.abs(err) <= tol)
+        # a pair whose splits at this depth would overrun its budget stops here
+        used += np.bincount((pair + node).ravel(), fail.ravel(), used.size)
+        split = fail & (used <= spec.max_subdivisions)[pair + node] & (depth < _MAX_DEPTH)
+        exhausted |= bool((fail & ~split).any())
+        keep = np.flatnonzero(split.any(axis=0))
+        tree.append((s_left + s_right + err, split, keep))
+        if keep.size == 0:
+            break
+        # children: all left halves, then all right halves
+        node = np.tile(node[keep], 2)
+        x0, x2 = np.concatenate((x0[keep], x1[keep])), np.concatenate((x1[keep], x2[keep]))
+        halves = lambda left, right: np.concatenate((left[:, keep], right[:, keep]), axis=1)
+        f0, f1, f2, s = halves(f0, f1), halves(fl, fr), halves(f1, f2), halves(s_left, s_right)
+        tol = np.tile(0.5 * tol[:, keep], 2)
+        active = np.tile(split[:, keep], 2)
+    # fold each split node's halves back into it, deepest level first, as the
+    # recursive rule sums them: left + right
+    result = tree[-1][0]
+    for value, split, keep in reversed(tree[:-1]):
+        k = keep.size
+        value[:, keep] = np.where(split[:, keep], result[:, :k] + result[:, k:], value[:, keep])
+        result = value
+    return result.reshape(shape + (m,)), exhausted

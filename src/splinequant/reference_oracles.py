@@ -14,7 +14,6 @@ cross-checked without sharing code paths:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -27,15 +26,16 @@ from .gauss_analytics import (
     SourceModel,
     compressor,
     compressor_derivative,
+    erf,
     integrate,
     pdf,
     support_threshold,
     tail_centroid,
-    upper_tail,
 )
 from .quantizer_design import (
     CompandingQuantizer,
     DistortionReport,
+    _tail_second_moment,
     overload_distortion_closed,
     overload_distortion_exact,
 )
@@ -50,12 +50,9 @@ __all__ = [
     "exact_compressor_sqnr",
 ]
 
-log = logging.getLogger(__name__)
-
 _SHARD_SIZE = 1_000_000
 _LLOYD_MAX_ITERATIONS = 10_000
 _GL_ORDER = 24
-_ERF = np.vectorize(math.erf)
 
 
 class ConvergenceError(RuntimeError):
@@ -128,15 +125,15 @@ def true_distortion(
     """Noise power of the realized quantizer by per-cell quadrature.
 
     Integrates (x - level)^2 against the source density over every granular
-    cell actually used by encode/decode, then adds the exact overload term.
-    Independent of the companding-model formulas.
+    cell actually used by encode/decode (all cells in one quadrature call),
+    then adds the exact overload term.  Independent of the companding model.
     """
     src = q.config.source
-    bounds = (0.0,) + q.thresholds
-    granular = 0.0
-    for y, lo, hi in zip(q.levels, bounds, bounds[1:]):
-        granular += integrate(lambda x, y=y: (x - y) ** 2 * pdf(src, x), lo, hi, quad)
-    return 2.0 * granular + overload_distortion_exact(q, quad)
+    bounds = np.array((0.0,) + q.thresholds)
+    levels = np.array(q.levels)
+    cell_error = lambda n: (n.x - levels[n.interval]) ** 2 * pdf(src, n.x)
+    granular = sum(integrate(cell_error, bounds[:-1], bounds[1:], quad).tolist())
+    return 2.0 * granular + overload_distortion_exact(q)
 
 
 def _initial_levels(source: SourceModel, n_levels: int) -> list[float]:
@@ -175,10 +172,6 @@ def _invert_compressor(source: SourceModel, x_max: float, value: float) -> float
     return 0.5 * (lo + hi)
 
 
-def _gl_nodes(order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def lloyd_max(
     source: SourceModel,
     n_levels: int,
@@ -198,7 +191,7 @@ def lloyd_max(
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     sigma = source.sigma
     levels = np.asarray(_initial_levels(source, n_levels), dtype=float)
-    nodes, weights = _gl_nodes()
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     prev = math.inf
     distortion = math.inf
     for iteration in range(1, max_iterations + 1):
@@ -208,9 +201,7 @@ def lloyd_max(
         # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
         p_lo = np.exp(-0.5 * (lo / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
         p_hi = np.exp(-0.5 * (hi / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        mass = 0.5 * (
-            _ERF(hi / (sigma * math.sqrt(2.0))) - _ERF(lo / (sigma * math.sqrt(2.0)))
-        )
+        mass = 0.5 * (erf(hi / (sigma * math.sqrt(2.0))) - erf(lo / (sigma * math.sqrt(2.0))))
         levels = sigma**2 * (p_lo - p_hi) / mass
         mids = 0.5 * (levels[:-1] + levels[1:])
         lo = np.concatenate(([levels[0] - 12.0 * sigma], mids))
@@ -240,11 +231,7 @@ def lloyd_max(
     )
 
 
-def exact_compressor_sqnr(
-    source: SourceModel,
-    n_levels: int,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> DistortionReport:
+def exact_compressor_sqnr(source: SourceModel, n_levels: int) -> DistortionReport:
     """Companding-model SQNR with the closed-form optimal compressor itself.
 
     Same level grid and distortion formulas as the fitted designs, but levels
@@ -260,7 +247,6 @@ def exact_compressor_sqnr(
         x_max,
         lambda v: _invert_compressor(source, x_max, v),
         lambda y: compressor_derivative(source, x_max, y),
-        quad,
     )
 
 
@@ -270,7 +256,6 @@ def _companding_model_report(
     x_max: float,
     inverse,
     slope,
-    quad: QuadratureSpec,
 ) -> DistortionReport:
     delta = 2.0 * x_max / (n_levels - 2)
     granular = 0.0
@@ -279,22 +264,11 @@ def _companding_model_report(
         granular += pdf(source, y) * (delta / slope(y)) ** 3
     granular /= 6.0
     overload = source.sigma**2 * overload_distortion_closed(x_max / source.sigma)
-    y_max = tail_centroid(source, x_max)
-    hi = x_max + 12.0 * source.sigma
-    exact = 2.0 * (
-        integrate(lambda x: (x - y_max) ** 2 * pdf(source, x), x_max, hi, quad)
-        + _tail_remainder(source, hi, y_max)
-    )
     total = granular + overload
     return DistortionReport(
         granular=granular,
         overload=overload,
         total=total,
         sqnr_db=10.0 * math.log10(source.sigma**2 / total),
-        overload_exact=exact,
+        overload_exact=2.0 * _tail_second_moment(source, x_max, tail_centroid(source, x_max)),
     )
-
-
-def _tail_remainder(source: SourceModel, a: float, y: float) -> float:
-    s2 = source.sigma**2
-    return (s2 + y * y) * upper_tail(source, a) + s2 * (a - 2.0 * y) * pdf(source, a)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
-from .gauss_analytics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
+import numpy as np
+
+from .gauss_analytics import DEFAULT_QUADRATURE, Nodes, QuadratureSpec, integrate
 
 __all__ = [
     "KnotVector",
@@ -25,6 +27,7 @@ __all__ = [
     "InversionError",
     "fit",
     "fit_objective",
+    "target_moments",
     "invert_segment",
 ]
 
@@ -150,7 +153,6 @@ def _solve3(m: list[list[float]], b: list[float]) -> list[float]:
     """3x3 solve by LU with partial pivoting; logs a 1-norm condition estimate."""
     a = [row[:] for row in m]
     x = b[:]
-    idx = [0, 1, 2]
     for col in range(3):
         piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
         if abs(a[piv][col]) < 1e-300:
@@ -158,7 +160,6 @@ def _solve3(m: list[list[float]], b: list[float]) -> list[float]:
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             x[col], x[piv] = x[piv], x[col]
-            idx[col], idx[piv] = idx[piv], idx[col]
         for r in range(col + 1, 3):
             f = a[r][col] / a[col][col]
             a[r][col] = 0.0
@@ -169,57 +170,54 @@ def _solve3(m: list[list[float]], b: list[float]) -> list[float]:
         s = x[r] - sum(a[r][c] * x[c] for c in range(r + 1, 3))
         x[r] = s / a[r][r]
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("moment matrix condition estimate: %.3e", _cond1(m))
+        log.debug("moment matrix condition estimate: %.3e", np.linalg.cond(m, 1))
     return x
 
 
-def _cond1(m: list[list[float]]) -> float:
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if det == 0.0:
-        return math.inf
-    cof = [
-        [
-            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    norm = max(sum(abs(m[r][c]) for r in range(3)) for c in range(3))
-    inv_norm = max(sum(abs(cof[r][c] / det) for r in range(3)) for c in range(3))
-    return norm * inv_norm
+def target_moments(
+    target: Callable[[np.ndarray], np.ndarray],
+    knot_vectors: Sequence[KnotVector],
+    quad: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> list[np.ndarray]:
+    """Integrals of target * x^k, k = 0, 1, 2, over every segment of every
+    knot vector, from one quadrature pass; one (n_segments, 3) array per
+    vector.  ``target`` must map an array of abscissae elementwise."""
+    lo, hi = np.array([(lo, hi) for kv in knot_vectors for lo, hi in zip(kv.knots, kv.knots[1:])]).T
+    weighted = lambda n: target(n.x) * np.stack((np.ones_like(n.x), n.x, n.x**2))
+    rows = integrate(weighted, lo, hi, quad).T
+    return np.split(rows, np.cumsum([kv.n_segments for kv in knot_vectors])[:-1])
 
 
 def fit(
-    target: Callable[[float], float],
+    target: Callable[[np.ndarray], np.ndarray],
     knots: KnotVector,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
+    moments: np.ndarray | None = None,
 ) -> QuadraticSpline:
     """Per-segment least-squares quadratic approximation of ``target``.
 
     For each knot interval the returned coefficients minimize the integral of
     (target - polynomial)^2; the residual is therefore orthogonal to 1, x, x^2
-    on that interval.  Monomial moments use closed-form antiderivatives, only
-    the target-weighted moments are integrated numerically.
+    on that interval.  Monomial moments use closed-form antiderivatives; the
+    target-weighted ones come from ``target_moments``, so ``target`` must map
+    arrays, unless a batch of fits passes this fit's row of one such call as
+    ``moments``.
     """
+    if moments is None:
+        (moments,) = target_moments(target, [knots], quad)
     segments = []
-    for lo, hi in zip(knots.knots, knots.knots[1:]):
-        moments = [
+    for lo, hi, rhs in zip(knots.knots, knots.knots[1:], moments.tolist()):
+        gram = [
             [(hi ** (j + k + 1) - lo ** (j + k + 1)) / (j + k + 1) for k in range(3)]
             for j in range(3)
         ]
-        rhs = [integrate(lambda x, k=k: target(x) * x**k, lo, hi, quad) for k in range(3)]
-        c0, c1, c2 = _solve3(moments, rhs)
+        c0, c1, c2 = _solve3(gram, rhs)
         segments.append(QuadSegment(c0, c1, c2, lo, hi))
     return QuadraticSpline(tuple(segments))
 
 
 def fit_objective(
-    target: Callable[[float], float],
+    target: Callable[[np.ndarray], np.ndarray],
     spline: QuadraticSpline,
     knots: KnotVector,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
@@ -230,11 +228,13 @@ def fit_objective(
         raise ValueError(
             f"spline segments {spline.knots} do not align with knots {knots.knots}"
         )
-    total = 0.0
-    for seg in spline.segments:
-        err = integrate(lambda x, s=seg: (target(x) - s.value(x)) ** 2, seg.lo, seg.hi, quad)
-        total += err / (seg.hi - seg.lo)
-    return total
+    c0, c1, c2, lo, hi = np.array([astuple(seg) for seg in spline.segments]).T
+
+    def squared_error(nodes: Nodes) -> np.ndarray:
+        x, i = nodes
+        return (target(x) - (c0[i] + x * (c1[i] + c2[i] * x))) ** 2
+
+    return sum((integrate(squared_error, lo, hi, quad) / (hi - lo)).tolist())
 
 
 def invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:

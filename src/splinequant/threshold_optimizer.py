@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .gauss_analytics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -16,7 +18,7 @@ from .gauss_analytics import (
     support_threshold,
 )
 from .quantizer_design import DesignError, DistortionReport, build, sqnr, standard_config
-from .spline_fit import fit
+from .spline_fit import fit, target_moments
 
 __all__ = [
     "SweepCandidate",
@@ -73,13 +75,13 @@ def evaluate_candidate(
     x1: float,
     source: SourceModel = SourceModel(),
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
+    moments: np.ndarray | None = None,
 ) -> DistortionReport:
-    """Fit the compressor on knots (0, x1, x_max), build, and score one design."""
+    """Fit the compressor on knots (0, x1, x_max), build, and score one design.
+    ``moments``: the fit's row of a batched ``target_moments`` call, if any."""
     config = standard_config(n_levels, (x1,), source)
-    x_max = config.x_max
-    target = lambda x: compressor(source, x_max, x)
-    spline = fit(target, config.knots, quad)
-    return sqnr(build(spline, config), quad)
+    target = lambda x: compressor(source, config.x_max, x)
+    return sqnr(build(fit(target, config.knots, quad, moments), config))
 
 
 def sweep(
@@ -90,9 +92,10 @@ def sweep(
 ) -> SweepResult:
     """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max.
 
-    Candidates whose fit cannot produce a monotone quantizer are kept in the
-    curve but marked invalid and skipped by the argmax.  Ties break toward the
-    smaller threshold.
+    One quadrature pass gives all candidates' fit moments; ``evaluate_candidate``
+    then fits, builds and scores each.  Candidates whose fit cannot produce a
+    monotone quantizer are kept in the curve but marked invalid and skipped by
+    the argmax.  Ties break toward the smaller threshold.
     """
     x_max = support_threshold(source, n_levels)
     if grid_step <= 0.0:
@@ -100,16 +103,17 @@ def sweep(
     if grid_step >= 0.5 * x_max:
         raise ValueError(f"grid_step {grid_step} too coarse for sweep range (0, {0.5 * x_max})")
 
+    grid = []
+    while (x1 := 0.5 * x_max + len(grid) * grid_step) < x_max * (1.0 - 1e-12):
+        grid.append(x1)
+    knots = [standard_config(n_levels, (x1,), source).knots for x1 in grid]
+    moments = target_moments(lambda x: compressor(source, x_max, x), knots, quad)
+
     candidates: list[SweepCandidate] = []
     best: SweepCandidate | None = None
-    k = 0
-    while True:
-        x1 = 0.5 * x_max + k * grid_step
-        if x1 >= x_max * (1.0 - 1e-12):
-            break
-        k += 1
+    for x1, rows in zip(grid, moments):
         try:
-            report = evaluate_candidate(n_levels, x1, source, quad)
+            report = evaluate_candidate(n_levels, x1, source, quad, rows)
         except DesignError as exc:
             candidates.append(SweepCandidate(x1, None, None, False, str(exc)))
             continue

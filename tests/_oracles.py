@@ -2,7 +2,9 @@
 
 The numpy helpers integrate with fixed-order Gauss-Legendre rules, on purpose:
 the library under test uses adaptive Simpson, so these helpers provide a
-second, structurally different route to the same integrals.  The ``mp_``
+second, structurally different route to the same integrals.
+``recursive_simpson`` is the scalar adaptive Simpson the batched library
+routine must reproduce.  The ``mp_``
 helpers evaluate closed forms in 50-digit mpmath arithmetic; they import
 mpmath when called, so tests that use them skip where it is not installed.
 """
@@ -11,8 +13,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
+
+from splinequant import DEFAULT_QUADRATURE, QuadratureError, QuadratureSpec
 
 
 @lru_cache(maxsize=None)
@@ -129,3 +134,67 @@ def mp_overload_closed(x_max: float) -> float:
     with mpmath.workdps(MP_DIGITS):
         x = mpmath.mpf(x_max)
         return float(mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-x * x / 2) / x**3)
+
+
+def recursive_simpson(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> float:
+    """Adaptive Simpson quadrature of ``f`` over [a, b], scalar and recursive:
+    the package's integrate() before it was batched, kept verbatim as the
+    reference its breadth-first rewrite must reproduce.
+
+    Deterministic for identical inputs.  The interval is split until the
+    Richardson error estimate of each piece falls under its share of
+    max(absolute_tolerance, relative_tolerance * |whole|); exceeding
+    ``spec.max_subdivisions`` raises QuadratureError carrying the best
+    estimate assembled so far.
+    """
+    if a > b:
+        raise ValueError(f"integration bounds out of order: {a} > {b}")
+    if a == b:
+        return 0.0
+
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    if not all(map(math.isfinite, (fa, fm, fb))):
+        raise ValueError("integrand not finite on the integration interval")
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(whole))
+
+    budget = [spec.max_subdivisions]
+    exhausted = [False]
+    max_depth = 60  # interval width shrinks by 2^-60; past that refinement is noise
+
+    def recurse(
+        x0: float, x2: float, f0: float, f1: float, f2: float, s: float, tol_i: float, depth: int
+    ) -> float:
+        x1 = 0.5 * (x0 + x2)
+        left_mid = 0.5 * (x0 + x1)
+        right_mid = 0.5 * (x1 + x2)
+        fl, fr = f(left_mid), f(right_mid)
+        h = x2 - x0
+        s_left = h * (f0 + 4.0 * fl + f1) / 12.0
+        s_right = h * (f1 + 4.0 * fr + f2) / 12.0
+        err = (s_left + s_right - s) / 15.0
+        if abs(err) <= tol_i:
+            return s_left + s_right + err
+        if budget[0] <= 0 or depth >= max_depth:
+            exhausted[0] = True
+            return s_left + s_right + err
+        budget[0] -= 1
+        half_tol = 0.5 * tol_i
+        return recurse(x0, x1, f0, fl, f1, s_left, half_tol, depth + 1) + recurse(
+            x1, x2, f1, fr, f2, s_right, half_tol, depth + 1
+        )
+
+    result = recurse(a, b, fa, fm, fb, whole, tol, 0)
+    if exhausted[0]:
+        raise QuadratureError(
+            f"quadrature did not converge within {spec.max_subdivisions} subdivisions",
+            best_estimate=result,
+        )
+    return result

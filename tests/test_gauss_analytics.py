@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from splinequant import (
@@ -17,7 +18,7 @@ from splinequant import (
 )
 from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF
 
-from _oracles import gl_integrate
+from _oracles import gl_integrate, recursive_simpson
 
 UNIT = SourceModel()
 
@@ -47,10 +48,10 @@ class TestPdf:
         assert all(pdf(UNIT, x) > 0.0 for x in [-30.0, -3.0, 0.0, 3.0, 30.0])
 
     def test_normalization(self):
-        assert integrate(lambda x: pdf(UNIT, x), -8.0, 8.0) == pytest.approx(1.0, abs=1e-10)
+        assert integrate(lambda n: pdf(UNIT, n.x), -8.0, 8.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_variance(self):
-        second = integrate(lambda x: x * x * pdf(UNIT, x), -8.0, 8.0)
+        second = integrate(lambda n: n.x * n.x * pdf(UNIT, n.x), -8.0, 8.0)
         assert second == pytest.approx(1.0, abs=1e-8)
 
     def test_sigma_scaling(self):
@@ -82,13 +83,23 @@ class TestCompressor:
         # the compressor is the normalized integral of the cube root of the
         # density; both routes must agree to 1e-9 across the domain
         tight = QuadratureSpec(1e-12, 1e-14, 200_000)
-        denom = integrate(lambda t: pdf(UNIT, t) ** (1.0 / 3.0), 0.0, self.X_MAX, tight)
-        worst = 0.0
-        for k in range(1001):
-            x = self.X_MAX * k / 1000.0
-            numer = integrate(lambda t: pdf(UNIT, t) ** (1.0 / 3.0), 0.0, x, tight)
-            worst = max(worst, abs(self.X_MAX * numer / denom - compressor(UNIT, self.X_MAX, x)))
+        root = lambda n: pdf(UNIT, n.x) ** (1.0 / 3.0)
+        denom = integrate(root, 0.0, self.X_MAX, tight)
+        xs = np.array([self.X_MAX * k / 1000.0 for k in range(1001)])
+        numer = integrate(root, 0.0, xs, tight)
+        worst = np.abs(self.X_MAX * numer / denom - compressor(UNIT, self.X_MAX, xs)).max()
         assert worst <= 1e-9
+
+    def test_arrays_match_scalar_path_bit_for_bit(self):
+        xs = [-self.X_MAX, -1.3, -0.0, 0.0, 1e-9, 0.7, 2.0, self.X_MAX]
+        scalar = [compressor(UNIT, self.X_MAX, x) for x in xs]
+        assert compressor(UNIT, self.X_MAX, np.array(xs)).tolist() == scalar
+        for x, expected in zip(xs, scalar):
+            got = compressor(UNIT, self.X_MAX, np.array(x))
+            assert np.ndim(got) == 0 and float(got) == expected
+        # integrate() returns a 0-d array for scalar bounds; it chains into compressor
+        one = integrate(lambda n: np.ones_like(n.x), 0.0, 1.0)
+        assert float(compressor(UNIT, self.X_MAX, one)) == compressor(UNIT, self.X_MAX, 1.0)
 
     def test_strictly_increasing(self):
         xs = [self.X_MAX * k / 1000.0 for k in range(1001)]
@@ -170,36 +181,75 @@ class TestUpperTail:
 
 class TestIntegrate:
     def test_constant(self):
-        assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert integrate(lambda n: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_empty_interval(self):
-        assert integrate(lambda x: math.exp(x), 2.0, 2.0) == 0.0
+        assert integrate(lambda n: np.exp(n.x), 2.0, 2.0) == 0.0
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            integrate(lambda x: 1.0, 1.0, 0.0)
+            integrate(lambda n: 1.0, 1.0, 0.0)
 
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(ValueError):
-            integrate(lambda x: math.inf if x == 0.0 else 1.0 / x, 0.0, 1.0)
+            integrate(lambda n: np.where(n.x == 0.0, math.inf, 1.0 / np.maximum(n.x, 1e-300)), 0.0, 1.0)
 
     def test_polynomial_exact(self):
-        assert integrate(lambda x: x**3 - 2 * x, -1.0, 3.0) == pytest.approx(12.0, rel=1e-12)
+        assert integrate(lambda n: n.x**3 - 2 * n.x, -1.0, 3.0) == pytest.approx(12.0, rel=1e-12)
 
     def test_matches_gauss_legendre_oracle(self):
-        f = lambda x: math.exp(-x) * math.sin(3.0 * x)
-        assert integrate(f, 0.0, 4.0) == pytest.approx(gl_integrate(f, 0.0, 4.0, 120), rel=1e-9)
+        f = lambda x: np.exp(-x) * np.sin(3.0 * x)
+        assert integrate(lambda n: f(n.x), 0.0, 4.0) == pytest.approx(gl_integrate(f, 0.0, 4.0, 120), rel=1e-9)
 
     def test_budget_exhaustion_carries_estimate(self):
         spec = QuadratureSpec(1e-14, 1e-16, 1)
         with pytest.raises(QuadratureError) as info:
-            integrate(lambda x: math.exp(-x * x), 0.0, 6.0, spec)
+            integrate(lambda n: np.exp(-n.x * n.x), 0.0, 6.0, spec)
         best = info.value.best_estimate
         assert best == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-2)
 
     def test_deterministic(self):
-        f = lambda x: pdf(UNIT, x) * x * x
+        f = lambda n: pdf(UNIT, n.x) * n.x * n.x
         assert integrate(f, -5.0, 5.0) == integrate(f, -5.0, 5.0)
+
+    def test_batch_shape(self):
+        # components lead, the interval axis takes the shape of the bounds
+        got = integrate(lambda n: np.stack((n.x, n.x * n.x)), np.zeros((2, 3)), 1.0)
+        assert got.shape == (2, 2, 3)
+        assert got[0] == pytest.approx(np.full((2, 3), 0.5), rel=1e-14)
+        assert got[1] == pytest.approx(np.full((2, 3), 1.0 / 3.0), rel=1e-14)
+
+    def test_integrand_sees_its_interval(self):
+        # each interval i integrates x - i, which only the node's interval index gives
+        los = np.array([0.0, 1.0, 2.0, 3.0])
+        got = integrate(lambda n: n.x - n.interval, los, los + 1.0)
+        assert got == pytest.approx(np.full(4, 0.5), rel=1e-14)
+
+    def test_matches_recursive_reference_per_interval_and_component(self):
+        # more intervals than one chunk, components of different difficulty
+        los = np.linspace(-3.0, 2.0, 70)
+        his = los + np.linspace(0.1, 4.0, 70)
+        parts = (lambda x: np.exp(-x * x), lambda x: np.sin(5.0 * x) * x, lambda x: np.cos(x) ** 2)
+        got = integrate(lambda n: np.stack([p(n.x) for p in parts]), los, his)
+        for c, part in enumerate(parts):
+            want = [recursive_simpson(lambda x: float(part(x)), lo, hi) for lo, hi in zip(los, his)]
+            assert got[c] == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_one_non_converging_interval_raises_with_best_estimates(self):
+        # within 20 splits x and x^2 converge, the oscillating third interval does not
+        spec = QuadratureSpec(1e-10, 1e-12, 20)
+        los, his = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 6.0])
+        waves = lambda x: np.exp(-0.1 * x) * np.sin(20.0 * x)
+        mixed = lambda n: np.select([n.interval == 0, n.interval == 1], [n.x, n.x * n.x], waves(n.x))
+        with pytest.raises(QuadratureError) as info:
+            integrate(mixed, los, his, spec)
+        with pytest.raises(QuadratureError):
+            recursive_simpson(lambda x: float(waves(x)), 0.0, 6.0, spec)
+        best = info.value.best_estimate
+        assert best.shape == (3,)
+        assert best[:2] == pytest.approx([0.5, 7.0 / 3.0], rel=1e-14)
+        # cut short after 20 splits, the estimate is rough but in range
+        assert best[2] == pytest.approx(gl_integrate(waves, 0.0, 6.0, 200), abs=2e-2)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

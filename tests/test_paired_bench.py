@@ -1,0 +1,55 @@
+"""The verdict rule of tools/paired_bench.py, one case per label."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
+_SPEC = importlib.util.spec_from_file_location("paired_bench", _PATH)
+paired_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(paired_bench)
+verdict = paired_bench.verdict
+
+TIGHT = [100.0, 100.5, 101.0, 99.5, 99.0, 100.2, 99.8, 100.1, 99.9, 100.0]  # quartile distance ~0.5%
+WIDE = [60.0, 70.0, 80.0, 90.0, 100.0, 100.0, 110.0, 120.0, 130.0, 140.0]  # ~33% of the median
+
+
+def shifted(values, factor):
+    return [v * factor for v in values]
+
+
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_quartiles():
+    assert verdict(TIGHT, shifted(TIGHT, 0.5), "lower", 0.25) == ("gain", 10)
+    # same medians apart, but only 8 of 10 pairs won
+    change = shifted(TIGHT, 0.5)
+    change[0], change[1] = 200.0, 200.0
+    assert verdict(TIGHT, change, "lower", 0.25)[0] != "gain"
+
+
+def test_gain_for_a_higher_is_better_metric():
+    assert verdict(TIGHT, shifted(TIGHT, 1.5), "higher", 0.25) == ("gain", 10)
+    assert verdict(TIGHT, shifted(TIGHT, 0.5), "higher", 0.25) == ("worse", 0)
+
+
+def test_worse_when_the_median_moves_past_the_bound():
+    assert verdict(TIGHT, shifted(TIGHT, 1.3), "lower", 0.25) == ("worse", 0)
+
+
+def test_within_when_the_median_moves_less_than_the_bound():
+    assert verdict(TIGHT, shifted(TIGHT, 1.1), "lower", 0.25) == ("within", 0)
+    assert verdict(TIGHT, TIGHT, "lower", 0.25) == ("within", 0)
+
+
+@pytest.mark.parametrize("factor", [0.95, 1.1, 1.5])
+def test_unresolved_when_the_base_spreads_wider_than_the_bound(factor):
+    # better, slightly worse and far worse medians all stay unresolved
+    assert verdict(WIDE, shifted(WIDE, factor), "lower", 0.25)[0] == "unresolved"
+
+
+def test_wide_spread_resolves_when_every_change_run_beats_every_base_run():
+    # every change run is under the base's fastest, yet the median gap does
+    # not exceed the base's quartile distance, so it is no gain
+    base = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 130.0, 140.0, 150.0, 160.0]
+    assert verdict(base, [95.0] * 10, "lower", 0.25) == ("within", 10)
+    assert verdict(base, [95.0] * 9 + [97.0], "lower", 0.25)[0] == "unresolved"

@@ -27,6 +27,8 @@ from splinequant import (
     tail_centroid,
 )
 
+from splinequant.spline_fit import target_moments
+
 from _oracles import gaussian_cell_distortion, uniform_midpoint_quantizer
 
 UNIT = SourceModel()
@@ -180,6 +182,16 @@ class TestBuild:
         with pytest.raises(DesignError):
             build(spline, DesignConfig(8, KnotVector(knots), UNIT))
 
+    @pytest.mark.parametrize(
+        "segment, end",
+        [(QuadSegment(0.0, 1.0, -0.8, 0.0, 1.0), "right"), (QuadSegment(0.0, -0.5, 1.0, 0.0, 1.0), "left")],
+    )
+    def test_monotone_failure_names_the_end(self, segment, end):
+        # slope 1 - 1.6x turns negative at the right end, -0.5 + 2x is negative at the left
+        config = DesignConfig(8, KnotVector((0.0, 1.0)), UNIT)
+        with pytest.raises(DesignError, match=f"segment 0 .*at its {end} end"):
+            build(QuadraticSpline((segment,)), config)
+
     def test_unknown_level_rule_rejected(self, fitted16):
         config, spline, _ = fitted16
         with pytest.raises(ValueError):
@@ -216,6 +228,25 @@ class TestGranularDistortion:
         alt = sum(pdf(UNIT, y) * d**3 for y, d in zip(q.levels, q.cell_lengths_asymptotic)) / 6.0
         assert granular_distortion(q) == pytest.approx(lead, rel=1e-13)
         assert lead == pytest.approx(alt, rel=1e-12)
+
+    @pytest.mark.parametrize("n_levels", [16, 32, 64, 128, 256, 512])
+    def test_two_forms_agree_over_swept_designs(self, n_levels):
+        # every buildable design of the default sweep grid
+        x_max = support_threshold(UNIT, n_levels)
+        grid = [0.5 * x_max + k * 0.01 for k in range(int(0.5 * x_max / 0.01))]
+        configs = [standard_config(n_levels, (x1,)) for x1 in grid if x1 < x_max * (1.0 - 1e-12)]
+        target = lambda x: sq.compressor(UNIT, x_max, x)
+        moments = target_moments(target, [c.knots for c in configs])
+        built = 0
+        for config, rows in zip(configs, moments):
+            try:
+                q = build(sq.fit(target, config.knots, moments=rows), config)
+            except DesignError:
+                continue
+            built += 1
+            alt = sum(pdf(UNIT, y) * d**3 for y, d in zip(q.levels, q.cell_lengths_asymptotic)) / 6.0
+            assert granular_distortion(q) == pytest.approx(alt, rel=1e-12)
+        assert built > 0
 
     def test_six_db_per_bit_scaling(self):
         # doubling the granular level count at fixed support shrinks the

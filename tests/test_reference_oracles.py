@@ -124,7 +124,7 @@ class TestExactCompressorModel:
         n = 16
         x_max = 2.0
         report = _companding_model_report(
-            UNIT, n, x_max, inverse=lambda v: v, slope=lambda y: 1.0, quad=sq.DEFAULT_QUADRATURE
+            UNIT, n, x_max, inverse=lambda v: v, slope=lambda y: 1.0
         )
         step = 2.0 * x_max / (n - 2)
         levels = [(k - 0.5) * step for k in range(1, (n - 2) // 2 + 1)]

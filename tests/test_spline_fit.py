@@ -17,7 +17,9 @@ from splinequant import (
     support_threshold,
 )
 
-from _oracles import perturbed_objectives, residual_moments, weighted_objective
+from splinequant.spline_fit import target_moments
+
+from _oracles import perturbed_objectives, recursive_simpson, residual_moments, weighted_objective
 
 UNIT = SourceModel()
 X_MAX_16 = support_threshold(UNIT, 16)
@@ -110,7 +112,7 @@ class TestFitExactRecovery:
         knots = KnotVector((0.0, 1.0, 2.0))
 
         def target(x):
-            return 0.5 * x * x if x <= 1.0 else -1.0 + 2.5 * x - x * x
+            return np.where(x <= 1.0, 0.5 * x * x, -1.0 + 2.5 * x - x * x)
 
         sp = fit(target, knots)
         assert fit_objective(target, sp, knots) <= 1e-16
@@ -264,3 +266,22 @@ class TestSolverGuard:
             b = rng.standard_normal(3)
             got = _solve3(m.tolist(), b.tolist())
             assert np.allclose(got, np.linalg.solve(m, b), rtol=1e-9, atol=1e-9)
+
+
+class TestTargetMoments:
+    @pytest.mark.parametrize("n_levels", [16, 32, 64, 128, 256, 512, 1024])
+    def test_outer_segments_match_recursive_reference(self, n_levels):
+        # one batched pass over many knot vectors reproduces the scalar
+        # recursive adaptive Simpson on each outer segment [x1, x_max]
+        x_max = support_threshold(UNIT, n_levels)
+        target = lambda x: compressor(UNIT, x_max, x)
+        x1s = [0.5 * x_max + k * 0.1 for k in range(int(0.5 * x_max / 0.1))]
+        moments = target_moments(target, [KnotVector((0.0, x1, x_max)) for x1 in x1s])
+        for x1, rows in zip(x1s, moments):
+            for k in range(3):
+                want = recursive_simpson(lambda x, k=k: target(x) * x**k, x1, x_max)
+                assert rows[1, k] == pytest.approx(want, rel=1e-13)
+
+    def test_fit_from_batched_moments_equals_fit(self, gauss_spline):
+        (rows,) = target_moments(gauss_target, [GAUSS_KNOTS])
+        assert fit(gauss_target, GAUSS_KNOTS, moments=rows) == gauss_spline

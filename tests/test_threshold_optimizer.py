@@ -14,6 +14,32 @@ from splinequant.threshold_optimizer import (
 
 
 class TestSweep:
+    @pytest.mark.parametrize("n_levels", [16, 256, 1024])
+    def test_batched_fits_match_evaluate_candidate(self, n_levels):
+        # the sweep's one-pass fit moments must score every candidate as a
+        # stand-alone evaluate_candidate does
+        x_max = sq.support_threshold(sq.SourceModel(), n_levels)
+        grid = [0.5 * x_max + k * 0.01 for k in range(int(0.5 * x_max / 0.01) + 1)]
+        grid = [x1 for x1 in grid if x1 < x_max * (1.0 - 1e-12)]
+        alone = []
+        for x1 in grid:
+            try:
+                alone.append(sq.evaluate_candidate(n_levels, x1).sqnr_db)
+            except sq.DesignError:
+                alone.append(None)
+        if all(db is None for db in alone):
+            with pytest.raises(sq.SweepError):
+                sweep(n_levels)
+            return
+        result = sweep(n_levels)
+        assert [c.x1 for c in result.candidates] == grid
+        assert [c.valid for c in result.candidates] == [db is not None for db in alone]
+        for cand, db in zip(result.candidates, alone):
+            if db is not None:
+                assert cand.sqnr_db == pytest.approx(db, abs=1e-10)
+        best = max(db for db in alone if db is not None)
+        assert result.best_x1 == grid[alone.index(best)]
+
     def test_covers_grid_from_midpoint(self, sweep16):
         assert sweep16.candidates[0].x1 == pytest.approx(sweep16.x_max / 2, rel=1e-15)
         xs = [c.x1 for c in sweep16.candidates]

@@ -1,0 +1,124 @@
+"""Paired benchmark runs: a base commit against the working tree.
+
+    python3 tools/paired_bench.py --base HEAD~1 --pairs 10 [--workload design-sweep ...]
+
+Exports ``--base`` with ``git archive`` into a temporary directory (nothing is
+registered in the repository), then runs ``perfbench/run.py`` on that copy and
+on the working tree, one run per side and pair, alternating which side runs
+first.  Pair i uses seed ``--seed + i`` on both sides.  Workloads, run length
+and metrics come from ``BENCHMARK.json``.
+
+For every workload and end-to-end metric it prints each side's median and
+quartiles, the share of pairs the change won (ties count for neither) and a
+verdict:
+
+* ``gain``       the change won at least 9/10 of the pairs and its median is
+                 better than the base's by more than the base's quartile
+                 distance;
+* ``unresolved`` no gain, and the base's quartile distance, relative to its
+                 median, is wider than the metric's bound, unless every run
+                 of the change is better than every run of the base;
+* ``worse``      the change's median is worse than the base's by more than
+                 the metric's bound;
+* ``within``     otherwise.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``; the JSON object its last line prints."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        sys.exit(f"run failed in {tree} ({workload}, seed {seed}):\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> tuple[str, int]:
+    """The label for one metric (see the module docstring) and the pairs the change won."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * (change - base) < 0: change better
+    wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+    b1, bm, b3 = quartiles(base)
+    _, cm, _ = quartiles(change)
+    if wins >= 0.9 * len(base) and sign * (bm - cm) > b3 - b1:
+        return "gain", wins
+    relative = lambda d: d / abs(bm) if bm else (math.inf if d > 0 else 0.0)
+    every_run_better = max(sign * c for c in change) < min(sign * b for b in base)
+    if relative(b3 - b1) > bound and not every_run_better:
+        return "unresolved", wins
+    if relative(sign * (cm - bm)) > bound:
+        return "worse", wins
+    return "within", wins
+
+
+def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload, at least 10")
+    parser.add_argument("--workload", action="append", choices=names, help="default: all")
+    parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    if args.pairs < 10:
+        parser.error("at least 10 pairs are needed to judge a gain")
+
+    runs: dict = {}
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
+        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(tmp)
+        trees = {"base": Path(tmp), "change": ROOT}
+        for workload in args.workload or names:
+            runs[workload] = {"base": [], "change": []}
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    result = run_once(trees[side], workload, args.seed + i, spec["run_seconds"])
+                    runs[workload][side].append(result)
+                    print(f"{workload} pair {i} {side}: correct={result['correct']} "
+                          f"failed={result['failed']}", file=sys.stderr, flush=True)
+
+    print(f"base {args.base} vs working tree, {args.pairs} pairs, {spec['run_seconds']:g} s runs")
+    print("workload metric: base median [q1, q3] | change median [q1, q3] | change/base | wins | verdict")
+    for workload, sides in runs.items():
+        correct = all(r["correct"] and r["failed"] == 0 for s in sides.values() for r in s)
+        print(f"{workload}: every run correct with 0 failed ops: {correct}")
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            base = [r["metrics"][name]["value"] for r in sides["base"]]
+            change = [r["metrics"][name]["value"] for r in sides["change"]]
+            label, wins = verdict(base, change, metric["better"], metric["bound"])
+            (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+            ratio = cm / bm if bm else float("nan")
+            print(f"  {name}: {bm:.6g} [{b1:.6g}, {b3:.6g}] | {cm:.6g} [{c1:.6g}, {c3:.6g}] | "
+                  f"{ratio:.3f} | {wins}/{len(base)} | {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
