@@ -25,16 +25,10 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .gauss_analytics import QuadratureError, SourceModel, compressor, support_threshold
-from .quantizer_design import (
-    DesignError,
-    build,
-    sqnr,
-    standard_config,
-)
+from .gauss_analytics import QuadratureError, SourceModel, support_threshold
+from .quantizer_design import DesignError
 from .reference_oracles import ConvergenceError, lloyd_max, mc_distortion, true_distortion
-from .spline_fit import fit
-from .threshold_optimizer import SweepError, evaluate_candidate, sweep
+from .threshold_optimizer import Design, SweepError, evaluate_candidate, sweep
 
 __all__ = ["main"]
 
@@ -124,20 +118,23 @@ def _emit(args, manifest: RunManifest, results: dict, header=None, rows=None) ->
         sys.stdout.write(text)
 
 
-def _design_document(n_levels: int, x1: float, grid_step: float, auto: bool) -> dict:
-    source = SourceModel()
-    swept = None
-    if auto:
-        swept = sweep(n_levels, grid_step, source)
-        x1 = swept.best_x1
-    config = standard_config(n_levels, (x1,), source)
-    target = lambda x: compressor(source, config.x_max, x)
-    spline = fit(target, config.knots)
-    quantizer = build(spline, config)
-    report = sqnr(quantizer)
-    doc = {
-        "n_levels": n_levels,
-        "x1": x1,
+def _design(args) -> Design:
+    """The design at --x1, or at the best threshold of a --grid-step sweep for
+    ``--x1 auto``."""
+    if args.x1 == "auto":
+        x1 = sweep(args.levels, args.grid_step).best_x1
+    else:
+        x1 = float(args.x1)
+    return evaluate_candidate(args.levels, x1)
+
+
+def _design_document(design: Design, auto: bool) -> dict:
+    config, spline, quantizer, report = (
+        design.config, design.spline, design.quantizer, design.report
+    )
+    return {
+        "n_levels": config.n_levels,
+        "x1": config.knots[1],
         "x1_mode": "auto" if auto else "fixed",
         "x_max": config.x_max,
         "step": quantizer.step,
@@ -161,13 +158,10 @@ def _design_document(n_levels: int, x1: float, grid_step: float, auto: bool) -> 
             "sqnr_db": report.sqnr_db,
         },
     }
-    return doc
 
 
 def _cmd_design(args) -> int:
-    auto = args.x1 == "auto"
-    x1 = None if auto else float(args.x1)
-    results = _design_document(args.levels, x1, args.grid_step, auto)
+    results = _design_document(_design(args), args.x1 == "auto")
     manifest = RunManifest(
         "design",
         {
@@ -227,7 +221,7 @@ def _table1_rows(grid_step: float) -> list[dict]:
         source = SourceModel()
         x_max = support_threshold(source, n)
         midpoint = 0.5 * x_max
-        equ = evaluate_candidate(n, midpoint, source)
+        equ = evaluate_candidate(n, midpoint, source).report
         swept = sweep(n, grid_step, source)
         opt = lloyd_max(source, n)
         out.append(
@@ -267,25 +261,16 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    auto = args.x1 == "auto"
-    source = SourceModel()
-    if auto:
-        x1 = sweep(args.levels, args.grid_step, source).best_x1
-    else:
-        x1 = float(args.x1)
-    config = standard_config(args.levels, (x1,), source)
-    target = lambda x: compressor(source, config.x_max, x)
-    quantizer = build(fit(target, config.knots), config)
-    report = sqnr(quantizer)
-    analytic = true_distortion(quantizer)
-    mc = mc_distortion(quantizer, args.samples, args.seed)
+    design = _design(args)
+    analytic = true_distortion(design.quantizer)
+    mc = mc_distortion(design.quantizer, args.samples, args.seed)
     z = (mc.mean_distortion - analytic) / mc.std_error if mc.std_error > 0 else math.inf
     passed = abs(z) <= 3.0
     results = {
         "n_levels": args.levels,
-        "x1": x1,
+        "x1": design.config.knots[1],
         "analytic_distortion": analytic,
-        "model_distortion": report.total,
+        "model_distortion": design.report.total,
         "mc_distortion": mc.mean_distortion,
         "mc_std_error": mc.std_error,
         "n_samples": mc.n_samples,
@@ -334,16 +319,16 @@ def _even_levels(value: str) -> int:
 
 def _positive_float(value: str) -> float:
     x = float(value)
-    if x <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
     return x
 
 
 def _positive_int(value: str) -> int:
-    n = int(float(value))
-    if n < 1:
+    x = float(value)
+    if not (x >= 1.0 and math.isfinite(x)):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return n
+    return int(x)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,9 @@ Design conventions
   levels are the spline preimages of the half-step grid (k - 1/2)*delta,
   decision thresholds the preimages of k*delta; cells are half-open
   [threshold, next_threshold).
+* The one grid is split among segments by the fitted curve's knot values, so
+  a segment may receive no level (the N=16 optimum has counts (7, 0)); the
+  paper's per-segment level-count rule is not in the repository.
 * Granular distortion uses the companding model: density at the level, slope
   of the compressor there, and the asymptotic cell length delta/slope.  The
   headline SQNR combines it with the asymptotic overload term; the exact
@@ -30,10 +33,8 @@ __all__ = [
     "CompandingQuantizer",
     "DistortionReport",
     "DesignError",
-    "LEVEL_RULES",
     "standard_config",
     "step_size",
-    "allocate_levels",
     "build",
     "granular_distortion",
     "overload_distortion_exact",
@@ -42,18 +43,6 @@ __all__ = [
     "encode",
     "decode",
 ]
-
-# How granular targets are laid out on the compressed axis:
-#   global-grid          one grid (k - 1/2)*delta over [0, x_max], partitioned
-#                        among segments by the spline's knot values (default);
-#   segment-restart      per-segment grid restarting at the cumulative
-#                        compressed value of the segment's left knot, counts
-#                        from the rounded compressed-range ratio;
-#   literal-right-offset diagnostic only: offsets taken at the segment's own
-#                        right knot, which pushes every target beyond the
-#                        segment's compressed range and fails the build.
-LEVEL_RULES = ("global-grid", "segment-restart", "literal-right-offset")
-
 
 class DesignError(ValueError):
     """A quantizer cannot be built from the given spline/configuration."""
@@ -72,8 +61,8 @@ class DesignConfig:
             raise ValueError(f"n_levels must be even and >= 4, got {self.n_levels}")
         if self.n_levels - 2 < 2 * self.knots.n_segments:
             raise ValueError(
-                f"{self.n_levels} levels cannot cover {self.knots.n_segments} "
-                "segments per side with at least one level each"
+                f"{self.n_levels} levels give {(self.n_levels - 2) // 2} granular levels "
+                f"per side, fewer than the {self.knots.n_segments} segments"
             )
 
     @property
@@ -127,7 +116,6 @@ class CompandingQuantizer:
     overload_level: float
     cell_lengths_asymptotic: tuple[float, ...]
     cell_lengths_exact: tuple[float, ...]
-    level_rule: str
 
     @property
     def all_boundaries(self) -> tuple[float, ...]:
@@ -171,7 +159,9 @@ def _check_monotone(spline: QuadraticSpline) -> None:
 def _assign_targets(
     spline: QuadraticSpline, config: DesignConfig
 ) -> tuple[list[list[float]], float]:
-    """Partition the half-step target grid among segments by knot values."""
+    """Partition the half-step target grid (k - 1/2)*delta among segments:
+    segment i takes the targets in [value(knot_i), value(knot_{i+1})), the
+    last interval closed on the right."""
     delta = step_size(config)
     kv = spline.knot_values()
     if any(a >= b for a, b in zip(kv, kv[1:])):
@@ -193,97 +183,35 @@ def _assign_targets(
     return per_segment, delta
 
 
-def allocate_levels(spline: QuadraticSpline, config: DesignConfig) -> tuple[int, ...]:
-    """Granular level count per segment (positive half); sums to (N-2)/2.
-
-    The half-step grid (k - 1/2)*delta is counted against the half-open
-    compressed intervals [value(knot_{i-1}), value(knot_i)) of the fitted
-    curve, the last interval closed on the right.
-    """
-    _check_monotone(spline)
-    per_segment, _ = _assign_targets(spline, config)
-    return tuple(len(ts) for ts in per_segment)
-
-
-def _restart_allocation(
-    spline: QuadraticSpline, config: DesignConfig
-) -> tuple[list[list[float]], float]:
-    """Alternative target layout: per-segment grids offset by the left knot's
-    compressed value, counts from the rounded compressed-range ratio."""
-    delta = step_size(config)
-    kv = spline.knot_values()
-    if any(a >= b for a, b in zip(kv, kv[1:])):
-        raise DesignError(f"compressed knot values not increasing: {kv}")
-    m = config.granular_per_side
-    n_seg = len(spline.segments)
-    raw = [m * (kv[i + 1] - kv[i]) / (kv[-1] - kv[0]) for i in range(n_seg)]
-    counts = [max(1, round(r)) for r in raw]
-    counts[-1] += m - sum(counts)
-    if counts[-1] < 1:
-        raise DesignError(f"level allocation {counts} leaves a segment empty")
-    per_segment = [
-        [kv[i] + (j - 0.5) * delta for j in range(1, counts[i] + 1)] for i in range(n_seg)
-    ]
-    return per_segment, delta
-
-
-def _literal_allocation(
-    spline: QuadraticSpline, config: DesignConfig
-) -> tuple[list[list[float]], float]:
-    """Diagnostic layout reading the offset at the segment's right knot."""
-    per_segment, delta = _restart_allocation(spline, config)
-    kv = spline.knot_values()
-    out = []
-    for i, ts in enumerate(per_segment):
-        if i == 0:
-            out.append(ts)
-        else:
-            off = kv[i + 1]
-            out.append([off + (j - 0.5) * delta for j in range(1, len(ts) + 1)])
-    return out, delta
-
-
-def _invert_target(spline: QuadraticSpline, i: int, t: float, clamp_gaps: bool) -> float:
+def _invert_target(spline: QuadraticSpline, i: int, t: float) -> float:
     seg = spline.segments[i]
-    if clamp_gaps and t < seg.value(seg.lo):
+    if t < seg.value(seg.lo):
         # target sits in an upward fit discontinuity at the left knot; the
         # generalized inverse of the jump is the knot itself
         return seg.lo
     return invert_segment(spline, i, t)
 
 
-def build(
-    spline: QuadraticSpline,
-    config: DesignConfig,
-    level_rule: str = "global-grid",
-) -> CompandingQuantizer:
+def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
     """Assemble the quantizer: levels, thresholds, counts, overload level.
 
     Raises DesignError when the spline is not strictly increasing per segment,
     a target cannot be inverted, or the resulting levels/thresholds fail to
-    interleave.  ``level_rule`` selects the target layout (see LEVEL_RULES).
+    interleave.
     """
-    if level_rule not in LEVEL_RULES:
-        raise ValueError(f"unknown level rule {level_rule!r}; choose from {LEVEL_RULES}")
     if spline.knots != config.knots.knots:
         raise DesignError(
             f"spline knots {spline.knots} do not match config knots {config.knots.knots}"
         )
     _check_monotone(spline)
-    if level_rule == "global-grid":
-        per_segment, delta = _assign_targets(spline, config)
-    elif level_rule == "segment-restart":
-        per_segment, delta = _restart_allocation(spline, config)
-    else:
-        per_segment, delta = _literal_allocation(spline, config)
+    per_segment, delta = _assign_targets(spline, config)
 
     levels: list[float] = []
     level_segments: list[int] = []
-    clamp = level_rule != "literal-right-offset"
     try:
         for i, targets in enumerate(per_segment):
             for t in targets:
-                levels.append(_invert_target(spline, i, t, clamp))
+                levels.append(_invert_target(spline, i, t))
                 level_segments.append(i)
     except InversionError as exc:
         raise DesignError(f"level inversion failed: {exc}") from exc
@@ -295,7 +223,7 @@ def build(
         for k in range(1, m):
             t = k * delta
             i = min(max(bisect.bisect_right(kv, t) - 1, 0), len(spline.segments) - 1)
-            thresholds.append(_invert_target(spline, i, t, clamp))
+            thresholds.append(_invert_target(spline, i, t))
     except InversionError as exc:
         raise DesignError(f"threshold inversion failed: {exc}") from exc
     thresholds.append(config.x_max)
@@ -326,7 +254,6 @@ def build(
         overload_level=overload_level,
         cell_lengths_asymptotic=asym,
         cell_lengths_exact=exact,
-        level_rule=level_rule,
     )
 
 

@@ -21,10 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gauss_analytics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     SourceModel,
-    compressor,
     compressor_derivative,
     erf,
     integrate,
@@ -78,24 +75,18 @@ class LloydMaxResult:
     iterations: int
 
 
-def _quantizer_tables(q) -> tuple[np.ndarray, np.ndarray, float]:
-    boundaries = np.asarray(q.all_boundaries, dtype=float)
-    levels = np.asarray(q.all_levels, dtype=float)
-    sigma = getattr(getattr(getattr(q, "config", None), "source", None), "sigma", 1.0)
-    return boundaries, levels, sigma
-
-
 def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstimate:
     """Mean squared quantization error over seeded Gaussian draws.
 
     Samples are generated in fixed-size shards whose generators are seeded
     from (seed, shard index), so the estimate depends only on the arguments,
-    never on how the shards are scheduled.  Any object exposing
-    ``all_boundaries`` and ``all_levels`` can be measured.
+    never on how the shards are scheduled.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    boundaries, levels, sigma = _quantizer_tables(q)
+    boundaries = np.asarray(q.all_boundaries, dtype=float)
+    levels = np.asarray(q.all_levels, dtype=float)
+    sigma = q.config.source.sigma
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
@@ -104,11 +95,7 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
         count = min(_SHARD_SIZE, remaining)
         rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
         x = sigma * rng.standard_normal(count)
-        if boundaries.size:
-            reproduced = levels[np.searchsorted(boundaries, x, side="right")]
-        else:
-            reproduced = np.full(count, levels[0])
-        err_sq = (x - reproduced) ** 2
+        err_sq = (x - levels[np.searchsorted(boundaries, x, side="right")]) ** 2
         total += float(err_sq.sum())
         total_sq += float((err_sq**2).sum())
         remaining -= count
@@ -119,9 +106,7 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
     return McEstimate(mean, std_error, n_samples, seed)
 
 
-def true_distortion(
-    q: CompandingQuantizer, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def true_distortion(q: CompandingQuantizer) -> float:
     """Noise power of the realized quantizer by per-cell quadrature.
 
     Integrates (x - level)^2 against the source density over every granular
@@ -132,7 +117,7 @@ def true_distortion(
     bounds = np.array((0.0,) + q.thresholds)
     levels = np.array(q.levels)
     cell_error = lambda n: (n.x - levels[n.interval]) ** 2 * pdf(src, n.x)
-    granular = sum(integrate(cell_error, bounds[:-1], bounds[1:], quad).tolist())
+    granular = sum(integrate(cell_error, bounds[:-1], bounds[1:]).tolist())
     return 2.0 * granular + overload_distortion_exact(q)
 
 
@@ -160,16 +145,14 @@ def _companding_levels(source: SourceModel, n_levels: int) -> list[float] | None
 
 
 def _invert_compressor(source: SourceModel, x_max: float, value: float) -> float:
-    lo, hi = 0.0, x_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if compressor(source, x_max, mid) < value:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Preimage of ``value`` in [0, x_max] under the optimal compressor: the
+    root of erf(x/s) = p, p = value * erf(x_max/s) / x_max, s = sqrt(6) sigma.
+    The closed form through the normal quantile loses relative accuracy near
+    0, where 1 + p rounds; one Newton step on erf restores it."""
+    s = math.sqrt(6.0) * source.sigma
+    p = value * math.erf(x_max / s) / x_max
+    x = math.sqrt(3.0) * source.sigma * NormalDist().inv_cdf(0.5 * (1.0 + p))
+    return x - (math.erf(x / s) - p) * 0.5 * math.sqrt(math.pi) * s * math.exp((x / s) ** 2)
 
 
 def lloyd_max(

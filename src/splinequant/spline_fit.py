@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gauss_analytics import DEFAULT_QUADRATURE, Nodes, QuadratureSpec, integrate
+from .gauss_analytics import Nodes, integrate
 
 __all__ = [
     "KnotVector",
@@ -177,21 +177,19 @@ def _solve3(m: list[list[float]], b: list[float]) -> list[float]:
 def target_moments(
     target: Callable[[np.ndarray], np.ndarray],
     knot_vectors: Sequence[KnotVector],
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[np.ndarray]:
     """Integrals of target * x^k, k = 0, 1, 2, over every segment of every
     knot vector, from one quadrature pass; one (n_segments, 3) array per
     vector.  ``target`` must map an array of abscissae elementwise."""
     lo, hi = np.array([(lo, hi) for kv in knot_vectors for lo, hi in zip(kv.knots, kv.knots[1:])]).T
     weighted = lambda n: target(n.x) * np.stack((np.ones_like(n.x), n.x, n.x**2))
-    rows = integrate(weighted, lo, hi, quad).T
+    rows = integrate(weighted, lo, hi).T
     return np.split(rows, np.cumsum([kv.n_segments for kv in knot_vectors])[:-1])
 
 
 def fit(
     target: Callable[[np.ndarray], np.ndarray],
     knots: KnotVector,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     moments: np.ndarray | None = None,
 ) -> QuadraticSpline:
     """Per-segment least-squares quadratic approximation of ``target``.
@@ -204,7 +202,7 @@ def fit(
     ``moments``.
     """
     if moments is None:
-        (moments,) = target_moments(target, [knots], quad)
+        (moments,) = target_moments(target, [knots])
     segments = []
     for lo, hi, rhs in zip(knots.knots, knots.knots[1:], moments.tolist()):
         gram = [
@@ -220,7 +218,6 @@ def fit_objective(
     target: Callable[[np.ndarray], np.ndarray],
     spline: QuadraticSpline,
     knots: KnotVector,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Length-weighted squared fit error: sum over segments of
     (1 / segment length) * integral of (target - spline)^2."""
@@ -234,7 +231,7 @@ def fit_objective(
         x, i = nodes
         return (target(x) - (c0[i] + x * (c1[i] + c2[i] * x))) ** 2
 
-    return sum((integrate(squared_error, lo, hi, quad) / (hi - lo)).tolist())
+    return sum((integrate(squared_error, lo, hi) / (hi - lo)).tolist())
 
 
 def invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:

@@ -1,5 +1,5 @@
-"""Grid sweep of the free segment threshold with optional golden-section
-refinement of the SQNR maximum."""
+"""The design pipeline for one threshold, its grid sweep over the free segment
+threshold, and optional golden-section refinement of the SQNR maximum."""
 
 from __future__ import annotations
 
@@ -10,17 +10,20 @@ from typing import Callable
 
 import numpy as np
 
-from .gauss_analytics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    SourceModel,
-    compressor,
-    support_threshold,
+from .gauss_analytics import SourceModel, compressor, support_threshold
+from .quantizer_design import (
+    CompandingQuantizer,
+    DesignConfig,
+    DesignError,
+    DistortionReport,
+    build,
+    sqnr,
+    standard_config,
 )
-from .quantizer_design import DesignError, DistortionReport, build, sqnr, standard_config
-from .spline_fit import fit, target_moments
+from .spline_fit import QuadraticSpline, fit, target_moments
 
 __all__ = [
+    "Design",
     "SweepCandidate",
     "SweepResult",
     "RefineResult",
@@ -38,6 +41,16 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 class SweepError(RuntimeError):
     """No sweep candidate produced a usable design."""
+
+
+@dataclass(frozen=True)
+class Design:
+    """One design: its configuration, fitted curve, quantizer and report."""
+
+    config: DesignConfig
+    spline: QuadraticSpline
+    quantizer: CompandingQuantizer
+    report: DistortionReport
 
 
 @dataclass(frozen=True)
@@ -74,46 +87,44 @@ def evaluate_candidate(
     n_levels: int,
     x1: float,
     source: SourceModel = SourceModel(),
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     moments: np.ndarray | None = None,
-) -> DistortionReport:
+) -> Design:
     """Fit the compressor on knots (0, x1, x_max), build, and score one design.
     ``moments``: the fit's row of a batched ``target_moments`` call, if any."""
     config = standard_config(n_levels, (x1,), source)
-    target = lambda x: compressor(source, config.x_max, x)
-    return sqnr(build(fit(target, config.knots, quad, moments), config))
+    spline = fit(lambda x: compressor(source, config.x_max, x), config.knots, moments)
+    quantizer = build(spline, config)
+    return Design(config, spline, quantizer, sqnr(quantizer))
 
 
 def sweep(
     n_levels: int,
     grid_step: float = 0.01,
     source: SourceModel = SourceModel(),
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> SweepResult:
     """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max.
 
     One quadrature pass gives all candidates' fit moments; ``evaluate_candidate``
-    then fits, builds and scores each.  Candidates whose fit cannot produce a
-    monotone quantizer are kept in the curve but marked invalid and skipped by
-    the argmax.  Ties break toward the smaller threshold.
+    then fits, builds and scores each, and the sweep keeps only its report.
+    Candidates whose fit cannot produce a monotone quantizer are kept in the
+    curve but marked invalid and skipped by the argmax.  Ties break toward the
+    smaller threshold.
     """
     x_max = support_threshold(source, n_levels)
-    if grid_step <= 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if grid_step >= 0.5 * x_max:
-        raise ValueError(f"grid_step {grid_step} too coarse for sweep range (0, {0.5 * x_max})")
+    if not 0.0 < grid_step < 0.5 * x_max:
+        raise ValueError(f"grid_step must lie in (0, {0.5 * x_max}), got {grid_step}")
 
     grid = []
     while (x1 := 0.5 * x_max + len(grid) * grid_step) < x_max * (1.0 - 1e-12):
         grid.append(x1)
     knots = [standard_config(n_levels, (x1,), source).knots for x1 in grid]
-    moments = target_moments(lambda x: compressor(source, x_max, x), knots, quad)
+    moments = target_moments(lambda x: compressor(source, x_max, x), knots)
 
     candidates: list[SweepCandidate] = []
     best: SweepCandidate | None = None
     for x1, rows in zip(grid, moments):
         try:
-            report = evaluate_candidate(n_levels, x1, source, quad, rows)
+            report = evaluate_candidate(n_levels, x1, source, rows).report
         except DesignError as exc:
             candidates.append(SweepCandidate(x1, None, None, False, str(exc)))
             continue
@@ -162,7 +173,6 @@ def unimodality_violations(result: SweepResult, tolerance_db: float = 0.05) -> l
 def refine(
     result: SweepResult,
     tolerance: float = 1e-4,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     objective: Callable[[float], float] | None = None,
 ) -> RefineResult:
     """Golden-section polish of the sweep maximum within one grid step.
@@ -172,7 +182,7 @@ def refine(
     grid best.  ``objective`` overrides the default full-design evaluation
     (useful for testing against a known curve).
     """
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     valid = [c for c in result.candidates if c.valid]
     first, last = valid[0], valid[-1]
@@ -183,7 +193,7 @@ def refine(
 
         def objective(x1: float) -> float:
             try:
-                return evaluate_candidate(result.n_levels, x1, result.source, quad).sqnr_db
+                return evaluate_candidate(result.n_levels, x1, result.source).report.sqnr_db
             except DesignError:
                 return -math.inf
 

@@ -136,6 +136,17 @@ def mp_overload_closed(x_max: float) -> float:
         return float(mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-x * x / 2) / x**3)
 
 
+def mp_invert_compressor(x_max: float, value: float) -> float:
+    """Preimage of ``value`` under the unit-variance optimal compressor at 50
+    digits: sqrt(6) * erfinv(value * erf(x_max / sqrt(6)) / x_max)."""
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        s = mpmath.sqrt(6)
+        p = mpmath.mpf(value) * mpmath.erf(mpmath.mpf(x_max) / s) / mpmath.mpf(x_max)
+        return float(s * mpmath.erfinv(p))
+
+
 def recursive_simpson(
     f: Callable[[float], float],
     a: float,

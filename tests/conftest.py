@@ -31,29 +31,14 @@ def lloyd32(model):
     return sq.lloyd_max(model, 32)
 
 
-def make_design(n_levels: int, x1: float, model=sq.SourceModel()) -> SimpleNamespace:
-    config = sq.standard_config(n_levels, (x1,), model)
-    target = lambda x: sq.compressor(model, config.x_max, x)
-    spline = sq.fit(target, config.knots)
-    quantizer = sq.build(spline, config)
-    return SimpleNamespace(
-        config=config,
-        target=target,
-        spline=spline,
-        quantizer=quantizer,
-        report=sq.sqnr(quantizer),
-        x1=x1,
-    )
-
-
 @pytest.fixture(scope="session")
 def designs(model, sweep16, sweep32):
     """The four reference designs: midpoint and swept optimum for N in {16, 32}."""
     return {
-        (16, "mid"): make_design(16, sweep16.x_max / 2, model),
-        (16, "opt"): make_design(16, sweep16.best_x1, model),
-        (32, "mid"): make_design(32, sweep32.x_max / 2, model),
-        (32, "opt"): make_design(32, sweep32.best_x1, model),
+        (16, "mid"): sq.evaluate_candidate(16, sweep16.x_max / 2, model),
+        (16, "opt"): sq.evaluate_candidate(16, sweep16.best_x1, model),
+        (32, "mid"): sq.evaluate_candidate(32, sweep32.x_max / 2, model),
+        (32, "opt"): sq.evaluate_candidate(32, sweep32.best_x1, model),
     }
 
 

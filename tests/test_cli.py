@@ -1,11 +1,20 @@
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import splinequant.cli as cli
+import splinequant.threshold_optimizer as threshold_optimizer
 from splinequant import DesignError
+
+_GOLDEN_TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_golden.py"
+_SPEC = importlib.util.spec_from_file_location("cli_golden", _GOLDEN_TOOL)
+cli_golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_golden)
+GOLDEN_INDEX = json.loads((cli_golden.GOLDEN / "index.json").read_text(encoding="utf-8"))
 
 
 def run_cli(argv, capsys):
@@ -172,6 +181,8 @@ class TestUsageErrors:
             ["sweep", "--levels", "16", "--format", "xml"],
             ["validate", "--levels", "16", "--samples", "0"],
             ["nonsense"],
+            ["validate", "--levels", "16", "--samples", "1e400"],
+            ["sweep", "--levels", "16", "--grid-step", "nan"],
         ],
     )
     def test_bad_flags_exit_2(self, argv, capsys):
@@ -195,7 +206,7 @@ class TestFailureExitCode:
         def raise_design_error(*args, **kwargs):
             raise DesignError("synthetic failure")
 
-        monkeypatch.setattr(cli, "build", raise_design_error)
+        monkeypatch.setattr(threshold_optimizer, "build", raise_design_error)
         code, _, err = run_cli(["design", "--levels", "16", "--x1", "1.68"], capsys)
         assert code == 3
         assert "synthetic failure" in err
@@ -225,3 +236,15 @@ class TestFileOutput:
         rows = list(csv.reader(io.StringIO(out.read_text())))
         assert rows[0][0] == "x1"
         assert (tmp_path / "sweep.csv.manifest.json").exists()
+
+
+class TestGoldenDocuments:
+    @pytest.mark.parametrize("name", sorted(cli_golden.CASES))
+    def test_byte_identical_to_golden(self, name):
+        # tests/golden/ changes only with a deliberate, reviewed change of output
+        expected = GOLDEN_INDEX[name]
+        assert expected["argv"] == list(cli_golden.CASES[name])
+        code, out, err = cli_golden.run(cli_golden.CASES[name])
+        assert code == expected["exit_code"]
+        assert err == expected["stderr"]
+        assert out.encode("utf-8") == (cli_golden.GOLDEN / f"{name}.stdout").read_bytes()

@@ -12,7 +12,6 @@ from splinequant import (
     QuadraticSpline,
     QuadSegment,
     SourceModel,
-    allocate_levels,
     build,
     decode,
     encode,
@@ -90,10 +89,12 @@ class TestStepSize:
 
 
 class TestAllocateLevels:
+    """Granular levels per segment (positive half), read from ``build(...).counts``."""
+
     def test_identity_two_segments_midpoint_knot(self):
         knots = (0.0, X_MAX_16 / 2, X_MAX_16)
         config = DesignConfig(16, KnotVector(knots), UNIT)
-        counts = allocate_levels(identity_spline(knots), config)
+        counts = build(identity_spline(knots), config).counts
         # independent enumeration of the half-step grid against the knot
         # values; the fourth target falls exactly on the midpoint knot and the
         # half-open convention sends it right
@@ -106,15 +107,15 @@ class TestAllocateLevels:
     def test_identity_single_segment(self):
         knots = (0.0, X_MAX_16)
         config = DesignConfig(16, KnotVector(knots), UNIT)
-        assert allocate_levels(identity_spline(knots), config) == (7,)
+        assert build(identity_spline(knots), config).counts == (7,)
 
     def test_fitted_counts_sum(self, fitted16):
-        config, spline, _ = fitted16
-        assert sum(allocate_levels(spline, config)) == 7
+        _, _, q = fitted16
+        assert sum(q.counts) == 7
 
     def test_matches_real_valued_ratio_within_one(self, fitted16):
-        config, spline, _ = fitted16
-        counts = allocate_levels(spline, config)
+        config, spline, q = fitted16
+        counts = q.counts
         kv = spline.knot_values()
         m = config.granular_per_side
         for i, count in enumerate(counts):
@@ -125,14 +126,14 @@ class TestAllocateLevels:
         knots = (0.0, 1.0)
         spline = QuadraticSpline((QuadSegment(0.0, -1.0, 0.0, 0.0, 1.0),))
         with pytest.raises(DesignError):
-            allocate_levels(spline, DesignConfig(8, KnotVector(knots), UNIT))
+            build(spline, DesignConfig(8, KnotVector(knots), UNIT))
 
     def test_offset_start_rejected(self):
         # curve starts above the first target: no level can land below it
         knots = (0.0, 2.0)
         spline = QuadraticSpline((QuadSegment(1.0, 1.0, 0.0, 0.0, 2.0),))
         with pytest.raises(DesignError):
-            allocate_levels(spline, DesignConfig(8, KnotVector(knots), UNIT))
+            build(spline, DesignConfig(8, KnotVector(knots), UNIT))
 
 
 class TestBuild:
@@ -145,8 +146,8 @@ class TestBuild:
         assert q.overload_level == pytest.approx(tail_centroid(UNIT, X_MAX_16), rel=1e-15)
 
     def test_counts_match_allocation(self, fitted16):
-        config, spline, q = fitted16
-        assert q.counts == allocate_levels(spline, config)
+        _, _, q = fitted16
+        assert q.counts == tuple(q.level_segments.count(i) for i in range(2))
         assert sum(q.counts) == 7
 
     def test_levels_inside_segments(self, fitted16):
@@ -191,24 +192,6 @@ class TestBuild:
         config = DesignConfig(8, KnotVector((0.0, 1.0)), UNIT)
         with pytest.raises(DesignError, match=f"segment 0 .*at its {end} end"):
             build(QuadraticSpline((segment,)), config)
-
-    def test_unknown_level_rule_rejected(self, fitted16):
-        config, spline, _ = fitted16
-        with pytest.raises(ValueError):
-            build(spline, config, level_rule="nonsense")
-
-    def test_restart_rule_builds(self, fitted16):
-        config, spline, _ = fitted16
-        q = build(spline, config, level_rule="segment-restart")
-        assert sum(q.counts) == 7
-        assert all(a < b for a, b in zip(q.levels, q.levels[1:]))
-
-    def test_literal_offset_rule_cannot_build(self, fitted16):
-        # reading the level offsets at each segment's right knot pushes the
-        # targets past the fitted curve's range, so the build must fail
-        config, spline, _ = fitted16
-        with pytest.raises(DesignError):
-            build(spline, config, level_rule="literal-right-offset")
 
 
 class TestGranularDistortion:

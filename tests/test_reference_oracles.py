@@ -6,7 +6,9 @@ import pytest
 
 import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
-from splinequant.reference_oracles import ConvergenceError, _companding_model_report
+from splinequant.reference_oracles import ConvergenceError, _companding_model_report, _invert_compressor
+
+from _oracles import mp_invert_compressor
 
 UNIT = SourceModel()
 
@@ -80,7 +82,7 @@ class TestMcDistortion:
         assert abs(shard2 - one.mean_distortion) < 6 * math.hypot(one.std_error, two.std_error)
 
     def test_degenerate_single_cell(self):
-        stub = SimpleNamespace(all_boundaries=(), all_levels=(0.0,))
+        stub = SimpleNamespace(all_boundaries=(), all_levels=(0.0,), config=SimpleNamespace(source=UNIT))
         est = mc_distortion(stub, 400_000, 3)
         assert est.mean_distortion == pytest.approx(1.0, abs=3 * est.std_error)
 
@@ -107,6 +109,23 @@ class TestTrueDistortion:
         assert true_distortion(designs[(16, "mid")].quantizer) == pytest.approx(
             0.0095940704, rel=1e-6
         )
+
+
+class TestInvertCompressor:
+    def test_closed_form_matches_mpmath(self):
+        # level targets (k - 1/2) * delta: the whole grid for N = 4, 8, ..., 1024,
+        # and for every even N up to 4096 the first target, nearest 0, where
+        # the quantile form alone is least accurate
+        pytest.importorskip("mpmath")
+        cases = [(n, k) for n in (2**e for e in range(2, 11)) for k in range(1, n // 2)]
+        cases += [(n, 1) for n in range(4, 4097, 2)]
+        worst = 0.0
+        for n, k in cases:
+            x_max = sq.support_threshold(UNIT, n)
+            v = (k - 0.5) * 2.0 * x_max / (n - 2)
+            ref = mp_invert_compressor(x_max, v)
+            worst = max(worst, abs(_invert_compressor(UNIT, x_max, v) / ref - 1.0))
+        assert worst <= 2e-13, worst
 
 
 class TestExactCompressorModel:

@@ -24,7 +24,7 @@ class TestSweep:
         alone = []
         for x1 in grid:
             try:
-                alone.append(sq.evaluate_candidate(n_levels, x1).sqnr_db)
+                alone.append(sq.evaluate_candidate(n_levels, x1).report.sqnr_db)
             except sq.DesignError:
                 alone.append(None)
         if all(db is None for db in alone):
@@ -98,6 +98,8 @@ class TestSweep:
             sweep(16, grid_step=0.0)
         with pytest.raises(ValueError):
             sweep(16, grid_step=2.0)
+        with pytest.raises(ValueError):
+            sweep(16, grid_step=math.nan)
 
 
 def synthetic_result(xs, values, best_index, grid_step=0.01):
@@ -150,14 +152,16 @@ class TestRefine:
     def test_rejects_bad_tolerance(self, sweep16):
         with pytest.raises(ValueError):
             refine(sweep16, tolerance=0.0)
+        with pytest.raises(ValueError):
+            refine(sweep16, tolerance=math.nan)
 
 
 class TestEvaluateCandidate:
     def test_matches_sweep_entry(self, sweep16):
         cand = sweep16.candidates[10]
-        report = sq.evaluate_candidate(16, cand.x1)
+        report = sq.evaluate_candidate(16, cand.x1).report
         assert report.sqnr_db == cand.sqnr_db
 
     def test_regression_at_literature_thresholds(self):
-        assert sq.evaluate_candidate(16, 1.68).sqnr_db == pytest.approx(19.7638, abs=1e-3)
-        assert sq.evaluate_candidate(32, 2.25).sqnr_db == pytest.approx(25.9188, abs=1e-3)
+        assert sq.evaluate_candidate(16, 1.68).report.sqnr_db == pytest.approx(19.7638, abs=1e-3)
+        assert sq.evaluate_candidate(32, 2.25).report.sqnr_db == pytest.approx(25.9188, abs=1e-3)
