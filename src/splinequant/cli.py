@@ -312,8 +312,15 @@ def _cmd_lloyd_max(args) -> int:
 
 def _even_levels(value: str) -> int:
     n = int(value)
-    if n < 8 or n % 2:
-        raise argparse.ArgumentTypeError(f"levels must be even and >= 8, got {n}")
+    if n < 4 or n % 2:
+        raise argparse.ArgumentTypeError(f"levels must be even and >= 4, got {n}")
+    return n
+
+
+def _seed(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
     return n
 
 
@@ -341,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, levels_default=16):
         p.add_argument("--levels", type=_even_levels, default=levels_default,
-                       help="number of output levels N (even, >= 8; default %(default)s)")
+                       help="number of output levels N (even, >= 4; the two-segment "
+                            "commands need >= 6; default %(default)s)")
         p.add_argument("--grid-step", type=_positive_float, default=0.01, dest="grid_step",
                        help="threshold sweep resolution (default %(default)s)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -367,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", default="auto", help="threshold to validate (default auto)")
     p.add_argument("--samples", type=_positive_int, default=10_000_000,
                    help="Monte-Carlo sample count (default %(default)s)")
-    p.add_argument("--seed", type=int, default=42, help="random seed (default %(default)s)")
+    p.add_argument("--seed", type=_seed, default=42, help="random seed (default %(default)s)")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("lloyd-max", help="reference MSE-optimal quantizer")

@@ -5,13 +5,15 @@ Design conventions
 ------------------
 * N output levels total: N-2 granular (symmetric about zero) plus one overload
   level per sign at the conditional tail mean.
-* Compressed-domain step ``delta = 2*x_max/(N-2)``.  Granular reproduction
-  levels are the spline preimages of the half-step grid (k - 1/2)*delta,
-  decision thresholds the preimages of k*delta; cells are half-open
-  [threshold, next_threshold).
-* The one grid is split among segments by the fitted curve's knot values, so
+* Compressed-domain step ``delta = 2*x_max/(N-2)``.  Levels and thresholds
+  are the spline preimages of one half-step grid j*delta/2, j = 1 ... N-3,
+  inverted in one pass: odd j give the granular reproduction levels, even j
+  the decision thresholds; cells are half-open [threshold, next_threshold).
+* The grid is split among segments by the fitted curve's knot values, so
   a segment may receive no level (the N=16 optimum has counts (7, 0)); the
   paper's per-segment level-count rule is not in the repository.
+* The coding tables ``all_boundaries`` and ``all_levels`` are computed once
+  per quantizer, on first use by ``encode`` or ``decode``.
 * Granular distortion uses the companding model: density at the level, slope
   of the compressor there, and the asymptotic cell length delta/slope.  The
   headline SQNR combines it with the asymptotic overload term; the exact
@@ -23,7 +25,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .gauss_analytics import SourceModel, pdf, support_threshold, tail_centroid, upper_tail
 from .spline_fit import InversionError, KnotVector, QuadraticSpline, invert_segment
@@ -117,7 +122,7 @@ class CompandingQuantizer:
     cell_lengths_asymptotic: tuple[float, ...]
     cell_lengths_exact: tuple[float, ...]
 
-    @property
+    @cached_property
     def all_boundaries(self) -> tuple[float, ...]:
         """Full inner decision boundaries, most negative first (length N-1)."""
         inner = self.thresholds[:-1]
@@ -129,7 +134,7 @@ class CompandingQuantizer:
             + (self.config.x_max,)
         )
 
-    @property
+    @cached_property
     def all_levels(self) -> tuple[float, ...]:
         """Reproduction level per cell, most negative first (length N)."""
         return (
@@ -156,42 +161,6 @@ def _check_monotone(spline: QuadraticSpline) -> None:
                 )
 
 
-def _assign_targets(
-    spline: QuadraticSpline, config: DesignConfig
-) -> tuple[list[list[float]], float]:
-    """Partition the half-step target grid (k - 1/2)*delta among segments:
-    segment i takes the targets in [value(knot_i), value(knot_{i+1})), the
-    last interval closed on the right."""
-    delta = step_size(config)
-    kv = spline.knot_values()
-    if any(a >= b for a, b in zip(kv, kv[1:])):
-        raise DesignError(f"compressed knot values not increasing: {kv}")
-    if kv[0] >= 0.5 * delta:
-        raise DesignError(
-            f"fitted value at 0 ({kv[0]:.6f}) reaches the first target {0.5 * delta:.6f}"
-        )
-    per_segment: list[list[float]] = [[] for _ in spline.segments]
-    last = len(spline.segments) - 1
-    for k in range(1, config.granular_per_side + 1):
-        t = (k - 0.5) * delta
-        if t < kv[0] or t > kv[-1]:
-            raise DesignError(
-                f"target {t:.6f} outside fitted compressed range [{kv[0]:.6f}, {kv[-1]:.6f}]"
-            )
-        i = min(max(bisect.bisect_right(kv, t) - 1, 0), last)
-        per_segment[i].append(t)
-    return per_segment, delta
-
-
-def _invert_target(spline: QuadraticSpline, i: int, t: float) -> float:
-    seg = spline.segments[i]
-    if t < seg.value(seg.lo):
-        # target sits in an upward fit discontinuity at the left knot; the
-        # generalized inverse of the jump is the knot itself
-        return seg.lo
-    return invert_segment(spline, i, t)
-
-
 def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
     """Assemble the quantizer: levels, thresholds, counts, overload level.
 
@@ -204,56 +173,53 @@ def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
             f"spline knots {spline.knots} do not match config knots {config.knots.knots}"
         )
     _check_monotone(spline)
-    per_segment, delta = _assign_targets(spline, config)
-
-    levels: list[float] = []
-    level_segments: list[int] = []
-    try:
-        for i, targets in enumerate(per_segment):
-            for t in targets:
-                levels.append(_invert_target(spline, i, t))
-                level_segments.append(i)
-    except InversionError as exc:
-        raise DesignError(f"level inversion failed: {exc}") from exc
-
-    m = config.granular_per_side
+    delta = step_size(config)
     kv = spline.knot_values()
-    thresholds: list[float] = []
-    try:
-        for k in range(1, m):
-            t = k * delta
-            i = min(max(bisect.bisect_right(kv, t) - 1, 0), len(spline.segments) - 1)
-            thresholds.append(_invert_target(spline, i, t))
-    except InversionError as exc:
-        raise DesignError(f"threshold inversion failed: {exc}") from exc
-    thresholds.append(config.x_max)
-
-    interleaved = [0.0]
-    for y, t in zip(levels, thresholds):
-        interleaved += [y, t]
-    if any(a >= b for a, b in zip(interleaved, interleaved[1:])):
+    if any(a >= b for a, b in zip(kv, kv[1:])):
+        raise DesignError(f"compressed knot values not increasing: {kv}")
+    if kv[0] >= 0.5 * delta:
         raise DesignError(
-            f"levels and thresholds do not interleave: levels={levels} thresholds={thresholds}"
+            f"fitted value at 0 ({kv[0]:.6f}) reaches the first target {0.5 * delta:.6f}"
+        )
+    # grid point j is j*delta/2: odd j are levels, even j thresholds
+    grid = np.arange(1, 2 * config.granular_per_side) * (0.5 * delta)
+    # segment i takes the targets in [kv[i], kv[i+1]), the first and last
+    # open outwards: the count of interior knot values at or below the target
+    seg = np.asarray(kv[1:-1]).searchsorted(grid, "right")
+    c0, c1, c2, lo, _ = spline.coefficients.take(seg, axis=1)
+    # a target below its segment's own value at the left knot sits in an
+    # upward fit discontinuity there; the generalized inverse of the jump is
+    # the knot itself
+    start = c0 + lo * (c1 + c2 * lo)
+    try:
+        x = invert_segment(spline, seg, np.maximum(grid, start))
+    except InversionError as exc:
+        raise DesignError(f"grid inversion failed: {exc}") from exc
+    x = np.where(grid < start, lo, x)
+
+    points = np.concatenate(([0.0], x, [config.x_max]))
+    out_of_order = points[:-1] >= points[1:]
+    if np.count_nonzero(out_of_order):
+        j = int(np.argmax(out_of_order))
+        a, b = points[j : j + 2].tolist()
+        raise DesignError(
+            f"levels and thresholds do not interleave: grid point {j} maps to {a!r}, "
+            f"not below {b!r} for point {j + 1}"
         )
 
-    overload_level = tail_centroid(config.source, config.x_max)
-    asym = tuple(
-        delta / spline.segments[i].slope(y) for i, y in zip(level_segments, levels)
-    )
-    bounds = [0.0] + thresholds
-    exact = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
+    levels, level_segments = x[::2], seg[::2]
+    asym = delta / (c1[::2] + 2.0 * c2[::2] * levels)
     return CompandingQuantizer(
         config=config,
         spline=spline,
         step=delta,
-        levels=tuple(levels),
-        thresholds=tuple(thresholds),
-        counts=tuple(len(ts) for ts in per_segment),
-        level_segments=tuple(level_segments),
-        overload_level=overload_level,
-        cell_lengths_asymptotic=asym,
-        cell_lengths_exact=exact,
+        levels=tuple(levels.tolist()),
+        thresholds=tuple(points[2::2].tolist()),
+        counts=tuple(np.bincount(level_segments, minlength=len(kv) - 1).tolist()),
+        level_segments=tuple(level_segments.tolist()),
+        overload_level=tail_centroid(config.source, config.x_max),
+        cell_lengths_asymptotic=tuple(asym.tolist()),
+        cell_lengths_exact=tuple((points[2::2] - points[:-1:2]).tolist()),
     )
 
 

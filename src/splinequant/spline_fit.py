@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import bisect
 import logging
-import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,6 +141,13 @@ class QuadraticSpline:
             s.value(s.hi) for s in self.segments
         )
 
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Read-only (5, n_segments) table whose rows are c0, c1, c2, lo, hi."""
+        table = np.array([(s.c0, s.c1, s.c2, s.lo, s.hi) for s in self.segments]).T
+        table.flags.writeable = False
+        return table
+
     def knot_jumps(self) -> tuple[float, ...]:
         """Discontinuity magnitude at each interior knot (fit diagnostic)."""
         return tuple(
@@ -225,7 +232,7 @@ def fit_objective(
         raise ValueError(
             f"spline segments {spline.knots} do not align with knots {knots.knots}"
         )
-    c0, c1, c2, lo, hi = np.array([astuple(seg) for seg in spline.segments]).T
+    c0, c1, c2, lo, hi = spline.coefficients
 
     def squared_error(nodes: Nodes) -> np.ndarray:
         x, i = nodes
@@ -234,41 +241,50 @@ def fit_objective(
     return sum((integrate(squared_error, lo, hi) / (hi - lo)).tolist())
 
 
-def invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:
+def invert_segment(
+    spline: QuadraticSpline, segment_index: int | np.ndarray, target: float | np.ndarray
+) -> float | np.ndarray:
     """Solve segment polynomial == target inside that segment's interval.
 
+    ``segment_index`` and ``target`` may be arrays that broadcast together;
+    the result has their broadcast shape, and is a float for scalar inputs.
     Uses the cancellation-free quadratic formula; falls back to the linear
     solve when the quadratic coefficient is negligible.  Exactly one root may
     lie in [lo, hi] (widened by 1e-9): none raises InversionError, two signal
-    a non-monotonic segment and also raise.
+    a non-monotonic segment and also raise.  Array inputs raise for their
+    first failing element, with that element's message.
     """
-    seg = spline.segments[segment_index]
-    a, b, c = seg.c2, seg.c1, seg.c0 - target
-    if abs(a) < 1e-12 * abs(b):
-        if b == 0.0:
+    idx, t = np.asarray(segment_index), np.asarray(target, dtype=float)
+    c0, c1, c2, lo, hi = spline.coefficients.take(idx, axis=1)
+    a, b, c = c2, c1, c0 - t
+    linear = np.abs(a) < 1e-12 * np.abs(b)
+    disc = b * b - 4.0 * a * c
+    # a negative discriminant or a constant segment gives NaN or infinite
+    # roots, which lie in no segment; the double root at q == 0 gives
+    # c/q = NaN, which fmin and fmax drop
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        r1 = np.where(linear, -c / b, q / a)
+        r2 = np.where(linear, r1, c / q)
+    r_lo, r_hi = np.fmin(r1, r2), np.fmax(r1, r2)
+    lo_slack, hi_slack = lo - _DOMAIN_SLACK, hi + _DOMAIN_SLACK
+    in_lo = (lo_slack <= r_lo) & (r_lo <= hi_slack)
+    in_hi = (lo_slack <= r_hi) & (r_hi <= hi_slack)
+    failed = ~(in_lo | in_hi) | (in_lo & in_hi & (r_hi - r_lo > _DOMAIN_SLACK))
+    if np.count_nonzero(failed):
+        if failed.ndim:  # the first failing element raises its own message
+            k = int(np.argmax(failed.ravel()))
+            first = (np.broadcast_to(v, failed.shape).flat[k].item() for v in (idx, t))
+            invert_segment(spline, *first)
+        i, tk = int(idx), float(t)
+        if a == 0.0 and b == 0.0:
             raise InversionError("degenerate segment polynomial (constant)")
-        roots = [-c / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            raise InversionError(
-                f"no real root for target {target} on segment {segment_index}"
-            )
-        s = math.sqrt(disc)
-        q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else -0.5 * s
-        roots = [q / a]
-        if q != 0.0:
-            roots.append(c / q)
-        else:
-            roots.append(0.0)  # double root at the vertex when b == 0 and disc == 0
-        roots = sorted(set(roots))
-    inside = [r for r in roots if seg.lo - _DOMAIN_SLACK <= r <= seg.hi + _DOMAIN_SLACK]
-    if not inside:
-        raise InversionError(
-            f"no root in [{seg.lo}, {seg.hi}] for target {target} on segment {segment_index}"
-        )
-    if len(inside) > 1 and abs(inside[1] - inside[0]) > _DOMAIN_SLACK:
-        raise InversionError(
-            f"both roots {inside} inside segment {segment_index}: non-monotonic segment"
-        )
-    return min(max(inside[0], seg.lo), seg.hi)
+        if not linear and disc < 0.0:
+            raise InversionError(f"no real root for target {tk} on segment {i}")
+        if not (in_lo or in_hi):
+            seg = spline.segments[i]
+            raise InversionError(f"no root in [{seg.lo}, {seg.hi}] for target {tk} on segment {i}")
+        roots = [float(r_lo), float(r_hi)]
+        raise InversionError(f"both roots {roots} inside segment {i}: non-monotonic segment")
+    root = np.minimum(np.maximum(np.where(in_lo, r_lo, r_hi), lo), hi)
+    return float(root) if root.ndim == 0 else root

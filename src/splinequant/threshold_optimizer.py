@@ -38,6 +38,9 @@ log = logging.getLogger(__name__)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# sweep refuses finer grids: each candidate is fitted, built and scored
+_MAX_CANDIDATES = 100_000
+
 
 class SweepError(RuntimeError):
     """No sweep candidate produced a usable design."""
@@ -108,11 +111,17 @@ def sweep(
     then fits, builds and scores each, and the sweep keeps only its report.
     Candidates whose fit cannot produce a monotone quantizer are kept in the
     curve but marked invalid and skipped by the argmax.  Ties break toward the
-    smaller threshold.
+    smaller threshold.  A ``grid_step`` that would give more than
+    100,000 candidates raises ValueError before any work.
     """
     x_max = support_threshold(source, n_levels)
     if not 0.0 < grid_step < 0.5 * x_max:
         raise ValueError(f"grid_step must lie in (0, {0.5 * x_max}), got {grid_step}")
+    if 0.5 * x_max / grid_step > _MAX_CANDIDATES:
+        raise ValueError(
+            f"grid_step {grid_step} gives more than {_MAX_CANDIDATES} candidates on "
+            f"[{0.5 * x_max:.6g}, {x_max:.6g})"
+        )
 
     grid = []
     while (x1 := 0.5 * x_max + len(grid) * grid_step) < x_max * (1.0 - 1e-12):

@@ -4,13 +4,16 @@ The numpy helpers integrate with fixed-order Gauss-Legendre rules, on purpose:
 the library under test uses adaptive Simpson, so these helpers provide a
 second, structurally different route to the same integrals.
 ``recursive_simpson`` is the scalar adaptive Simpson the batched library
-routine must reproduce.  The ``mp_``
+routine must reproduce, and ``per_level_build`` the per-level quantizer
+construction, with its scalar ``scalar_invert_segment``, that the single-pass
+``build`` must reproduce.  The ``mp_``
 helpers evaluate closed forms in 50-digit mpmath arithmetic; they import
 mpmath when called, so tests that use them skip where it is not installed.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 from typing import Callable
@@ -18,6 +21,17 @@ from typing import Callable
 import numpy as np
 
 from splinequant import DEFAULT_QUADRATURE, QuadratureError, QuadratureSpec
+from splinequant.gauss_analytics import tail_centroid
+from splinequant.quantizer_design import (
+    CompandingQuantizer,
+    DesignConfig,
+    DesignError,
+    _check_monotone,
+    step_size,
+)
+from splinequant.spline_fit import InversionError, QuadraticSpline
+
+_DOMAIN_SLACK = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -209,3 +223,134 @@ def recursive_simpson(
             best_estimate=result,
         )
     return result
+
+
+def scalar_invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:
+    """One point of ``invert_segment``: the per-point scalar solve."""
+    seg = spline.segments[segment_index]
+    a, b, c = seg.c2, seg.c1, seg.c0 - target
+    if abs(a) < 1e-12 * abs(b):
+        if b == 0.0:
+            raise InversionError("degenerate segment polynomial (constant)")
+        roots = [-c / b]
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            raise InversionError(
+                f"no real root for target {target} on segment {segment_index}"
+            )
+        s = math.sqrt(disc)
+        q = -0.5 * (b + math.copysign(s, b)) if b != 0.0 else -0.5 * s
+        roots = [q / a]
+        if q != 0.0:
+            roots.append(c / q)
+        else:
+            roots.append(0.0)  # double root at the vertex when b == 0 and disc == 0
+        roots = sorted(set(roots))
+    inside = [r for r in roots if seg.lo - _DOMAIN_SLACK <= r <= seg.hi + _DOMAIN_SLACK]
+    if not inside:
+        raise InversionError(
+            f"no root in [{seg.lo}, {seg.hi}] for target {target} on segment {segment_index}"
+        )
+    if len(inside) > 1 and abs(inside[1] - inside[0]) > _DOMAIN_SLACK:
+        raise InversionError(
+            f"both roots {inside} inside segment {segment_index}: non-monotonic segment"
+        )
+    return min(max(inside[0], seg.lo), seg.hi)
+
+
+def _assign_targets(
+    spline: QuadraticSpline, config: DesignConfig
+) -> tuple[list[list[float]], float]:
+    """Partition the half-step target grid (k - 1/2)*delta among segments:
+    segment i takes the targets in [value(knot_i), value(knot_{i+1})), the
+    last interval closed on the right."""
+    delta = step_size(config)
+    kv = spline.knot_values()
+    if any(a >= b for a, b in zip(kv, kv[1:])):
+        raise DesignError(f"compressed knot values not increasing: {kv}")
+    if kv[0] >= 0.5 * delta:
+        raise DesignError(
+            f"fitted value at 0 ({kv[0]:.6f}) reaches the first target {0.5 * delta:.6f}"
+        )
+    per_segment: list[list[float]] = [[] for _ in spline.segments]
+    last = len(spline.segments) - 1
+    for k in range(1, config.granular_per_side + 1):
+        t = (k - 0.5) * delta
+        if t < kv[0] or t > kv[-1]:
+            raise DesignError(
+                f"target {t:.6f} outside fitted compressed range [{kv[0]:.6f}, {kv[-1]:.6f}]"
+            )
+        i = min(max(bisect.bisect_right(kv, t) - 1, 0), last)
+        per_segment[i].append(t)
+    return per_segment, delta
+
+
+def _invert_target(spline: QuadraticSpline, i: int, t: float) -> float:
+    seg = spline.segments[i]
+    if t < seg.value(seg.lo):
+        # target sits in an upward fit discontinuity at the left knot; the
+        # generalized inverse of the jump is the knot itself
+        return seg.lo
+    return scalar_invert_segment(spline, i, t)
+
+
+def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
+    """Quantizer built one level and one threshold at a time: levels binned
+    to segments, thresholds binned again, each inverted by a scalar solve."""
+    if spline.knots != config.knots.knots:
+        raise DesignError(
+            f"spline knots {spline.knots} do not match config knots {config.knots.knots}"
+        )
+    _check_monotone(spline)
+    per_segment, delta = _assign_targets(spline, config)
+
+    levels: list[float] = []
+    level_segments: list[int] = []
+    try:
+        for i, targets in enumerate(per_segment):
+            for t in targets:
+                levels.append(_invert_target(spline, i, t))
+                level_segments.append(i)
+    except InversionError as exc:
+        raise DesignError(f"level inversion failed: {exc}") from exc
+
+    m = config.granular_per_side
+    kv = spline.knot_values()
+    thresholds: list[float] = []
+    try:
+        for k in range(1, m):
+            t = k * delta
+            i = min(max(bisect.bisect_right(kv, t) - 1, 0), len(spline.segments) - 1)
+            thresholds.append(_invert_target(spline, i, t))
+    except InversionError as exc:
+        raise DesignError(f"threshold inversion failed: {exc}") from exc
+    thresholds.append(config.x_max)
+
+    interleaved = [0.0]
+    for y, t in zip(levels, thresholds):
+        interleaved += [y, t]
+    if any(a >= b for a, b in zip(interleaved, interleaved[1:])):
+        raise DesignError(
+            f"levels and thresholds do not interleave: levels={levels} thresholds={thresholds}"
+        )
+
+    overload_level = tail_centroid(config.source, config.x_max)
+    asym = tuple(
+        delta / spline.segments[i].slope(y) for i, y in zip(level_segments, levels)
+    )
+    bounds = [0.0] + thresholds
+    exact = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+    return CompandingQuantizer(
+        config=config,
+        spline=spline,
+        step=delta,
+        levels=tuple(levels),
+        thresholds=tuple(thresholds),
+        counts=tuple(len(ts) for ts in per_segment),
+        level_segments=tuple(level_segments),
+        overload_level=overload_level,
+        cell_lengths_asymptotic=asym,
+        cell_lengths_exact=exact,
+    )

@@ -160,6 +160,23 @@ class TestValidateCommand:
         assert code in (0, 1)
 
 
+class TestSmallLevelCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--levels", "6"],
+            ["sweep", "--levels", "6"],
+            ["validate", "--levels", "6", "--samples", "1000"],
+            ["lloyd-max", "--levels", "6"],
+            ["lloyd-max", "--levels", "4"],
+        ],
+    )
+    def test_succeeds(self, argv, capsys):
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        assert doc["results"]["n_levels"] == int(argv[2])
+
+
 class TestLloydMaxCommand:
     def test_document(self, capsys):
         code, doc = run_json(["lloyd-max", "--levels", "16"], capsys)
@@ -183,12 +200,36 @@ class TestUsageErrors:
             ["nonsense"],
             ["validate", "--levels", "16", "--samples", "1e400"],
             ["sweep", "--levels", "16", "--grid-step", "nan"],
+            ["design", "--levels", "16", "--grid-step", "1e-9"],
+            ["sweep", "--levels", "16", "--grid-step", "1e-9"],
+            ["design", "--levels", "2"],
         ],
     )
     def test_bad_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
+
+    def test_negative_seed_rejected_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "evaluate_candidate", None)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["validate", "--x1", "1.68", "--samples", "100", "--seed", "-1"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--levels", "4"],
+            ["sweep", "--levels", "4"],
+            ["validate", "--levels", "4", "--samples", "100"],
+        ],
+    )
+    def test_four_levels_leave_too_few_for_two_segments(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "fewer than the 2 segments" in capsys.readouterr().err
 
     def test_x1_out_of_range(self, capsys):
         with pytest.raises(SystemExit) as info:

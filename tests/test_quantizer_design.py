@@ -28,7 +28,7 @@ from splinequant import (
 
 from splinequant.spline_fit import target_moments
 
-from _oracles import gaussian_cell_distortion, uniform_midpoint_quantizer
+from _oracles import gaussian_cell_distortion, per_level_build, uniform_midpoint_quantizer
 
 UNIT = SourceModel()
 X_MAX_16 = support_threshold(UNIT, 16)
@@ -193,6 +193,75 @@ class TestBuild:
         with pytest.raises(DesignError, match=f"segment 0 .*at its {end} end"):
             build(QuadraticSpline((segment,)), config)
 
+    @pytest.mark.parametrize("n_levels", [8 * 2**k for k in range(9)])
+    def test_equals_per_level_build_over_sweep_grid(self, n_levels):
+        # the single pass over the half-step grid gives the per-level
+        # construction's quantizer bit for bit, and fails on the same
+        # candidates with the same reason; only the interleave text differs
+        # (no candidate has a target beyond the fitted range, whose text
+        # also differs: see test_target_beyond_fitted_range_rejected)
+        x_max = support_threshold(UNIT, n_levels)
+        configs = [
+            standard_config(n_levels, (0.5 * x_max + k * 0.05,))
+            for k in range(int(0.5 * x_max / 0.05) + 1)
+            if 0.5 * x_max + k * 0.05 < x_max * (1.0 - 1e-12)
+        ]
+        moments = target_moments(
+            lambda x: sq.compressor(UNIT, x_max, x), [c.knots for c in configs]
+        )
+        for config, rows in zip(configs, moments):
+            spline = sq.fit(None, config.knots, rows)
+            try:
+                want = per_level_build(spline, config)
+            except DesignError as exc:
+                with pytest.raises(DesignError) as info:
+                    build(spline, config)
+                if "interleave" in str(exc):
+                    assert "interleave" in str(info.value)
+                else:
+                    assert str(info.value) == str(exc)
+                continue
+            got = build(spline, config)
+            assert got == want
+            for table in (got.levels, got.thresholds, got.cell_lengths_asymptotic):
+                assert all(type(v) is float for v in table)
+            assert all(type(c) is int for c in got.counts + got.level_segments)
+
+    def test_target_beyond_fitted_range_rejected(self):
+        # 0.8x reaches 2.4 at x_max = 3, below the top level target 2.5
+        spline = QuadraticSpline((QuadSegment(0.0, 0.8, 0.0, 0.0, 3.0),))
+        with pytest.raises(DesignError, match="target 2.5"):
+            build(spline, DesignConfig(8, KnotVector((0.0, 3.0)), UNIT))
+
+    @staticmethod
+    def jump_build(value_at_knot: float) -> sq.CompandingQuantizer:
+        # N = 8 on [0, 3]: delta = 1, grid points 0.5, 1.0, ..., 2.5.  The
+        # first segment rises to 1.2 at the knot x = 1, the second restarts
+        # at ``value_at_knot`` there and rises linearly to 3 at x = 3.
+        slope = (3.0 - value_at_knot) / 2.0
+        spline = QuadraticSpline(
+            (
+                QuadSegment(0.0, 1.2, 0.0, 0.0, 1.0),
+                QuadSegment(value_at_knot - slope, slope, 0.0, 1.0, 3.0),
+            )
+        )
+        return build(spline, DesignConfig(8, KnotVector((0.0, 1.0, 3.0)), UNIT))
+
+    def test_target_inside_upward_jump_maps_to_knot(self):
+        # the jump (1.2, 1.7) holds only the level target 1.5
+        q = self.jump_build(1.7)
+        assert q.levels[1] == 1.0
+        assert q.level_segments == (0, 1, 1)
+        assert q.thresholds[0] == pytest.approx(1.0 / 1.2, rel=1e-15)
+        assert q.thresholds[1] == pytest.approx(1.0 + 0.3 / 0.65, rel=1e-15)
+
+    def test_two_targets_inside_upward_jump_name_the_pair(self):
+        # the jump (1.2, 2.2) holds the level target 1.5 and the threshold
+        # target 2.0: both map to the knot, grid points 3 and 4
+        pair = r"grid point 3 maps to 1\.0, not below 1\.0 for point 4"
+        with pytest.raises(DesignError, match=pair):
+            self.jump_build(2.2)
+
 
 class TestGranularDistortion:
     def test_identity_equals_midpoint_rule(self):
@@ -353,6 +422,14 @@ class TestEncodeDecode:
         n = q.config.n_levels
         for k in range(n):
             assert decode(q, n - 1 - k) == -decode(q, k)
+
+    def test_coding_tables_computed_once(self, fitted16):
+        _, spline, q = fitted16
+        assert q.all_boundaries is q.all_boundaries
+        assert q.all_levels is q.all_levels
+        for table in (q.all_boundaries, q.all_levels):
+            assert type(table) is tuple and all(type(v) is float for v in table)
+        assert q == build(spline, q.config)
 
 
 class TestTrueDistortionOracle:

@@ -19,7 +19,13 @@ from splinequant import (
 
 from splinequant.spline_fit import target_moments
 
-from _oracles import perturbed_objectives, recursive_simpson, residual_moments, weighted_objective
+from _oracles import (
+    perturbed_objectives,
+    recursive_simpson,
+    residual_moments,
+    scalar_invert_segment,
+    weighted_objective,
+)
 
 UNIT = SourceModel()
 X_MAX_16 = support_threshold(UNIT, 16)
@@ -246,6 +252,64 @@ class TestInvertSegment:
                 t = lo_v + frac * (hi_v - lo_v)
                 y = invert_segment(gauss_spline, i, t)
                 assert seg.value(y) == pytest.approx(t, abs=1e-10)
+
+    def test_constant_segment_rejected(self):
+        sp = QuadraticSpline((QuadSegment(1.0, 0.0, 0.0, 0.0, 1.0),))
+        with pytest.raises(InversionError, match="constant"):
+            invert_segment(sp, 0, 1.0)
+
+
+class TestInvertSegmentArrays:
+    SPLINES = {
+        "fitted": fit(gauss_target, GAUSS_KNOTS),
+        "jump": QuadraticSpline(
+            (QuadSegment(0.0, 1.2, 0.0, 0.0, 1.0), QuadSegment(1.05, 0.65, 0.0, 1.0, 3.0))
+        ),
+        "non-monotonic": QuadraticSpline((QuadSegment(0.0, -3.0, 1.0, 0.0, 4.0),)),
+        "square": QuadraticSpline(
+            (QuadSegment(0.0, 0.0, 1.0, 0.0, 1.0), QuadSegment(0.0, 0.0, 1.0, 1.0, 3.0))
+        ),
+    }
+
+    @staticmethod
+    def scalar_outcome(invert, spline, i, t):
+        try:
+            return invert(spline, i, t)
+        except InversionError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("name", sorted(SPLINES))
+    def test_elementwise_equal_to_scalar_calls(self, name):
+        # every element equals the library's scalar call and the per-point
+        # reference solve bit for bit; an array raises exactly when one of
+        # its elements does, with the message of the first such element
+        spline = self.SPLINES[name]
+        rng = np.random.default_rng(5)
+        values = [spline.value(x) for x in np.linspace(spline.lo, spline.hi, 7)]
+        lo, hi = min(values), max(values)
+        targets = np.concatenate((values, rng.uniform(lo - 1.0, hi + 1.0, 40)))
+        for i in range(len(spline.segments)):
+            outcomes, reference = (
+                [self.scalar_outcome(invert, spline, i, float(t)) for t in targets]
+                for invert in (invert_segment, scalar_invert_segment)
+            )
+            assert outcomes == reference
+            solvable = np.array([not isinstance(o, str) for o in outcomes])
+            got = invert_segment(spline, np.full(solvable.sum(), i), targets[solvable])
+            assert got.tolist() == [o for o in outcomes if not isinstance(o, str)]
+            if not solvable.all():
+                with pytest.raises(InversionError) as info:
+                    invert_segment(spline, i, targets)
+                assert str(info.value) == outcomes[int(np.argmin(solvable))]
+
+    def test_index_and_target_broadcast(self, gauss_spline):
+        targets = np.array([[0.3], [0.5]])
+        got = invert_segment(gauss_spline, np.array([0, 0, 0]), targets)
+        assert got.shape == (2, 3)
+        assert got[:, 0].tolist() == [invert_segment(gauss_spline, 0, t) for t in (0.3, 0.5)]
+
+    def test_scalar_inputs_give_a_float(self, gauss_spline):
+        assert type(invert_segment(gauss_spline, 0, 0.3)) is float
 
 
 class TestSolverGuard:

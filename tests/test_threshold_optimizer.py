@@ -3,6 +3,7 @@ import math
 import pytest
 
 import splinequant as sq
+from splinequant import threshold_optimizer
 from splinequant.threshold_optimizer import (
     RefineResult,
     SweepCandidate,
@@ -100,6 +101,27 @@ class TestSweep:
             sweep(16, grid_step=2.0)
         with pytest.raises(ValueError):
             sweep(16, grid_step=math.nan)
+
+    def test_grid_bound_raises_before_any_work(self, monkeypatch):
+        # more than 100,000 candidates is refused before the grid is built
+        monkeypatch.setattr(threshold_optimizer, "standard_config", None)
+        x_max = sq.support_threshold(sq.SourceModel(), 16)
+        for grid_step in (1e-9, 0.5 * x_max / 100_001):
+            with pytest.raises(ValueError, match="more than 100000 candidates"):
+                sweep(16, grid_step)
+
+    @pytest.mark.parametrize("grid_step, count", [(0.01, 124), (0.05, 25)])
+    def test_default_and_coarse_grids_unchanged(self, grid_step, count):
+        result = sweep(16, grid_step)
+        assert [c.x1 for c in result.candidates] == [
+            0.5 * result.x_max + k * grid_step for k in range(count)
+        ]
+
+    def test_interleave_failures_are_short(self):
+        # each failure names one out-of-order pair, not every level
+        failures = [c.failure for c in sweep(512).candidates if not c.valid]
+        assert any("interleave" in f for f in failures)
+        assert all(len(f) < 200 for f in failures)
 
 
 def synthetic_result(xs, values, best_index, grid_step=0.01):
