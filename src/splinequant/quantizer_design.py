@@ -6,9 +6,14 @@ Design conventions
 * N output levels total: N-2 granular (symmetric about zero) plus one overload
   level per sign at the conditional tail mean.
 * Compressed-domain step ``delta = 2*x_max/(N-2)``.  Levels and thresholds
-  are the spline preimages of one half-step grid j*delta/2, j = 1 ... N-3,
-  inverted in one pass: odd j give the granular reproduction levels, even j
-  the decision thresholds; cells are half-open [threshold, next_threshold).
+  are the spline preimages of one half-step grid j*delta/2, j = 1 ... N-3:
+  odd j give the granular reproduction levels, even j the decision
+  thresholds; cells are half-open [threshold, next_threshold).
+* The checks on a fitted curve, the grid inversion and the granular term are
+  array kernels over a stack of designs.  ``build`` and ``sqnr`` run them on
+  one design; ``score_batch`` runs them on every candidate of a threshold
+  sweep, without building quantizers, inverting the grids in blocks of about
+  2,048 (design, grid point) pairs so that its working set stays bounded.
 * The grid is split among segments by the fitted curve's knot values, so
   a segment may receive no level (the N=16 optimum has counts (7, 0)); the
   paper's per-segment level-count rule is not in the repository.
@@ -31,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .gauss_analytics import SourceModel, pdf, support_threshold, tail_centroid, upper_tail
-from .spline_fit import InversionError, KnotVector, QuadraticSpline, invert_segment
+from .spline_fit import KnotVector, QuadraticSpline, inversion_error, segment_roots
 
 __all__ = [
     "DesignConfig",
@@ -41,6 +46,7 @@ __all__ = [
     "standard_config",
     "step_size",
     "build",
+    "score_batch",
     "granular_distortion",
     "overload_distortion_exact",
     "overload_distortion_closed",
@@ -150,77 +156,126 @@ def step_size(config: DesignConfig) -> float:
     return 2.0 * config.x_max / (config.n_levels - 2)
 
 
-def _check_monotone(spline: QuadraticSpline) -> None:
+def _curve_failures(tables: np.ndarray, delta: float) -> list[str | None]:
+    """The checks on the fitted curves alone, for a (designs, 5, segments)
+    stack of coefficient tables: per design the reason of the first failing
+    one, or None.  In order: increasing on every segment (slope positive at
+    both ends, segment by segment, left end first), knot values increasing,
+    value at 0 below the first target delta/2."""
+    c0, c1, c2, lo, hi = tables.transpose(1, 0, 2)
+    ends = np.stack((lo, hi), axis=-1)
     # a quadratic's slope is linear, so its minimum sits at an end
-    for i, seg in enumerate(spline.segments):
-        for end, x in (("left", seg.lo), ("right", seg.hi)):
-            if seg.slope(x) <= 0.0:
-                raise DesignError(
-                    f"fitted curve not increasing on segment {i} "
-                    f"(slope {seg.slope(x):.3e} at its {end} end x={x:.6f})"
-                )
+    slopes = c1[..., None] + 2.0 * c2[..., None] * ends
+    value = lambda x: c0 + x * (c1 + c2 * x)
+    kv = np.concatenate((value(lo)[:, :1], value(hi)), axis=1)
+    flat = (slopes <= 0.0).reshape(len(tables), -1)
+    bad_kv = (kv[:, :-1] >= kv[:, 1:]).any(axis=1)
+    failures: list[str | None] = [None] * len(tables)
+    for d in np.flatnonzero(flat.any(axis=1) | bad_kv | (kv[:, 0] >= 0.5 * delta)).tolist():
+        if flat[d].any():
+            i, end = divmod(int(np.argmax(flat[d])), 2)
+            x, slope = ends[d, i, end].item(), slopes[d, i, end].item()
+            failures[d] = (
+                f"fitted curve not increasing on segment {i} "
+                f"(slope {slope:.3e} at its {('left', 'right')[end]} end x={x:.6f})"
+            )
+        elif bad_kv[d]:
+            failures[d] = f"compressed knot values not increasing: {tuple(kv[d].tolist())}"
+        else:
+            failures[d] = (
+                f"fitted value at 0 ({kv[d, 0]:.6f}) reaches the first target {0.5 * delta:.6f}"
+            )
+    return failures
+
+
+def _invert_grid(
+    tables: np.ndarray, delta: float, per_side: int, x_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str | None]]:
+    """Preimages of the half-step grid j*delta/2, j = 1 ... 2*per_side - 1,
+    under each fitted curve of a stack of tables that passed
+    ``_curve_failures``: the points x, their segments, the curve's slope at
+    them, each (designs, grid), and per design the reason the inversion or the
+    interleave check failed, or None."""
+    grid = np.arange(1, 2 * per_side) * (0.5 * delta)
+    c0, c1, c2, _, hi = tables.transpose(1, 0, 2)
+    inner = (c0 + hi * (c1 + c2 * hi))[:, :-1]
+    # segment i takes the targets in [kv[i], kv[i+1]), the first and last
+    # open outwards: the count of interior knot values at or below the target
+    seg = np.count_nonzero(inner[:, :, None] <= grid, axis=1)
+    at = np.take_along_axis(tables, seg[:, None, :], axis=2).transpose(1, 0, 2)
+    c0, c1, c2, lo, _ = at
+    # a target below its segment's own value at the left knot sits in an
+    # upward fit discontinuity there; the generalized inverse of the jump is
+    # the knot itself
+    start = c0 + lo * (c1 + c2 * lo)
+    target = np.maximum(grid, start)
+    x, failed = segment_roots(at, target)
+    x = np.where(grid < start, lo, x)
+    slope = c1 + 2.0 * c2 * x
+
+    points = np.concatenate((np.zeros((len(x), 1)), x, np.full((len(x), 1), x_max)), axis=1)
+    out_of_order = points[:, :-1] >= points[:, 1:]
+    failures: list[str | None] = [None] * len(x)
+    for d in np.flatnonzero(failed.any(axis=1) | out_of_order.any(axis=1)).tolist():
+        if failed[d].any():
+            k = int(np.argmax(failed[d]))
+            exc = inversion_error(at[:, d, k], seg[d, k].item(), target[d, k].item())
+            failures[d] = f"grid inversion failed: {exc}"
+        else:
+            j = int(np.argmax(out_of_order[d]))
+            a, b = points[d, j : j + 2].tolist()
+            failures[d] = (
+                f"levels and thresholds do not interleave: grid point {j} maps to {a!r}, "
+                f"not below {b!r} for point {j + 1}"
+            )
+    return x, seg, slope, failures
 
 
 def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
     """Assemble the quantizer: levels, thresholds, counts, overload level.
 
-    Raises DesignError when the spline is not strictly increasing per segment,
-    a target cannot be inverted, or the resulting levels/thresholds fail to
-    interleave.
+    The one-design case of the checks and grid inversion that ``score_batch``
+    runs for a whole sweep.  Raises DesignError when the spline is not
+    strictly increasing per segment, a target cannot be inverted, or the
+    resulting levels/thresholds fail to interleave.
     """
     if spline.knots != config.knots.knots:
         raise DesignError(
             f"spline knots {spline.knots} do not match config knots {config.knots.knots}"
         )
-    _check_monotone(spline)
-    delta = step_size(config)
-    kv = spline.knot_values()
-    if any(a >= b for a, b in zip(kv, kv[1:])):
-        raise DesignError(f"compressed knot values not increasing: {kv}")
-    if kv[0] >= 0.5 * delta:
-        raise DesignError(
-            f"fitted value at 0 ({kv[0]:.6f}) reaches the first target {0.5 * delta:.6f}"
+    tables, delta = spline.coefficients[None], step_size(config)
+    (failure,) = _curve_failures(tables, delta)
+    if failure is None:
+        (x,), (seg,), (slope,), (failure,) = _invert_grid(
+            tables, delta, config.granular_per_side, config.x_max
         )
-    # grid point j is j*delta/2: odd j are levels, even j thresholds
-    grid = np.arange(1, 2 * config.granular_per_side) * (0.5 * delta)
-    # segment i takes the targets in [kv[i], kv[i+1]), the first and last
-    # open outwards: the count of interior knot values at or below the target
-    seg = np.asarray(kv[1:-1]).searchsorted(grid, "right")
-    c0, c1, c2, lo, _ = spline.coefficients.take(seg, axis=1)
-    # a target below its segment's own value at the left knot sits in an
-    # upward fit discontinuity there; the generalized inverse of the jump is
-    # the knot itself
-    start = c0 + lo * (c1 + c2 * lo)
-    try:
-        x = invert_segment(spline, seg, np.maximum(grid, start))
-    except InversionError as exc:
-        raise DesignError(f"grid inversion failed: {exc}") from exc
-    x = np.where(grid < start, lo, x)
+    if failure is not None:
+        raise DesignError(failure)
 
+    # x[j - 1] is the preimage of grid point j: odd j are levels, even j thresholds
     points = np.concatenate(([0.0], x, [config.x_max]))
-    out_of_order = points[:-1] >= points[1:]
-    if np.count_nonzero(out_of_order):
-        j = int(np.argmax(out_of_order))
-        a, b = points[j : j + 2].tolist()
-        raise DesignError(
-            f"levels and thresholds do not interleave: grid point {j} maps to {a!r}, "
-            f"not below {b!r} for point {j + 1}"
-        )
-
     levels, level_segments = x[::2], seg[::2]
-    asym = delta / (c1[::2] + 2.0 * c2[::2] * levels)
     return CompandingQuantizer(
         config=config,
         spline=spline,
         step=delta,
         levels=tuple(levels.tolist()),
         thresholds=tuple(points[2::2].tolist()),
-        counts=tuple(np.bincount(level_segments, minlength=len(kv) - 1).tolist()),
+        counts=tuple(np.bincount(level_segments, minlength=len(spline.segments)).tolist()),
         level_segments=tuple(level_segments.tolist()),
         overload_level=tail_centroid(config.source, config.x_max),
-        cell_lengths_asymptotic=tuple(asym.tolist()),
+        cell_lengths_asymptotic=tuple((delta / slope[::2]).tolist()),
         cell_lengths_exact=tuple((points[2::2] - points[:-1:2]).tolist()),
     )
+
+
+def _granular(levels: np.ndarray, slopes: np.ndarray, cfg: DesignConfig) -> np.ndarray:
+    """Companding-model granular noise power of each row of levels, with the
+    curve's slope at each level: the sum over the last axis of
+    density/slope^2 * (delta/slope), times 2*x_max^2/(3(N-2)^2)."""
+    asym = step_size(cfg) / slopes
+    lead = np.sum(pdf(cfg.source, levels) / slopes**2 * asym, axis=-1)
+    return lead * (2.0 * cfg.x_max**2 / (3.0 * (cfg.n_levels - 2) ** 2))
 
 
 def granular_distortion(q: CompandingQuantizer) -> float:
@@ -230,14 +285,9 @@ def granular_distortion(q: CompandingQuantizer) -> float:
     (asymptotic), algebraically equal to the midpoint form sum of density *
     cell_length^3 / 6.
     """
-    cfg = q.config
-    src = cfg.source
-    slopes = [q.spline.segments[i].slope(y) for i, y in zip(q.level_segments, q.levels)]
-    lead = sum(
-        pdf(src, y) / s**2 * d
-        for y, s, d in zip(q.levels, slopes, q.cell_lengths_asymptotic)
-    )
-    return lead * (2.0 * cfg.x_max**2 / (3.0 * (cfg.n_levels - 2) ** 2))
+    _, c1, c2, _, _ = q.spline.coefficients.take(q.level_segments, axis=1)
+    y = np.array(q.levels)
+    return float(_granular(y, c1 + 2.0 * c2 * y, q.config))
 
 
 def overload_distortion_exact(q: CompandingQuantizer) -> float:
@@ -264,17 +314,59 @@ def overload_distortion_closed(x_max: float) -> float:
 def sqnr(q: CompandingQuantizer) -> DistortionReport:
     """Distortion report: granular model + closed-form overload drive the
     headline SQNR; the exact overload term is recorded alongside."""
-    src = q.config.source
-    granular = granular_distortion(q)
-    overload = src.sigma**2 * overload_distortion_closed(q.config.x_max / src.sigma)
+    return _report(granular_distortion(q), overload_distortion_exact(q), q.config)
+
+
+def _report(granular: float, overload_exact: float, cfg: DesignConfig) -> DistortionReport:
+    src = cfg.source
+    overload = src.sigma**2 * overload_distortion_closed(cfg.x_max / src.sigma)
     total = granular + overload
     return DistortionReport(
         granular=granular,
         overload=overload,
         total=total,
         sqnr_db=10.0 * math.log10(src.sigma**2 / total),
-        overload_exact=overload_distortion_exact(q),
+        overload_exact=overload_exact,
     )
+
+
+# score_batch inverts the grids of this many (design, grid point) pairs at a
+# time, which bounds its working set whatever the number of designs
+_BLOCK_POINTS = 2048
+
+
+def score_batch(
+    tables: np.ndarray, config: DesignConfig
+) -> tuple[list[DistortionReport | None], list[str | None]]:
+    """``build`` then ``sqnr`` for a stack of fitted curves, without building
+    any quantizer.
+
+    ``tables`` is a (designs, 5, segments) array as ``spline_fit.fit_batch``
+    returns it; every design has the level count, support edge and source of
+    ``config``, whose own interior knots play no part.  Returns per design its
+    report, or None and the DesignError text ``build`` would raise.  The curve
+    checks run on all designs at once, the grid inversion and the granular
+    term on blocks of the designs that pass them.
+    """
+    delta, per_side, x_max = step_size(config), config.granular_per_side, config.x_max
+    failures = _curve_failures(tables, delta)
+    granular = np.zeros(len(tables))
+    survivors = np.array([d for d, f in enumerate(failures) if f is None], dtype=int)
+    block = max(1, _BLOCK_POINTS // (2 * per_side - 1))
+    for first in range(0, survivors.size, block):
+        rows = survivors[first : first + block]
+        x, _, slope, block_failures = _invert_grid(tables[rows], delta, per_side, x_max)
+        for d, failure in zip(rows.tolist(), block_failures):
+            failures[d] = failure
+        ok = np.array([f is None for f in block_failures])
+        granular[rows[ok]] = _granular(x[ok, ::2], slope[ok, ::2], config)
+    src = config.source
+    overload_exact = 2.0 * _tail_second_moment(src, x_max, tail_centroid(src, x_max))
+    reports = [
+        None if f is not None else _report(g, overload_exact, config)
+        for g, f in zip(granular.tolist(), failures)
+    ]
+    return reports, failures
 
 
 def encode(q: CompandingQuantizer, x: float) -> int:

@@ -26,9 +26,12 @@ __all__ = [
     "FitError",
     "InversionError",
     "fit",
+    "fit_batch",
     "fit_objective",
     "target_moments",
     "invert_segment",
+    "segment_roots",
+    "inversion_error",
 ]
 
 log = logging.getLogger(__name__)
@@ -156,42 +159,66 @@ class QuadraticSpline:
         )
 
 
-def _solve3(m: list[list[float]], b: list[float]) -> list[float]:
-    """3x3 solve by LU with partial pivoting; logs a 1-norm condition estimate."""
-    a = [row[:] for row in m]
-    x = b[:]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-300:
-            raise FitError("singular moment matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            x[col], x[piv] = x[piv], x[col]
-        for r in range(col + 1, 3):
-            f = a[r][col] / a[col][col]
-            a[r][col] = 0.0
-            for c in range(col + 1, 3):
-                a[r][c] -= f * a[col][c]
-            x[r] -= f * x[col]
-    for r in (2, 1, 0):
-        s = x[r] - sum(a[r][c] * x[c] for c in range(r + 1, 3))
-        x[r] = s / a[r][r]
+def _solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every 3x3 system a[m] x = b[m] (shapes (M, 3, 3) and (M, 3)) by LU
+    with partial pivoting, the first maximal |pivot| in each column, one
+    elimination step for all systems at once; logs a 1-norm condition
+    estimate per system."""
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("moment matrix condition estimate: %.3e", np.linalg.cond(m, 1))
+        for cond in np.linalg.cond(a, 1).tolist():
+            log.debug("moment matrix condition estimate: %.3e", cond)
+    a, x = np.array(a, dtype=float), np.array(b, dtype=float)
+    m = np.arange(len(a))
+    for col in range(3):
+        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        if np.count_nonzero(np.abs(a[m, piv, col]) < 1e-300):
+            raise FitError("singular moment matrix")
+        for v in (a, x):
+            v[m, col], v[m, piv] = v[m, piv], v[m, col]
+        f = a[:, col + 1 :, col] / a[:, col, col, None]
+        a[:, col + 1 :, col + 1 :] -= f[:, :, None] * a[:, col, None, col + 1 :]
+        x[:, col + 1 :] -= f * x[:, col, None]
+    for r in (2, 1, 0):
+        x[:, r] = (x[:, r] - np.sum(a[:, r, r + 1 :] * x[:, r + 1 :], axis=1)) / a[:, r, r]
     return x
 
 
 def target_moments(
     target: Callable[[np.ndarray], np.ndarray],
-    knot_vectors: Sequence[KnotVector],
-) -> list[np.ndarray]:
+    knots: Sequence[Sequence[float]],
+) -> np.ndarray:
     """Integrals of target * x^k, k = 0, 1, 2, over every segment of every
-    knot vector, from one quadrature pass; one (n_segments, 3) array per
-    vector.  ``target`` must map an array of abscissae elementwise."""
-    lo, hi = np.array([(lo, hi) for kv in knot_vectors for lo, hi in zip(kv.knots, kv.knots[1:])]).T
+    row of ``knots`` (knot vectors with equal segment counts), from one
+    quadrature pass: a (rows, n_segments, 3) array.  ``target`` must map an
+    array of abscissae elementwise."""
+    knots = np.asarray(knots, dtype=float)
     weighted = lambda n: target(n.x) * np.stack((np.ones_like(n.x), n.x, n.x**2))
-    rows = integrate(weighted, lo, hi).T
-    return np.split(rows, np.cumsum([kv.n_segments for kv in knot_vectors])[:-1])
+    rows = integrate(weighted, knots[:, :-1].ravel(), knots[:, 1:].ravel()).T
+    return rows.reshape(len(knots), -1, 3)
+
+
+# Gram entry (j, k) of a segment is the integral of x^(j+k) over it
+_GRAM_INDEX = np.add.outer(np.arange(3), np.arange(3))
+
+
+def fit_batch(knots: Sequence[Sequence[float]], moments: np.ndarray) -> np.ndarray:
+    """Per-segment least-squares quadratics for many fits at once.
+
+    ``knots`` holds one knot vector per row, ``moments`` the matching
+    ``target_moments`` array.  Returns a (rows, 5, n_segments) array: for each
+    fit the table that ``QuadraticSpline.coefficients`` holds, rows c0, c1,
+    c2, lo, hi.  The monomial moments come from closed-form antiderivatives,
+    and all segments' normal equations go through one batched ``_solve3``.
+    """
+    knots = np.asarray(knots, dtype=float)
+    # x^p with Python's float pow, which numpy's ** does not match to the last
+    # bit for p >= 2; the fitted coefficients depend on those bits
+    powers = np.array([[v**p for p in range(1, 6)] for v in knots.ravel().tolist()])
+    powers = powers.reshape(knots.shape + (5,))
+    antiderivative = (powers[:, 1:] - powers[:, :-1]) / np.arange(1, 6)
+    gram = antiderivative[..., _GRAM_INDEX].reshape(-1, 3, 3)
+    c = _solve3(gram, np.reshape(moments, (-1, 3))).reshape(len(knots), -1, 3)
+    return np.concatenate((c.transpose(0, 2, 1), knots[:, None, :-1], knots[:, None, 1:]), axis=1)
 
 
 def fit(
@@ -203,22 +230,14 @@ def fit(
 
     For each knot interval the returned coefficients minimize the integral of
     (target - polynomial)^2; the residual is therefore orthogonal to 1, x, x^2
-    on that interval.  Monomial moments use closed-form antiderivatives; the
-    target-weighted ones come from ``target_moments``, so ``target`` must map
-    arrays, unless a batch of fits passes this fit's row of one such call as
-    ``moments``.
+    on that interval.  The one-fit case of ``fit_batch``: ``target`` must map
+    arrays, unless a batch of fits passes this fit's row of one
+    ``target_moments`` call as ``moments``.
     """
     if moments is None:
-        (moments,) = target_moments(target, [knots])
-    segments = []
-    for lo, hi, rhs in zip(knots.knots, knots.knots[1:], moments.tolist()):
-        gram = [
-            [(hi ** (j + k + 1) - lo ** (j + k + 1)) / (j + k + 1) for k in range(3)]
-            for j in range(3)
-        ]
-        c0, c1, c2 = _solve3(gram, rhs)
-        segments.append(QuadSegment(c0, c1, c2, lo, hi))
-    return QuadraticSpline(tuple(segments))
+        (moments,) = target_moments(target, [knots.knots])
+    (table,) = fit_batch([knots.knots], moments)
+    return QuadraticSpline(tuple(QuadSegment(*col) for col in table.T.tolist()))
 
 
 def fit_objective(
@@ -255,7 +274,19 @@ def invert_segment(
     first failing element, with that element's message.
     """
     idx, t = np.asarray(segment_index), np.asarray(target, dtype=float)
-    c0, c1, c2, lo, hi = spline.coefficients.take(idx, axis=1)
+    root, failed = segment_roots(spline.coefficients.take(idx, axis=1), t)
+    if np.count_nonzero(failed):
+        k = int(np.argmax(failed.ravel()))
+        i, tk = (np.broadcast_to(v, failed.shape).flat[k].item() for v in (idx, t))
+        raise inversion_error(spline.coefficients[:, i], i, tk)
+    return float(root) if root.ndim == 0 else root
+
+
+def _roots(table: np.ndarray, t: np.ndarray):
+    """Both roots of c0 + c1*x + c2*x^2 == t for the rows c0, c1, c2, lo, hi
+    of ``table``, elementwise: (r_lo, r_hi, in_lo, in_hi, linear, disc), where
+    ``in_`` marks a root inside [lo, hi] widened by the slack."""
+    c0, c1, c2, lo, hi = table
     a, b, c = c2, c1, c0 - t
     linear = np.abs(a) < 1e-12 * np.abs(b)
     disc = b * b - 4.0 * a * c
@@ -270,21 +301,30 @@ def invert_segment(
     lo_slack, hi_slack = lo - _DOMAIN_SLACK, hi + _DOMAIN_SLACK
     in_lo = (lo_slack <= r_lo) & (r_lo <= hi_slack)
     in_hi = (lo_slack <= r_hi) & (r_hi <= hi_slack)
+    return r_lo, r_hi, in_lo, in_hi, linear, disc
+
+
+def segment_roots(table: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root logic of ``invert_segment`` on coefficient rows c0, c1, c2,
+    lo, hi (``table``, any common shape after the first axis) and targets
+    that broadcast with them: the roots clamped to [lo, hi], and a mask of
+    the elements that have no usable root (``inversion_error`` gives why)."""
+    r_lo, r_hi, in_lo, in_hi, _, _ = _roots(table, target)
     failed = ~(in_lo | in_hi) | (in_lo & in_hi & (r_hi - r_lo > _DOMAIN_SLACK))
-    if np.count_nonzero(failed):
-        if failed.ndim:  # the first failing element raises its own message
-            k = int(np.argmax(failed.ravel()))
-            first = (np.broadcast_to(v, failed.shape).flat[k].item() for v in (idx, t))
-            invert_segment(spline, *first)
-        i, tk = int(idx), float(t)
-        if a == 0.0 and b == 0.0:
-            raise InversionError("degenerate segment polynomial (constant)")
-        if not linear and disc < 0.0:
-            raise InversionError(f"no real root for target {tk} on segment {i}")
-        if not (in_lo or in_hi):
-            seg = spline.segments[i]
-            raise InversionError(f"no root in [{seg.lo}, {seg.hi}] for target {tk} on segment {i}")
-        roots = [float(r_lo), float(r_hi)]
-        raise InversionError(f"both roots {roots} inside segment {i}: non-monotonic segment")
-    root = np.minimum(np.maximum(np.where(in_lo, r_lo, r_hi), lo), hi)
-    return float(root) if root.ndim == 0 else root
+    _, _, _, lo, hi = table
+    return np.minimum(np.maximum(np.where(in_lo, r_lo, r_hi), lo), hi), failed
+
+
+def inversion_error(row: np.ndarray, segment: int, target: float) -> InversionError:
+    """Why segment ``segment``, with coefficient column ``row`` (c0, c1, c2,
+    lo, hi), has no usable root for ``target``."""
+    r_lo, r_hi, in_lo, in_hi, linear, disc = _roots(row, target)
+    _, b, a, lo, hi = row.tolist()
+    if a == 0.0 and b == 0.0:
+        return InversionError("degenerate segment polynomial (constant)")
+    if not linear and disc < 0.0:
+        return InversionError(f"no real root for target {target} on segment {segment}")
+    if not (in_lo or in_hi):
+        return InversionError(f"no root in [{lo}, {hi}] for target {target} on segment {segment}")
+    roots = [float(r_lo), float(r_hi)]
+    return InversionError(f"both roots {roots} inside segment {segment}: non-monotonic segment")

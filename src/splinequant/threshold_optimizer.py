@@ -17,10 +17,11 @@ from .quantizer_design import (
     DesignError,
     DistortionReport,
     build,
+    score_batch,
     sqnr,
     standard_config,
 )
-from .spline_fit import QuadraticSpline, fit, target_moments
+from .spline_fit import QuadraticSpline, fit, fit_batch, target_moments
 
 __all__ = [
     "Design",
@@ -38,7 +39,7 @@ log = logging.getLogger(__name__)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# sweep refuses finer grids: each candidate is fitted, built and scored
+# sweep refuses finer grids: each candidate is fitted, checked and scored
 _MAX_CANDIDATES = 100_000
 
 
@@ -92,7 +93,8 @@ def evaluate_candidate(
     source: SourceModel = SourceModel(),
     moments: np.ndarray | None = None,
 ) -> Design:
-    """Fit the compressor on knots (0, x1, x_max), build, and score one design.
+    """Fit the compressor on knots (0, x1, x_max), build, and score one design:
+    the one-design case of the batched kernels that ``sweep`` runs.
     ``moments``: the fit's row of a batched ``target_moments`` call, if any."""
     config = standard_config(n_levels, (x1,), source)
     spline = fit(lambda x: compressor(source, config.x_max, x), config.knots, moments)
@@ -107,12 +109,15 @@ def sweep(
 ) -> SweepResult:
     """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max.
 
-    One quadrature pass gives all candidates' fit moments; ``evaluate_candidate``
-    then fits, builds and scores each, and the sweep keeps only its report.
-    Candidates whose fit cannot produce a monotone quantizer are kept in the
-    curve but marked invalid and skipped by the argmax.  Ties break toward the
-    smaller threshold.  A ``grid_step`` that would give more than
-    100,000 candidates raises ValueError before any work.
+    All candidates go through one array pass, with no per-candidate design
+    object: one quadrature pass gives their fit moments, ``fit_batch`` their
+    fitted curves and ``score_batch`` their checks, grid inversions and SQNRs,
+    in blocks of about 2,048 grid points.  Each candidate scores exactly as
+    ``evaluate_candidate`` at its threshold would.  Candidates whose fit
+    cannot produce a monotone quantizer are kept in the curve but marked
+    invalid, with the reason ``build`` gives, and skipped by the argmax.  Ties
+    break toward the smaller threshold.  A ``grid_step`` that would give more
+    than 100,000 candidates raises ValueError before any work.
     """
     x_max = support_threshold(source, n_levels)
     if not 0.0 < grid_step < 0.5 * x_max:
@@ -126,16 +131,17 @@ def sweep(
     grid = []
     while (x1 := 0.5 * x_max + len(grid) * grid_step) < x_max * (1.0 - 1e-12):
         grid.append(x1)
-    knots = [standard_config(n_levels, (x1,), source).knots for x1 in grid]
+    # one config checks the level budget and carries what all candidates share
+    config = standard_config(n_levels, (grid[0],), source)
+    knots = [(0.0, x1, x_max) for x1 in grid]
     moments = target_moments(lambda x: compressor(source, x_max, x), knots)
+    reports, failures = score_batch(fit_batch(knots, moments), config)
 
     candidates: list[SweepCandidate] = []
     best: SweepCandidate | None = None
-    for x1, rows in zip(grid, moments):
-        try:
-            report = evaluate_candidate(n_levels, x1, source, rows).report
-        except DesignError as exc:
-            candidates.append(SweepCandidate(x1, None, None, False, str(exc)))
+    for x1, report, failure in zip(grid, reports, failures):
+        if report is None:
+            candidates.append(SweepCandidate(x1, None, None, False, failure))
             continue
         cand = SweepCandidate(x1, report.sqnr_db, report, True)
         candidates.append(cand)

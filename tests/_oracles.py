@@ -6,7 +6,10 @@ second, structurally different route to the same integrals.
 ``recursive_simpson`` is the scalar adaptive Simpson the batched library
 routine must reproduce, and ``per_level_build`` the per-level quantizer
 construction, with its scalar ``scalar_invert_segment``, that the single-pass
-``build`` must reproduce.  The ``mp_``
+``build`` must reproduce.  ``per_candidate_sweep`` is the threshold sweep that
+fits, builds and scores one candidate at a time (``scalar_fit`` with its
+``scalar_solve3``, ``per_level_build``, ``scalar_sqnr``), the reference for
+the library's one array pass over all candidates.  The ``mp_``
 helpers evaluate closed forms in 50-digit mpmath arithmetic; they import
 mpmath when called, so tests that use them skip where it is not installed.
 """
@@ -20,16 +23,27 @@ from typing import Callable
 
 import numpy as np
 
-from splinequant import DEFAULT_QUADRATURE, QuadratureError, QuadratureSpec
-from splinequant.gauss_analytics import tail_centroid
+from splinequant import DEFAULT_QUADRATURE, QuadratureError, QuadratureSpec, SourceModel
+from splinequant.gauss_analytics import compressor, pdf, support_threshold, tail_centroid
 from splinequant.quantizer_design import (
     CompandingQuantizer,
     DesignConfig,
     DesignError,
-    _check_monotone,
+    DistortionReport,
+    overload_distortion_closed,
+    overload_distortion_exact,
+    standard_config,
     step_size,
 )
-from splinequant.spline_fit import InversionError, QuadraticSpline
+from splinequant.spline_fit import (
+    FitError,
+    InversionError,
+    KnotVector,
+    QuadraticSpline,
+    QuadSegment,
+    target_moments,
+)
+from splinequant.threshold_optimizer import SweepError
 
 _DOMAIN_SLACK = 1e-9
 
@@ -259,6 +273,17 @@ def scalar_invert_segment(spline: QuadraticSpline, segment_index: int, target: f
     return min(max(inside[0], seg.lo), seg.hi)
 
 
+def _check_monotone(spline: QuadraticSpline) -> None:
+    # a quadratic's slope is linear, so its minimum sits at an end
+    for i, seg in enumerate(spline.segments):
+        for end, x in (("left", seg.lo), ("right", seg.hi)):
+            if seg.slope(x) <= 0.0:
+                raise DesignError(
+                    f"fitted curve not increasing on segment {i} "
+                    f"(slope {seg.slope(x):.3e} at its {end} end x={x:.6f})"
+                )
+
+
 def _assign_targets(
     spline: QuadraticSpline, config: DesignConfig
 ) -> tuple[list[list[float]], float]:
@@ -330,10 +355,12 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
     interleaved = [0.0]
     for y, t in zip(levels, thresholds):
         interleaved += [y, t]
-    if any(a >= b for a, b in zip(interleaved, interleaved[1:])):
-        raise DesignError(
-            f"levels and thresholds do not interleave: levels={levels} thresholds={thresholds}"
-        )
+    for j, (a, b) in enumerate(zip(interleaved, interleaved[1:])):
+        if a >= b:
+            raise DesignError(
+                f"levels and thresholds do not interleave: grid point {j} maps to {a!r}, "
+                f"not below {b!r} for point {j + 1}"
+            )
 
     overload_level = tail_centroid(config.source, config.x_max)
     asym = tuple(
@@ -354,3 +381,94 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
         cell_lengths_asymptotic=asym,
         cell_lengths_exact=exact,
     )
+
+
+def scalar_solve3(m: list[list[float]], b: list[float]) -> list[float]:
+    """3x3 solve by LU with partial pivoting, one system, scalar loops."""
+    a = [row[:] for row in m]
+    x = b[:]
+    for col in range(3):
+        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) < 1e-300:
+            raise FitError("singular moment matrix")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            x[col], x[piv] = x[piv], x[col]
+        for r in range(col + 1, 3):
+            f = a[r][col] / a[col][col]
+            a[r][col] = 0.0
+            for c in range(col + 1, 3):
+                a[r][c] -= f * a[col][c]
+            x[r] -= f * x[col]
+    for r in (2, 1, 0):
+        s = x[r] - sum(a[r][c] * x[c] for c in range(r + 1, 3))
+        x[r] = s / a[r][r]
+    return x
+
+
+def scalar_fit(knots: KnotVector, moments: np.ndarray) -> QuadraticSpline:
+    """Per-segment least squares from given target moments: the Gram matrix
+    from scalar float powers, solved by ``scalar_solve3``."""
+    segments = []
+    for lo, hi, rhs in zip(knots.knots, knots.knots[1:], moments.tolist()):
+        gram = [
+            [(hi ** (j + k + 1) - lo ** (j + k + 1)) / (j + k + 1) for k in range(3)]
+            for j in range(3)
+        ]
+        c0, c1, c2 = scalar_solve3(gram, rhs)
+        segments.append(QuadSegment(c0, c1, c2, lo, hi))
+    return QuadraticSpline(tuple(segments))
+
+
+def scalar_granular_distortion(q: CompandingQuantizer) -> float:
+    """Companding-model granular noise power, summed level by level."""
+    cfg = q.config
+    src = cfg.source
+    slopes = [q.spline.segments[i].slope(y) for i, y in zip(q.level_segments, q.levels)]
+    lead = sum(
+        pdf(src, y) / s**2 * d
+        for y, s, d in zip(q.levels, slopes, q.cell_lengths_asymptotic)
+    )
+    return lead * (2.0 * cfg.x_max**2 / (3.0 * (cfg.n_levels - 2) ** 2))
+
+
+def scalar_sqnr(q: CompandingQuantizer) -> DistortionReport:
+    src = q.config.source
+    granular = scalar_granular_distortion(q)
+    overload = src.sigma**2 * overload_distortion_closed(q.config.x_max / src.sigma)
+    total = granular + overload
+    return DistortionReport(
+        granular=granular,
+        overload=overload,
+        total=total,
+        sqnr_db=10.0 * math.log10(src.sigma**2 / total),
+        overload_exact=overload_distortion_exact(q),
+    )
+
+
+def per_candidate_sweep(
+    n_levels: int, grid_step: float = 0.01, source: SourceModel = SourceModel()
+) -> tuple[list[tuple[float, QuadraticSpline, DistortionReport | None, str | None]], float]:
+    """The threshold sweep one candidate at a time: per grid threshold its
+    fitted spline, and its report or the DesignError text; and the argmax
+    threshold (ties toward the smaller), or SweepError when none is valid."""
+    x_max = support_threshold(source, n_levels)
+    grid = []
+    while (x1 := 0.5 * x_max + len(grid) * grid_step) < x_max * (1.0 - 1e-12):
+        grid.append(x1)
+    configs = [standard_config(n_levels, (x1,), source) for x1 in grid]
+    moments = target_moments(lambda x: compressor(source, x_max, x), [c.knots for c in configs])
+    rows, best, best_db = [], None, None
+    for x1, config, m in zip(grid, configs, moments):
+        spline = scalar_fit(config.knots, m)
+        try:
+            report = scalar_sqnr(per_level_build(spline, config))
+        except DesignError as exc:
+            rows.append((x1, spline, None, str(exc)))
+            continue
+        rows.append((x1, spline, report, None))
+        if best is None or report.sqnr_db > best_db:
+            best, best_db = x1, report.sqnr_db
+    if best is None:
+        raise SweepError(f"all {len(rows)} sweep candidates failed to build")
+    return rows, best

@@ -1,4 +1,5 @@
-"""The verdict rule of tools/paired_bench.py, one case per label."""
+"""The verdict rule of tools/paired_bench.py, one case per label, and the
+JSON table its last line prints."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,42 @@ def test_wide_spread_resolves_when_every_change_run_beats_every_base_run():
     base = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 130.0, 140.0, 150.0, 160.0]
     assert verdict(base, [95.0] * 10, "lower", 0.25) == ("within", 10)
     assert verdict(base, [95.0] * 9 + [97.0], "lower", 0.25)[0] == "unresolved"
+
+
+def test_last_line_is_the_table_as_json(monkeypatch, capsys):
+    # every base run reads 100 and every change run 50, so each metric has a
+    # known verdict; no benchmark runs and no commit is exported
+    spec = paired_bench.json.loads((paired_bench.ROOT / "BENCHMARK.json").read_text())
+    env = {"python": "3.x", "nproc": 2}
+    seeds = []
+
+    def fake_run(tree, workload, seed, seconds):
+        seeds.append(seed)
+        value = 100.0 if tree != paired_bench.ROOT else 50.0
+        metrics = {m["name"]: {"value": value} for m in spec["end_to_end"]}
+        return {"correct": True, "failed": 0, "metrics": metrics, "env": env}
+
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    monkeypatch.setattr(paired_bench, "export", lambda commit, into: None)
+    answers = {"status": "", "--verify": "b" * 40, "HEAD": "c" * 40}  # a clean tree
+    fake_git = lambda *args: answers[args[1] if args[0] == "rev-parse" else args[0]]
+    monkeypatch.setattr(paired_bench, "git", fake_git)
+    assert paired_bench.main(["--base", "HEAD~1", "--pairs", "10", "--seed", "7",
+                              "--workload", "design-sweep"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    doc = paired_bench.json.loads(out[-1])
+    assert doc["seeds"] == list(range(7, 17)) and sorted(set(seeds)) == doc["seeds"]
+    assert doc["host"] == env and doc["pairs"] == 10
+    assert doc["base"] == {"ref": "HEAD~1", "commit": "b" * 40}
+    assert doc["change"] == {"commit": "c" * 40, "uncommitted_changes": False}
+    row = doc["workloads"]["design-sweep"]
+    assert row["every_run_correct"] is True
+    assert set(row["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    wall = row["metrics"]["wall_s"]
+    assert wall["base"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
+    assert wall["change"]["median"] == 50.0 and wall["ratio"] == 0.5
+    assert (wall["wins"], wall["pairs"], wall["verdict"]) == (10, 10, "gain")
+    assert row["metrics"]["ok_ratio"]["verdict"] == "worse"  # higher is better
+    # the human-readable table comes first and says the same
+    assert any(line.startswith("  wall_s: 100 [100, 100] | 50 [50, 50] | 0.500 | 10/10 | gain")
+               for line in out)

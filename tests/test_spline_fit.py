@@ -24,6 +24,7 @@ from _oracles import (
     recursive_simpson,
     residual_moments,
     scalar_invert_segment,
+    scalar_solve3,
     weighted_objective,
 )
 
@@ -316,20 +317,34 @@ class TestSolverGuard:
     def test_singular_matrix_raises(self):
         from splinequant.spline_fit import _solve3
 
+        good = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
+        singular = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
         with pytest.raises(FitError):
-            _solve3([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0])
+            _solve3(np.array([good, singular]), np.ones((2, 3)))
 
     def test_solver_matches_numpy(self):
         from splinequant.spline_fit import _solve3
 
+        m, b = self.systems()
+        got = _solve3(m, b)
+        assert np.allclose(got, np.linalg.solve(m, b[..., None])[..., 0], rtol=1e-9, atol=1e-9)
+
+    def test_batched_solve_equals_scalar_solve(self):
+        # one batched call gives every system the scalar LU's bits
+        from splinequant.spline_fit import _solve3
+
+        m, b = self.systems()
+        got = _solve3(m, b).tolist()
+        assert got == [scalar_solve3(mi.tolist(), bi.tolist()) for mi, bi in zip(m, b)]
+
+    @staticmethod
+    def systems():
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            m = rng.standard_normal((3, 3))
-            if abs(np.linalg.det(m)) < 1e-3:
-                continue
-            b = rng.standard_normal(3)
-            got = _solve3(m.tolist(), b.tolist())
-            assert np.allclose(got, np.linalg.solve(m, b), rtol=1e-9, atol=1e-9)
+        m = rng.standard_normal((50, 3, 3))
+        # the last 20 tie on |pivot| in the first column: the first row wins
+        m[30:, :, 0] = rng.choice([-1.0, 1.0], (20, 3))
+        m = m[np.abs(np.linalg.det(m)) >= 1e-3]
+        return m, rng.standard_normal((len(m), 3))
 
 
 class TestTargetMoments:

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import splinequant as sq
 from splinequant import threshold_optimizer
+from splinequant.spline_fit import fit_batch, target_moments
 from splinequant.threshold_optimizer import (
     RefineResult,
     SweepCandidate,
@@ -12,6 +15,8 @@ from splinequant.threshold_optimizer import (
     sweep,
     unimodality_violations,
 )
+
+from _oracles import per_candidate_sweep
 
 
 class TestSweep:
@@ -122,6 +127,78 @@ class TestSweep:
         failures = [c.failure for c in sweep(512).candidates if not c.valid]
         assert any("interleave" in f for f in failures)
         assert all(len(f) < 200 for f in failures)
+
+
+class TestOneArrayPass:
+    """The sweep fits, checks and scores all candidates in one array pass; it
+    must reproduce the per-candidate sweep exactly."""
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.05])
+    @pytest.mark.parametrize("n_levels", [8 * 2**k for k in range(9)])
+    def test_equals_per_candidate_sweep(self, n_levels, grid_step):
+        try:
+            rows, best = per_candidate_sweep(n_levels, grid_step)
+        except sq.SweepError as exc:
+            with pytest.raises(sq.SweepError) as info:
+                sweep(n_levels, grid_step)
+            assert str(info.value) == str(exc)
+            return
+        # the batched fit gives every candidate's coefficients bit for bit
+        knots = [spline.knots for _, spline, _, _ in rows]
+        x_max = knots[0][-1]
+        moments = target_moments(lambda x: sq.compressor(sq.SourceModel(), x_max, x), knots)
+        tables = fit_batch(knots, moments)
+        for table, (_, spline, _, _) in zip(tables, rows):
+            assert table.tolist() == spline.coefficients.tolist()
+
+        result = sweep(n_levels, grid_step)
+        assert [c.x1 for c in result.candidates] == [x1 for x1, _, _, _ in rows]
+        for cand, (_, _, report, failure) in zip(result.candidates, rows):
+            assert cand.valid == (report is not None)
+            assert cand.failure == failure
+            if report is not None:
+                assert cand.sqnr_db == pytest.approx(report.sqnr_db, abs=1e-12)
+                assert cand.report.overload_exact == report.overload_exact
+        assert result.best_x1 == best
+
+    def test_singular_moment_matrix_raises_out_of_sweep(self, monkeypatch):
+        # a fit that cannot be solved is an error, not an invalid candidate
+        def degenerate_first(knots, moments):
+            knots = np.array(knots)
+            knots[0, 1] = 0.0  # an empty inner segment: an all-zero Gram matrix
+            return fit_batch(knots, moments)
+
+        monkeypatch.setattr(threshold_optimizer, "fit_batch", degenerate_first)
+        with pytest.raises(sq.FitError, match="singular moment matrix"):
+            sweep(16)
+
+    def test_builds_no_design_per_candidate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep called a one-design step")
+
+        for name in ("evaluate_candidate", "fit", "build", "sqnr"):
+            monkeypatch.setattr(threshold_optimizer, name, forbidden)
+        configs = []
+        real_config = threshold_optimizer.standard_config
+        monkeypatch.setattr(
+            threshold_optimizer,
+            "standard_config",
+            lambda *args: configs.append(args) or real_config(*args),
+        )
+        result = sweep(64)
+        assert len(result.candidates) > 100 and len(configs) == 1
+
+    @pytest.mark.parametrize("n_levels", [256, 512])
+    def test_working_set_stays_small(self, n_levels):
+        # grid inversion runs in bounded blocks of candidates: without them
+        # sweep(256) and sweep(512) peak at about 4 MB
+        tracemalloc.start()
+        try:
+            sweep(n_levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def synthetic_result(xs, values, best_index, grid_step=0.01):

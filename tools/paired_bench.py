@@ -22,6 +22,12 @@ verdict:
                  the metric's bound;
 * ``within``     otherwise.
 
+The last line of stdout is the same table as one JSON object: for every
+workload and metric both sides' medians and quartiles, the change/base ratio,
+the pairs won and the verdict, plus the seeds, the host details the runs
+reported, the base commit and the working tree's commit (and whether it had
+uncommitted changes).  Commit it as ``BENCH_<n>.json``.
+
 Standard library only.
 """
 
@@ -42,7 +48,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``; the JSON object its last line prints."""
+    """One benchmark run in ``tree``: the JSON object its last line prints,
+    with the host details of its ``env`` line under ``env``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}", "--trace", "0"],
@@ -51,7 +58,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         sys.exit(f"run failed in {tree} ({workload}, seed {seed}):\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    env = [line[len("env "):] for line in lines if line.startswith("env ")]
+    result["env"] = json.loads(env[0]) if env else {}
+    return result
+
+
+def export(commit: str, into: str) -> None:
+    """The files of ``commit``, from ``git archive``, unpacked into ``into``."""
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True)
+    tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(into)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -76,6 +97,30 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     return "within", wins
 
 
+def summarize(runs: dict, spec: dict) -> dict:
+    """Per workload and end-to-end metric: both sides' median and quartiles,
+    the change/base ratio of the medians, the pairs won and the verdict."""
+    out = {}
+    for workload, sides in runs.items():
+        metrics = {}
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            base = [r["metrics"][name]["value"] for r in sides["base"]]
+            change = [r["metrics"][name]["value"] for r in sides["change"]]
+            label, wins = verdict(base, change, metric["better"], metric["bound"])
+            (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+            metrics[name] = {
+                "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+                "base": {"median": bm, "q1": b1, "q3": b3},
+                "change": {"median": cm, "q1": c1, "q3": c3},
+                "ratio": cm / bm if bm else None,
+                "wins": wins, "pairs": len(base), "verdict": label,
+            }
+        correct = all(r["correct"] and r["failed"] == 0 for s in sides.values() for r in s)
+        out[workload] = {"every_run_correct": correct, "metrics": metrics}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in spec["workloads"]]
@@ -90,8 +135,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runs: dict = {}
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
-        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(tmp)
+        export(args.base, tmp)
         trees = {"base": Path(tmp), "change": ROOT}
         for workload in args.workload or names:
             runs[workload] = {"base": [], "change": []}
@@ -102,21 +146,29 @@ def main(argv: list[str] | None = None) -> int:
                     runs[workload][side].append(result)
                     print(f"{workload} pair {i} {side}: correct={result['correct']} "
                           f"failed={result['failed']}", file=sys.stderr, flush=True)
+    table = summarize(runs, spec)
 
     print(f"base {args.base} vs working tree, {args.pairs} pairs, {spec['run_seconds']:g} s runs")
     print("workload metric: base median [q1, q3] | change median [q1, q3] | change/base | wins | verdict")
-    for workload, sides in runs.items():
-        correct = all(r["correct"] and r["failed"] == 0 for s in sides.values() for r in s)
-        print(f"{workload}: every run correct with 0 failed ops: {correct}")
-        for metric in spec["end_to_end"]:
-            name = metric["name"]
-            base = [r["metrics"][name]["value"] for r in sides["base"]]
-            change = [r["metrics"][name]["value"] for r in sides["change"]]
-            label, wins = verdict(base, change, metric["better"], metric["bound"])
-            (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
-            ratio = cm / bm if bm else float("nan")
-            print(f"  {name}: {bm:.6g} [{b1:.6g}, {b3:.6g}] | {cm:.6g} [{c1:.6g}, {c3:.6g}] | "
-                  f"{ratio:.3f} | {wins}/{len(base)} | {label}")
+    for workload, row in table.items():
+        print(f"{workload}: every run correct with 0 failed ops: {row['every_run_correct']}")
+        for name, m in row["metrics"].items():
+            b, c = m["base"], m["change"]
+            ratio = float("nan") if m["ratio"] is None else m["ratio"]
+            print(f"  {name}: {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}] | "
+                  f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] | "
+                  f"{ratio:.3f} | {m['wins']}/{m['pairs']} | {m['verdict']}")
+    first = next(iter(runs.values()))["base"][0]
+    print(json.dumps({
+        "base": {"ref": args.base, "commit": git("rev-parse", "--verify", f"{args.base}^{{commit}}")},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "pairs": args.pairs,
+        "run_seconds": spec["run_seconds"],
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "host": first["env"],
+        "workloads": table,
+    }, sort_keys=True))
     return 0
 
 
