@@ -8,9 +8,7 @@ analytically, and the free segment threshold is optimized numerically.
 __version__ = "0.1.0"
 
 from .gauss_analytics import (
-    DEFAULT_QUADRATURE,
     QuadratureError,
-    QuadratureSpec,
     SourceModel,
     compressor,
     compressor_derivative,
@@ -27,7 +25,6 @@ from .spline_fit import (
     QuadraticSpline,
     QuadSegment,
     fit,
-    fit_objective,
     invert_segment,
 )
 from .quantizer_design import (
@@ -67,9 +64,7 @@ from .reference_oracles import (
 
 __all__ = [
     "__version__",
-    "DEFAULT_QUADRATURE",
     "QuadratureError",
-    "QuadratureSpec",
     "SourceModel",
     "compressor",
     "compressor_derivative",
@@ -84,7 +79,6 @@ __all__ = [
     "QuadraticSpline",
     "QuadSegment",
     "fit",
-    "fit_objective",
     "invert_segment",
     "CompandingQuantizer",
     "DesignConfig",

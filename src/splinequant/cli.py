@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .gauss_analytics import QuadratureError, SourceModel, support_threshold
+from .gauss_analytics import SourceModel, support_threshold
 from .quantizer_design import DesignError
 from .reference_oracles import ConvergenceError, lloyd_max, mc_distortion, true_distortion
 from .threshold_optimizer import Design, SweepError, evaluate_candidate, sweep
@@ -398,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--x1 must lie in (0, {x_max:.6g}) for N={args.levels}")
     try:
         return args.func(args)
-    except (DesignError, SweepError, QuadratureError, ConvergenceError, ArithmeticError) as exc:
+    except (DesignError, SweepError, ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DESIGN_FAILURE
     except (ValueError, OverflowError) as exc:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gauss_analytics import SourceModel, pdf, support_threshold, tail_centroid, upper_tail
+from .gauss_analytics import SourceModel, cell_second_moment, pdf, support_threshold, tail_centroid
 from .spline_fit import KnotVector, QuadraticSpline, inversion_error, segment_roots
 
 __all__ = [
@@ -293,14 +293,8 @@ def granular_distortion(q: CompandingQuantizer) -> float:
 def overload_distortion_exact(q: CompandingQuantizer) -> float:
     """Overload noise power: twice the integral of (x - overload_level)^2
     times the density over the tail beyond x_max, in closed form."""
-    return 2.0 * _tail_second_moment(q.config.source, q.config.x_max, q.overload_level)
-
-
-def _tail_second_moment(src: SourceModel, a: float, y: float) -> float:
-    """Closed form of the integral of (x-y)^2 * density over [a, inf)."""
-    s2 = src.sigma**2
-    p, tail = pdf(src, a), upper_tail(src, a)
-    return (s2 + y * y) * tail + (s2 * a - 2.0 * y * s2) * p
+    cfg = q.config
+    return 2.0 * float(cell_second_moment(cfg.source, cfg.x_max, math.inf, q.overload_level))
 
 
 def overload_distortion_closed(x_max: float) -> float:
@@ -361,7 +355,8 @@ def score_batch(
         ok = np.array([f is None for f in block_failures])
         granular[rows[ok]] = _granular(x[ok, ::2], slope[ok, ::2], config)
     src = config.source
-    overload_exact = 2.0 * _tail_second_moment(src, x_max, tail_centroid(src, x_max))
+    tail = cell_second_moment(src, x_max, math.inf, tail_centroid(src, x_max))
+    overload_exact = 2.0 * float(tail)
     reports = [
         None if f is not None else _report(g, overload_exact, config)
         for g, f in zip(granular.tolist(), failures)

@@ -1,11 +1,12 @@
 """Independent validators for the analytic design pipeline.
 
-Three separate routes to distortion live here so the model numbers can be
+Four separate routes to distortion live here so the model numbers can be
 cross-checked without sharing code paths:
 
 * ``mc_distortion``     seeded Monte-Carlo through the realized encode/decode
                         tables;
-* ``true_distortion``   per-cell quadrature of the realized quantizer's error;
+* ``true_distortion``   the realized quantizer's error, cell by cell, from the
+                        closed-form Gaussian cell moment;
 * ``lloyd_max``         the MSE-optimal fixed-rate quantizer, which no design
                         for the same source and level count may beat;
 * ``exact_compressor_sqnr``  the companding model evaluated on the closed-form
@@ -22,9 +23,9 @@ import numpy as np
 
 from .gauss_analytics import (
     SourceModel,
+    cell_second_moment,
     compressor_derivative,
     erf,
-    integrate,
     pdf,
     support_threshold,
     tail_centroid,
@@ -32,9 +33,7 @@ from .gauss_analytics import (
 from .quantizer_design import (
     CompandingQuantizer,
     DistortionReport,
-    _tail_second_moment,
     overload_distortion_closed,
-    overload_distortion_exact,
 )
 
 __all__ = [
@@ -107,18 +106,17 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
 
 
 def true_distortion(q: CompandingQuantizer) -> float:
-    """Noise power of the realized quantizer by per-cell quadrature.
+    """Noise power of the realized quantizer, cell by cell.
 
-    Integrates (x - level)^2 against the source density over every granular
-    cell actually used by encode/decode (all cells in one quadrature call),
-    then adds the exact overload term.  Independent of the companding model.
+    The closed-form second moment of (x - level)^2 against the source density
+    over every positive cell that encode/decode use, the overload cell
+    [x_max, inf) included, in one array call; doubled for the negative half.
+    Independent of the companding model.
     """
-    src = q.config.source
-    bounds = np.array((0.0,) + q.thresholds)
-    levels = np.array(q.levels)
-    cell_error = lambda n: (n.x - levels[n.interval]) ** 2 * pdf(src, n.x)
-    granular = sum(integrate(cell_error, bounds[:-1], bounds[1:]).tolist())
-    return 2.0 * granular + overload_distortion_exact(q)
+    bounds = np.array((0.0,) + q.thresholds + (math.inf,))
+    levels = np.array(q.levels + (q.overload_level,))
+    cells = cell_second_moment(q.config.source, bounds[:-1], bounds[1:], levels)
+    return 2.0 * float(np.sum(cells))
 
 
 def _initial_levels(source: SourceModel, n_levels: int) -> list[float]:
@@ -247,11 +245,12 @@ def _companding_model_report(
         granular += pdf(source, y) * (delta / slope(y)) ** 3
     granular /= 6.0
     overload = source.sigma**2 * overload_distortion_closed(x_max / source.sigma)
+    tail = cell_second_moment(source, x_max, math.inf, tail_centroid(source, x_max))
     total = granular + overload
     return DistortionReport(
         granular=granular,
         overload=overload,
         total=total,
         sqnr_db=10.0 * math.log10(source.sigma**2 / total),
-        overload_exact=2.0 * _tail_second_moment(source, x_max, tail_centroid(source, x_max)),
+        overload_exact=2.0 * float(tail),
     )

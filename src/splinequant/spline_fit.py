@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gauss_analytics import Nodes, integrate
+from .gauss_analytics import integrate
 
 __all__ = [
     "KnotVector",
@@ -27,7 +27,6 @@ __all__ = [
     "InversionError",
     "fit",
     "fit_batch",
-    "fit_objective",
     "target_moments",
     "invert_segment",
     "segment_roots",
@@ -192,7 +191,7 @@ def target_moments(
     quadrature pass: a (rows, n_segments, 3) array.  ``target`` must map an
     array of abscissae elementwise."""
     knots = np.asarray(knots, dtype=float)
-    weighted = lambda n: target(n.x) * np.stack((np.ones_like(n.x), n.x, n.x**2))
+    weighted = lambda x: target(x) * np.stack((np.ones_like(x), x, x**2))
     rows = integrate(weighted, knots[:, :-1].ravel(), knots[:, 1:].ravel()).T
     return rows.reshape(len(knots), -1, 3)
 
@@ -221,43 +220,17 @@ def fit_batch(knots: Sequence[Sequence[float]], moments: np.ndarray) -> np.ndarr
     return np.concatenate((c.transpose(0, 2, 1), knots[:, None, :-1], knots[:, None, 1:]), axis=1)
 
 
-def fit(
-    target: Callable[[np.ndarray], np.ndarray],
-    knots: KnotVector,
-    moments: np.ndarray | None = None,
-) -> QuadraticSpline:
-    """Per-segment least-squares quadratic approximation of ``target``.
+def fit(target: Callable[[np.ndarray], np.ndarray], knots: KnotVector) -> QuadraticSpline:
+    """Per-segment least-squares quadratic approximation of ``target``, which
+    must map arrays elementwise.
 
     For each knot interval the returned coefficients minimize the integral of
     (target - polynomial)^2; the residual is therefore orthogonal to 1, x, x^2
-    on that interval.  The one-fit case of ``fit_batch``: ``target`` must map
-    arrays, unless a batch of fits passes this fit's row of one
-    ``target_moments`` call as ``moments``.
+    on that interval.  The one-fit case of ``target_moments`` and
+    ``fit_batch``.
     """
-    if moments is None:
-        (moments,) = target_moments(target, [knots.knots])
-    (table,) = fit_batch([knots.knots], moments)
+    (table,) = fit_batch([knots.knots], target_moments(target, [knots.knots]))
     return QuadraticSpline(tuple(QuadSegment(*col) for col in table.T.tolist()))
-
-
-def fit_objective(
-    target: Callable[[np.ndarray], np.ndarray],
-    spline: QuadraticSpline,
-    knots: KnotVector,
-) -> float:
-    """Length-weighted squared fit error: sum over segments of
-    (1 / segment length) * integral of (target - spline)^2."""
-    if spline.knots != knots.knots:
-        raise ValueError(
-            f"spline segments {spline.knots} do not align with knots {knots.knots}"
-        )
-    c0, c1, c2, lo, hi = spline.coefficients
-
-    def squared_error(nodes: Nodes) -> np.ndarray:
-        x, i = nodes
-        return (target(x) - (c0[i] + x * (c1[i] + c2[i] * x))) ** 2
-
-    return sum((integrate(squared_error, lo, hi) / (hi - lo)).tolist())
 
 
 def invert_segment(

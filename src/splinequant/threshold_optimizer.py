@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .gauss_analytics import SourceModel, compressor, support_threshold
 from .quantizer_design import (
     CompandingQuantizer,
@@ -87,17 +85,11 @@ class RefineResult:
     interior: bool
 
 
-def evaluate_candidate(
-    n_levels: int,
-    x1: float,
-    source: SourceModel = SourceModel(),
-    moments: np.ndarray | None = None,
-) -> Design:
+def evaluate_candidate(n_levels: int, x1: float, source: SourceModel = SourceModel()) -> Design:
     """Fit the compressor on knots (0, x1, x_max), build, and score one design:
-    the one-design case of the batched kernels that ``sweep`` runs.
-    ``moments``: the fit's row of a batched ``target_moments`` call, if any."""
+    the one-design case of the batched kernels that ``sweep`` runs."""
     config = standard_config(n_levels, (x1,), source)
-    spline = fit(lambda x: compressor(source, config.x_max, x), config.knots, moments)
+    spline = fit(lambda x: compressor(source, config.x_max, x), config.knots)
     quantizer = build(spline, config)
     return Design(config, spline, quantizer, sqnr(quantizer))
 

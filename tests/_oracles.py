@@ -1,8 +1,9 @@
 """Independent numeric oracles for the tests.
 
 The numpy helpers integrate with fixed-order Gauss-Legendre rules, on purpose:
-the library under test uses adaptive Simpson, so these helpers provide a
-second, structurally different route to the same integrals.
+the library's fit moments use adaptive Simpson and its cell moments a closed
+form, so these helpers provide a structurally different route to the same
+integrals; ``weighted_objective`` is the fit's length-weighted squared error.
 ``recursive_simpson`` is the scalar adaptive Simpson the batched library
 routine must reproduce, and ``per_level_build`` the per-level quantizer
 construction, with its scalar ``scalar_invert_segment``, that the single-pass
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from splinequant import DEFAULT_QUADRATURE, QuadratureError, QuadratureSpec, SourceModel
+from splinequant import QuadratureError, SourceModel
 from splinequant.gauss_analytics import compressor, pdf, support_threshold, tail_centroid
 from splinequant.quantizer_design import (
     CompandingQuantizer,
@@ -46,6 +47,10 @@ from splinequant.spline_fit import (
 from splinequant.threshold_optimizer import SweepError
 
 _DOMAIN_SLACK = 1e-9
+
+# recursive_simpson's (relative tolerance, absolute tolerance, subdivision
+# budget) unless a call passes its own: those of the library's integrate()
+SIMPSON_TOLERANCES = (1e-10, 1e-12, 100_000)
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +128,11 @@ def uniform_midpoint_quantizer(n_levels: int, x_max: float):
     return step, levels, thresholds
 
 
+def splines(tables: np.ndarray) -> list[QuadraticSpline]:
+    """The splines of a (fits, 5, segments) stack of ``fit_batch`` tables."""
+    return [QuadraticSpline(tuple(QuadSegment(*col) for col in t.T.tolist())) for t in tables]
+
+
 def gaussian_cell_distortion(lo: float, hi: float, y: float) -> float:
     """Closed form of the integral of (x - y)^2 * standard normal pdf over [lo, hi]."""
 
@@ -155,6 +165,25 @@ def mp_tail_second_moment(a: float, y: float | None = None) -> float:
         return float((1 + y * y) * tail + (a - 2 * y) * phi)
 
 
+def mp_cell_distortion(bounds, levels) -> float:
+    """Sum over cells [bounds[i], bounds[i+1]] of the integral of
+    (x - levels[i])^2 * standard normal pdf, at 50 digits; the last bound may
+    be inf.  Per cell (1 + y^2) (Q(a) - Q(b)) + (a - 2y) phi(a) - (b - 2y) phi(b),
+    the b terms dropped at inf."""
+    import mpmath
+
+    phi = lambda x: mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi)
+    tail = lambda x: mpmath.erfc(x / mpmath.sqrt(2)) / 2
+    with mpmath.workdps(MP_DIGITS):
+        total = mpmath.mpf(0)
+        for a, b, y in zip(bounds, bounds[1:], levels):
+            a, b, y = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(y)
+            total += (1 + y * y) * (tail(a) - tail(b)) + (a - 2 * y) * phi(a)
+            if mpmath.isfinite(b):
+                total -= (b - 2 * y) * phi(b)
+        return float(total)
+
+
 def mp_overload_closed(x_max: float) -> float:
     """sqrt(2/pi) * x_max^-3 * exp(-x_max^2/2) at 50 digits."""
     import mpmath
@@ -179,18 +208,19 @@ def recursive_simpson(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    tolerances: tuple[float, float, int] = SIMPSON_TOLERANCES,
 ) -> float:
     """Adaptive Simpson quadrature of ``f`` over [a, b], scalar and recursive:
     the package's integrate() before it was batched, kept verbatim as the
     reference its breadth-first rewrite must reproduce.
 
-    Deterministic for identical inputs.  The interval is split until the
-    Richardson error estimate of each piece falls under its share of
-    max(absolute_tolerance, relative_tolerance * |whole|); exceeding
-    ``spec.max_subdivisions`` raises QuadratureError carrying the best
-    estimate assembled so far.
+    Deterministic for identical inputs.  ``tolerances`` is (relative,
+    absolute, max_subdivisions).  The interval is split until the Richardson
+    error estimate of each piece falls under its share of max(absolute,
+    relative * |whole|); exceeding max_subdivisions raises QuadratureError
+    carrying the best estimate assembled so far.
     """
+    relative_tolerance, absolute_tolerance, max_subdivisions = tolerances
     if a > b:
         raise ValueError(f"integration bounds out of order: {a} > {b}")
     if a == b:
@@ -202,9 +232,9 @@ def recursive_simpson(
     if not all(map(math.isfinite, (fa, fm, fb))):
         raise ValueError("integrand not finite on the integration interval")
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(whole))
+    tol = max(absolute_tolerance, relative_tolerance * abs(whole))
 
-    budget = [spec.max_subdivisions]
+    budget = [max_subdivisions]
     exhausted = [False]
     max_depth = 60  # interval width shrinks by 2^-60; past that refinement is noise
 
@@ -233,7 +263,7 @@ def recursive_simpson(
     result = recurse(a, b, fa, fm, fb, whole, tol, 0)
     if exhausted[0]:
         raise QuadratureError(
-            f"quadrature did not converge within {spec.max_subdivisions} subdivisions",
+            f"quadrature did not converge within {max_subdivisions} subdivisions",
             best_estimate=result,
         )
     return result

@@ -1,12 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from splinequant import (
-    DEFAULT_QUADRATURE,
     QuadratureError,
-    QuadratureSpec,
     SourceModel,
     compressor,
     compressor_derivative,
@@ -16,9 +15,10 @@ from splinequant import (
     tail_centroid,
     upper_tail,
 )
-from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF
+from splinequant import gauss_analytics
+from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF, cell_second_moment
 
-from _oracles import gl_integrate, recursive_simpson
+from _oracles import gaussian_cell_distortion, gl_integrate, mp_tail_second_moment, recursive_simpson
 
 UNIT = SourceModel()
 
@@ -48,10 +48,10 @@ class TestPdf:
         assert all(pdf(UNIT, x) > 0.0 for x in [-30.0, -3.0, 0.0, 3.0, 30.0])
 
     def test_normalization(self):
-        assert integrate(lambda n: pdf(UNIT, n.x), -8.0, 8.0) == pytest.approx(1.0, abs=1e-10)
+        assert integrate(lambda x: pdf(UNIT, x), -8.0, 8.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_variance(self):
-        second = integrate(lambda n: n.x * n.x * pdf(UNIT, n.x), -8.0, 8.0)
+        second = integrate(lambda x: x * x * pdf(UNIT, x), -8.0, 8.0)
         assert second == pytest.approx(1.0, abs=1e-8)
 
     def test_sigma_scaling(self):
@@ -82,11 +82,11 @@ class TestCompressor:
     def test_closed_form_matches_defining_integral(self):
         # the compressor is the normalized integral of the cube root of the
         # density; both routes must agree to 1e-9 across the domain
-        tight = QuadratureSpec(1e-12, 1e-14, 200_000)
-        root = lambda n: pdf(UNIT, n.x) ** (1.0 / 3.0)
-        denom = integrate(root, 0.0, self.X_MAX, tight)
+        tight = (1e-12, 1e-14, 200_000)
+        root = lambda x: pdf(UNIT, x) ** (1.0 / 3.0)
+        denom = recursive_simpson(root, 0.0, self.X_MAX, tight)
         xs = np.array([self.X_MAX * k / 1000.0 for k in range(1001)])
-        numer = integrate(root, 0.0, xs, tight)
+        numer = np.array([recursive_simpson(root, 0.0, x, tight) for x in xs.tolist()])
         worst = np.abs(self.X_MAX * numer / denom - compressor(UNIT, self.X_MAX, xs)).max()
         assert worst <= 1e-9
 
@@ -98,7 +98,7 @@ class TestCompressor:
             got = compressor(UNIT, self.X_MAX, np.array(x))
             assert np.ndim(got) == 0 and float(got) == expected
         # integrate() returns a 0-d array for scalar bounds; it chains into compressor
-        one = integrate(lambda n: np.ones_like(n.x), 0.0, 1.0)
+        one = integrate(lambda x: np.ones_like(x), 0.0, 1.0)
         assert float(compressor(UNIT, self.X_MAX, one)) == compressor(UNIT, self.X_MAX, 1.0)
 
     def test_strictly_increasing(self):
@@ -179,82 +179,111 @@ class TestUpperTail:
         assert 0.0 < upper_tail(UNIT, 30.0) < 1e-190
 
 
+class TestCellSecondMoment:
+    def test_tail_matches_mpmath(self):
+        # the terms cancel more the farther out a lies (relative error about
+        # a^6 * 1e-16); the support edges of N = 4 ... 4096 reach a = 5.9
+        pytest.importorskip("mpmath")
+        edges = [support_threshold(UNIT, 2**e) for e in range(2, 13)]
+        for a in [0.0, 0.5, 1.7] + edges:
+            for y in (tail_centroid(UNIT, a), a, a + 0.3):
+                got = cell_second_moment(UNIT, a, math.inf, y)
+                assert got == pytest.approx(mp_tail_second_moment(a, y), rel=1e-11, abs=0.0)
+
+    def test_infinite_and_underflowing_ends_give_no_nan_or_warning(self):
+        a = np.array([0.0, 1.0, 3.0, 30.0, 35.0])
+        b = np.array([math.inf, math.inf, 40.0, math.inf, 50.0])
+        y = np.array([0.5, 1.5, 3.2, 30.03, 35.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cell_second_moment(UNIT, a, b, y)
+            scalar = cell_second_moment(UNIT, 2.0, math.inf, 2.4)
+        assert np.isfinite(got).all() and (got > 0.0).all()
+        assert math.isfinite(scalar) and scalar > 0.0
+        # b = 40 sigma lies where the density and the tail underflow: as b = inf
+        assert got[2] == cell_second_moment(UNIT, 3.0, math.inf, 3.2)
+
+    def test_arrays_match_closed_form_oracle(self):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-3.0, 4.0, 200)
+        b = a + rng.uniform(0.01, 2.0, 200)
+        y = a + rng.uniform(0.0, 1.0, 200) * (b - a)
+        got = cell_second_moment(UNIT, a, b, y)
+        assert got.shape == (200,)
+        want = [gaussian_cell_distortion(*args) for args in zip(a.tolist(), b.tolist(), y.tolist())]
+        # both closed forms cancel on short cells, to about 1e-16 of the mass
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+    def test_sigma_scaling(self):
+        # X = sigma Z: the moment about sigma y over [sigma a, sigma b] is sigma^2 times
+        wide = SourceModel(2.5)
+        for a, b, y in ((0.0, 0.3, 0.1), (1.0, 2.0, 1.4), (2.5, math.inf, 2.9)):
+            got = cell_second_moment(wide, 2.5 * a, 2.5 * b, 2.5 * y)
+            assert got == pytest.approx(6.25 * cell_second_moment(UNIT, a, b, y), rel=1e-13)
+
+
 class TestIntegrate:
     def test_constant(self):
-        assert integrate(lambda n: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_empty_interval(self):
-        assert integrate(lambda n: np.exp(n.x), 2.0, 2.0) == 0.0
+        assert integrate(lambda x: np.exp(x), 2.0, 2.0) == 0.0
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            integrate(lambda n: 1.0, 1.0, 0.0)
+            integrate(lambda x: 1.0, 1.0, 0.0)
 
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(ValueError):
-            integrate(lambda n: np.where(n.x == 0.0, math.inf, 1.0 / np.maximum(n.x, 1e-300)), 0.0, 1.0)
+            integrate(lambda x: np.where(x == 0.0, math.inf, 1.0 / np.maximum(x, 1e-300)), 0.0, 1.0)
 
     def test_polynomial_exact(self):
-        assert integrate(lambda n: n.x**3 - 2 * n.x, -1.0, 3.0) == pytest.approx(12.0, rel=1e-12)
+        assert integrate(lambda x: x**3 - 2 * x, -1.0, 3.0) == pytest.approx(12.0, rel=1e-12)
 
     def test_matches_gauss_legendre_oracle(self):
         f = lambda x: np.exp(-x) * np.sin(3.0 * x)
-        assert integrate(lambda n: f(n.x), 0.0, 4.0) == pytest.approx(gl_integrate(f, 0.0, 4.0, 120), rel=1e-9)
+        assert integrate(f, 0.0, 4.0) == pytest.approx(gl_integrate(f, 0.0, 4.0, 120), rel=1e-9)
 
-    def test_budget_exhaustion_carries_estimate(self):
-        spec = QuadratureSpec(1e-14, 1e-16, 1)
+    def test_budget_exhaustion_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(gauss_analytics, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureError) as info:
-            integrate(lambda n: np.exp(-n.x * n.x), 0.0, 6.0, spec)
+            integrate(lambda x: np.exp(-x * x), 0.0, 6.0)
         best = info.value.best_estimate
         assert best == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-2)
 
     def test_deterministic(self):
-        f = lambda n: pdf(UNIT, n.x) * n.x * n.x
+        f = lambda x: pdf(UNIT, x) * x * x
         assert integrate(f, -5.0, 5.0) == integrate(f, -5.0, 5.0)
 
     def test_batch_shape(self):
         # components lead, the interval axis takes the shape of the bounds
-        got = integrate(lambda n: np.stack((n.x, n.x * n.x)), np.zeros((2, 3)), 1.0)
+        got = integrate(lambda x: np.stack((x, x * x)), np.zeros((2, 3)), 1.0)
         assert got.shape == (2, 2, 3)
         assert got[0] == pytest.approx(np.full((2, 3), 0.5), rel=1e-14)
         assert got[1] == pytest.approx(np.full((2, 3), 1.0 / 3.0), rel=1e-14)
-
-    def test_integrand_sees_its_interval(self):
-        # each interval i integrates x - i, which only the node's interval index gives
-        los = np.array([0.0, 1.0, 2.0, 3.0])
-        got = integrate(lambda n: n.x - n.interval, los, los + 1.0)
-        assert got == pytest.approx(np.full(4, 0.5), rel=1e-14)
 
     def test_matches_recursive_reference_per_interval_and_component(self):
         # more intervals than one chunk, components of different difficulty
         los = np.linspace(-3.0, 2.0, 70)
         his = los + np.linspace(0.1, 4.0, 70)
         parts = (lambda x: np.exp(-x * x), lambda x: np.sin(5.0 * x) * x, lambda x: np.cos(x) ** 2)
-        got = integrate(lambda n: np.stack([p(n.x) for p in parts]), los, his)
+        got = integrate(lambda x: np.stack([p(x) for p in parts]), los, his)
         for c, part in enumerate(parts):
             want = [recursive_simpson(lambda x: float(part(x)), lo, hi) for lo, hi in zip(los, his)]
             assert got[c] == pytest.approx(want, rel=1e-13, abs=1e-15)
 
-    def test_one_non_converging_interval_raises_with_best_estimates(self):
-        # within 20 splits x and x^2 converge, the oscillating third interval does not
-        spec = QuadratureSpec(1e-10, 1e-12, 20)
+    def test_one_non_converging_interval_raises_with_best_estimates(self, monkeypatch):
+        # within 20 splits x on [0, 1] and x^2 on [1, 2] converge, the
+        # oscillating component on [0, 6] does not
+        monkeypatch.setattr(gauss_analytics, "_MAX_SUBDIVISIONS", 20)
         los, his = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 6.0])
         waves = lambda x: np.exp(-0.1 * x) * np.sin(20.0 * x)
-        mixed = lambda n: np.select([n.interval == 0, n.interval == 1], [n.x, n.x * n.x], waves(n.x))
         with pytest.raises(QuadratureError) as info:
-            integrate(mixed, los, his, spec)
+            integrate(lambda x: np.stack((x, x * x, waves(x))), los, his)
         with pytest.raises(QuadratureError):
-            recursive_simpson(lambda x: float(waves(x)), 0.0, 6.0, spec)
+            recursive_simpson(lambda x: float(waves(x)), 0.0, 6.0, (1e-10, 1e-12, 20))
         best = info.value.best_estimate
-        assert best.shape == (3,)
-        assert best[:2] == pytest.approx([0.5, 7.0 / 3.0], rel=1e-14)
+        assert best.shape == (3, 3)
+        assert np.diag(best)[:2] == pytest.approx([0.5, 7.0 / 3.0], rel=1e-14)
         # cut short after 20 splits, the estimate is rough but in range
-        assert best[2] == pytest.approx(gl_integrate(waves, 0.0, 6.0, 200), abs=2e-2)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(relative_tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-        assert DEFAULT_QUADRATURE.relative_tolerance == 1e-10
-        assert DEFAULT_QUADRATURE.absolute_tolerance == 1e-12
+        assert best[2, 2] == pytest.approx(gl_integrate(waves, 0.0, 6.0, 200), abs=2e-2)

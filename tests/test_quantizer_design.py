@@ -26,9 +26,9 @@ from splinequant import (
     tail_centroid,
 )
 
-from splinequant.spline_fit import target_moments
+from splinequant.spline_fit import fit_batch, target_moments
 
-from _oracles import gaussian_cell_distortion, per_level_build, uniform_midpoint_quantizer
+from _oracles import gaussian_cell_distortion, per_level_build, splines, uniform_midpoint_quantizer
 
 UNIT = SourceModel()
 X_MAX_16 = support_threshold(UNIT, 16)
@@ -206,11 +206,9 @@ class TestBuild:
             for k in range(int(0.5 * x_max / 0.05) + 1)
             if 0.5 * x_max + k * 0.05 < x_max * (1.0 - 1e-12)
         ]
-        moments = target_moments(
-            lambda x: sq.compressor(UNIT, x_max, x), [c.knots for c in configs]
-        )
-        for config, rows in zip(configs, moments):
-            spline = sq.fit(None, config.knots, rows)
+        knots = [c.knots.knots for c in configs]
+        moments = target_moments(lambda x: sq.compressor(UNIT, x_max, x), knots)
+        for config, spline in zip(configs, splines(fit_batch(knots, moments))):
             try:
                 want = per_level_build(spline, config)
             except DesignError as exc:
@@ -284,12 +282,12 @@ class TestGranularDistortion:
         x_max = support_threshold(UNIT, n_levels)
         grid = [0.5 * x_max + k * 0.01 for k in range(int(0.5 * x_max / 0.01))]
         configs = [standard_config(n_levels, (x1,)) for x1 in grid if x1 < x_max * (1.0 - 1e-12)]
-        target = lambda x: sq.compressor(UNIT, x_max, x)
-        moments = target_moments(target, [c.knots for c in configs])
+        knots = [c.knots.knots for c in configs]
+        moments = target_moments(lambda x: sq.compressor(UNIT, x_max, x), knots)
         built = 0
-        for config, rows in zip(configs, moments):
+        for config, spline in zip(configs, splines(fit_batch(knots, moments))):
             try:
-                q = build(sq.fit(target, config.knots, moments=rows), config)
+                q = build(spline, config)
             except DesignError:
                 continue
             built += 1

@@ -8,7 +8,7 @@ import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.reference_oracles import ConvergenceError, _companding_model_report, _invert_compressor
 
-from _oracles import mp_invert_compressor
+from _oracles import mp_cell_distortion, mp_invert_compressor
 
 UNIT = SourceModel()
 
@@ -109,6 +109,15 @@ class TestTrueDistortion:
         assert true_distortion(designs[(16, "mid")].quantizer) == pytest.approx(
             0.0095940704, rel=1e-6
         )
+
+    @pytest.mark.parametrize("n_levels", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("share", [0.6, 0.75])
+    def test_matches_mpmath_over_realized_cells(self, n_levels, share):
+        pytest.importorskip("mpmath")
+        q = sq.evaluate_candidate(n_levels, share * sq.support_threshold(UNIT, n_levels)).quantizer
+        bounds = (0.0,) + q.thresholds + (math.inf,)
+        want = 2.0 * mp_cell_distortion(bounds, q.levels + (q.overload_level,))
+        assert true_distortion(q) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestInvertCompressor:

@@ -12,12 +12,11 @@ from splinequant import (
     SourceModel,
     compressor,
     fit,
-    fit_objective,
     invert_segment,
     support_threshold,
 )
 
-from splinequant.spline_fit import target_moments
+from splinequant.spline_fit import fit_batch, target_moments
 
 from _oracles import (
     perturbed_objectives,
@@ -25,6 +24,7 @@ from _oracles import (
     residual_moments,
     scalar_invert_segment,
     scalar_solve3,
+    splines,
     weighted_objective,
 )
 
@@ -35,6 +35,12 @@ GAUSS_KNOTS = KnotVector((0.0, 1.68, X_MAX_16))
 
 def gauss_target(x):
     return compressor(UNIT, X_MAX_16, x)
+
+
+def objective(target, spline: QuadraticSpline) -> float:
+    """Length-weighted squared fit error of ``spline`` on its own knots."""
+    coeffs = [(s.c0, s.c1, s.c2) for s in spline.segments]
+    return weighted_objective(target, coeffs, spline.knots)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +111,7 @@ class TestFitExactRecovery:
             assert seg.c0 == pytest.approx(0.0, abs=1e-11)
             assert seg.c1 == pytest.approx(1.0, abs=1e-11)
             assert seg.c2 == pytest.approx(0.0, abs=1e-11)
-        assert fit_objective(lambda x: x, sp, knots) <= 1e-16
+        assert objective(lambda x: x, sp) <= 1e-16
 
     def test_quadratic_target(self):
         knots = KnotVector((0.0, 1.0, 2.0))
@@ -122,7 +128,7 @@ class TestFitExactRecovery:
             return np.where(x <= 1.0, 0.5 * x * x, -1.0 + 2.5 * x - x * x)
 
         sp = fit(target, knots)
-        assert fit_objective(target, sp, knots) <= 1e-16
+        assert objective(target, sp) <= 1e-16
 
 
 class TestFitOptimality:
@@ -155,7 +161,7 @@ class TestFitOptimality:
     def test_single_coefficient_bump_increases_objective(self, gauss_spline):
         import dataclasses
 
-        base = fit_objective(gauss_target, gauss_spline, GAUSS_KNOTS)
+        base = objective(gauss_target, gauss_spline)
         for si in (0, 1):
             for name in ("c0", "c1", "c2"):
                 for sign in (1.0, -1.0):
@@ -163,7 +169,7 @@ class TestFitOptimality:
                     bumped = dataclasses.replace(seg, **{name: getattr(seg, name) + sign * 1e-3})
                     segments = list(gauss_spline.segments)
                     segments[si] = bumped
-                    worse = fit_objective(gauss_target, QuadraticSpline(tuple(segments)), GAUSS_KNOTS)
+                    worse = objective(gauss_target, QuadraticSpline(tuple(segments)))
                     assert worse > base
 
 
@@ -172,7 +178,7 @@ class TestFitObjective:
         knots = KnotVector((0.0, 2.0))
         target = lambda x: 4.0 - 0.5 * x + 0.25 * x * x
         sp = fit(target, knots)
-        assert fit_objective(target, sp, knots) <= 1e-18
+        assert objective(target, sp) <= 1e-18
 
     def test_weights_by_inverse_length(self):
         # a constant unit residual on a segment contributes exactly 1
@@ -183,11 +189,7 @@ class TestFitObjective:
                 QuadSegment(1.0, 0.0, 0.0, 0.25, 2.0),
             )
         )
-        assert fit_objective(lambda x: 0.0, sp, knots) == pytest.approx(2.0, rel=1e-10)
-
-    def test_knot_mismatch_rejected(self, gauss_spline):
-        with pytest.raises(ValueError):
-            fit_objective(gauss_target, gauss_spline, KnotVector((0.0, 1.7, X_MAX_16)))
+        assert objective(lambda x: 0.0, sp) == pytest.approx(2.0, rel=1e-10)
 
 
 class TestEvalAndDeriv:
@@ -362,5 +364,6 @@ class TestTargetMoments:
                 assert rows[1, k] == pytest.approx(want, rel=1e-13)
 
     def test_fit_from_batched_moments_equals_fit(self, gauss_spline):
-        (rows,) = target_moments(gauss_target, [GAUSS_KNOTS])
-        assert fit(gauss_target, GAUSS_KNOTS, moments=rows) == gauss_spline
+        knots = [GAUSS_KNOTS.knots, (0.0, 1.2, X_MAX_16), GAUSS_KNOTS.knots]
+        tables = fit_batch(knots, target_moments(gauss_target, knots))
+        assert splines(tables) == [gauss_spline, fit(gauss_target, KnotVector(knots[1])), gauss_spline]
