@@ -401,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DesignError, SweepError, ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DESIGN_FAILURE
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
 
 

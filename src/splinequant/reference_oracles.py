@@ -120,26 +120,17 @@ def true_distortion(q: CompandingQuantizer) -> float:
 
 
 def _initial_levels(source: SourceModel, n_levels: int) -> list[float]:
-    if n_levels >= 4 and n_levels % 2 == 0:
-        report_levels = _companding_levels(source, n_levels)
-        if report_levels is not None:
-            return report_levels
-    nd = NormalDist(0.0, source.sigma)
-    return [nd.inv_cdf((i + 0.5) / n_levels) for i in range(n_levels)]
-
-
-def _companding_levels(source: SourceModel, n_levels: int) -> list[float] | None:
-    try:
-        x_max = support_threshold(source, n_levels)
-    except ValueError:
-        return None
+    """Positive half of the starting codebook for an even ``n_levels``: the
+    companding design's levels, or the upper normal quartile for N = 2."""
+    if n_levels == 2:
+        return [NormalDist(0.0, source.sigma).inv_cdf(0.75)]
+    x_max = support_threshold(source, n_levels)
     delta = 2.0 * x_max / (n_levels - 2)
     positive = [
         _invert_compressor(source, x_max, (k - 0.5) * delta)
         for k in range(1, (n_levels - 2) // 2 + 1)
     ]
-    positive.append(tail_centroid(source, x_max))
-    return [-y for y in reversed(positive)] + positive
+    return positive + [tail_centroid(source, x_max)]
 
 
 def _invert_compressor(source: SourceModel, x_max: float, value: float) -> float:
@@ -161,36 +152,41 @@ def lloyd_max(
 ) -> LloydMaxResult:
     """MSE-optimal scalar quantizer by alternating centroids and midpoints.
 
-    Cell centroids use the closed-form Gaussian tail moments; the distortion
-    deciding convergence is re-evaluated every iteration by per-cell
-    Gauss-Legendre quadrature (end cells truncated 12 sigma out) and must
-    never increase.  Stops when its relative change drops below ``tolerance``.
+    ``n_levels`` must be even: the codebook is then antisymmetric bit for bit
+    (mirrored start, middle threshold exactly 0, ``math.erf`` odd, symmetric
+    Gauss-Legendre rule), so only the positive half is iterated, on the cell
+    edges ``[0, midpoints..., last + 12 sigma]``.  Centroids use the
+    closed-form Gaussian tail moments.  The distortion deciding convergence is
+    re-evaluated every iteration by per-cell Gauss-Legendre quadrature and
+    must never increase; it is summed over both mirrored halves in the whole
+    codebook's order, so it rounds exactly as a whole-codebook sum.  Stops
+    when its relative change drops below ``tolerance``.
     """
-    if n_levels < 2:
-        raise ValueError(f"n_levels must be >= 2, got {n_levels}")
-    if tolerance <= 0.0:
+    if n_levels < 2 or n_levels % 2:
+        raise ValueError(f"n_levels must be even and >= 2, got {n_levels}")
+    if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     sigma = source.sigma
+    norm = sigma * math.sqrt(2.0 * math.pi)
     levels = np.asarray(_initial_levels(source, n_levels), dtype=float)
+    edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
     nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     prev = math.inf
     distortion = math.inf
     for iteration in range(1, max_iterations + 1):
-        mids = 0.5 * (levels[:-1] + levels[1:])
-        lo = np.concatenate(([levels[0] - 12.0 * sigma], mids))
-        hi = np.concatenate((mids, [levels[-1] + 12.0 * sigma]))
         # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
-        p_lo = np.exp(-0.5 * (lo / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        p_hi = np.exp(-0.5 * (hi / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        mass = 0.5 * (erf(hi / (sigma * math.sqrt(2.0))) - erf(lo / (sigma * math.sqrt(2.0))))
-        levels = sigma**2 * (p_lo - p_hi) / mass
-        mids = 0.5 * (levels[:-1] + levels[1:])
-        lo = np.concatenate(([levels[0] - 12.0 * sigma], mids))
-        hi = np.concatenate((mids, [levels[-1] + 12.0 * sigma]))
+        dens = np.exp(-0.5 * (edges / sigma) ** 2) / norm
+        cdf = erf(edges / (sigma * math.sqrt(2.0)))
+        levels = sigma**2 * (dens[:-1] - dens[1:]) / (0.5 * (cdf[1:] - cdf[:-1]))
+        edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
+        lo, hi = edges[:-1], edges[1:]
         x = 0.5 * (hi - lo)[:, None] * nodes[None, :] + 0.5 * (hi + lo)[:, None]
         w = 0.5 * (hi - lo)[:, None] * weights[None, :]
-        dens = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        distortion = float(np.sum(w * (x - levels[:, None]) ** 2 * dens))
+        half = w * (x - levels[:, None]) ** 2 * (np.exp(-0.5 * (x / sigma) ** 2) / norm)
+        # full-codebook sum order: the benchmark pins iteration counts until a Newton solve
+        distortion = float(np.sum(np.concatenate((half[::-1, ::-1], half))))
         if distortion > prev * (1.0 + 1e-12):
             raise ArithmeticError(
                 f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
@@ -202,6 +198,7 @@ def lloyd_max(
         raise ConvergenceError(
             f"no convergence to {tolerance} within {max_iterations} iterations"
         )
+    levels = np.concatenate((-levels[::-1], levels))
     thresholds = tuple(0.5 * (levels[:-1] + levels[1:]))
     return LloydMaxResult(
         levels=tuple(levels),

@@ -10,7 +10,9 @@ construction, with its scalar ``scalar_invert_segment``, that the single-pass
 ``build`` must reproduce.  ``per_candidate_sweep`` is the threshold sweep that
 fits, builds and scores one candidate at a time (``scalar_fit`` with its
 ``scalar_solve3``, ``per_level_build``, ``scalar_sqnr``), the reference for
-the library's one array pass over all candidates.  The ``mp_``
+the library's one array pass over all candidates.  ``reference_lloyd_max``
+iterates the whole Lloyd-Max codebook, both halves, the reference for the
+library's positive-half iteration.  The ``mp_``
 helpers evaluate closed forms in 50-digit mpmath arithmetic; they import
 mpmath when called, so tests that use them skip where it is not installed.
 """
@@ -20,12 +22,13 @@ from __future__ import annotations
 import bisect
 import math
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
 from splinequant import QuadratureError, SourceModel
-from splinequant.gauss_analytics import compressor, pdf, support_threshold, tail_centroid
+from splinequant.gauss_analytics import compressor, erf, pdf, support_threshold, tail_centroid
 from splinequant.quantizer_design import (
     CompandingQuantizer,
     DesignConfig,
@@ -36,6 +39,7 @@ from splinequant.quantizer_design import (
     standard_config,
     step_size,
 )
+from splinequant.reference_oracles import ConvergenceError, LloydMaxResult, _invert_compressor
 from splinequant.spline_fit import (
     FitError,
     InversionError,
@@ -502,3 +506,81 @@ def per_candidate_sweep(
     if best is None:
         raise SweepError(f"all {len(rows)} sweep candidates failed to build")
     return rows, best
+
+
+def _full_initial_levels(source: SourceModel, n_levels: int) -> list[float]:
+    if n_levels >= 4 and n_levels % 2 == 0:
+        report_levels = _full_companding_levels(source, n_levels)
+        if report_levels is not None:
+            return report_levels
+    nd = NormalDist(0.0, source.sigma)
+    return [nd.inv_cdf((i + 0.5) / n_levels) for i in range(n_levels)]
+
+
+def _full_companding_levels(source: SourceModel, n_levels: int) -> list[float] | None:
+    try:
+        x_max = support_threshold(source, n_levels)
+    except ValueError:
+        return None
+    delta = 2.0 * x_max / (n_levels - 2)
+    positive = [
+        _invert_compressor(source, x_max, (k - 0.5) * delta)
+        for k in range(1, (n_levels - 2) // 2 + 1)
+    ]
+    positive.append(tail_centroid(source, x_max))
+    return [-y for y in reversed(positive)] + positive
+
+
+def reference_lloyd_max(
+    source: SourceModel,
+    n_levels: int,
+    tolerance: float = 1e-12,
+    max_iterations: int = 10_000,
+) -> LloydMaxResult:
+    """Lloyd-Max over the whole codebook: centroids and midpoints of all
+    ``n_levels`` cells, and the distortion by 24-point Gauss-Legendre
+    quadrature on every cell (end cells truncated 12 sigma out)."""
+    if n_levels < 2:
+        raise ValueError(f"n_levels must be >= 2, got {n_levels}")
+    if tolerance <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    sigma = source.sigma
+    levels = np.asarray(_full_initial_levels(source, n_levels), dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    prev = math.inf
+    distortion = math.inf
+    for iteration in range(1, max_iterations + 1):
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        lo = np.concatenate(([levels[0] - 12.0 * sigma], mids))
+        hi = np.concatenate((mids, [levels[-1] + 12.0 * sigma]))
+        # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
+        p_lo = np.exp(-0.5 * (lo / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        p_hi = np.exp(-0.5 * (hi / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        mass = 0.5 * (erf(hi / (sigma * math.sqrt(2.0))) - erf(lo / (sigma * math.sqrt(2.0))))
+        levels = sigma**2 * (p_lo - p_hi) / mass
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        lo = np.concatenate(([levels[0] - 12.0 * sigma], mids))
+        hi = np.concatenate((mids, [levels[-1] + 12.0 * sigma]))
+        x = 0.5 * (hi - lo)[:, None] * nodes[None, :] + 0.5 * (hi + lo)[:, None]
+        w = 0.5 * (hi - lo)[:, None] * weights[None, :]
+        dens = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        distortion = float(np.sum(w * (x - levels[:, None]) ** 2 * dens))
+        if distortion > prev * (1.0 + 1e-12):
+            raise ArithmeticError(
+                f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
+            )
+        if prev - distortion < tolerance * distortion:
+            break
+        prev = distortion
+    else:
+        raise ConvergenceError(
+            f"no convergence to {tolerance} within {max_iterations} iterations"
+        )
+    thresholds = tuple(0.5 * (levels[:-1] + levels[1:]))
+    return LloydMaxResult(
+        levels=tuple(levels),
+        thresholds=thresholds,
+        distortion=distortion,
+        sqnr_db=10.0 * math.log10(sigma**2 / distortion),
+        iterations=iteration,
+    )

@@ -252,6 +252,16 @@ class TestFailureExitCode:
         assert code == 3
         assert "synthetic failure" in err
 
+    def test_overflow_exits_3(self, capsys, monkeypatch):
+        # an OverflowError is a numerical failure, not a usage error
+        def overflow(*args, **kwargs):
+            raise OverflowError("synthetic overflow")
+
+        monkeypatch.setattr(cli, "lloyd_max", overflow)
+        code, _, err = run_cli(["lloyd-max", "--levels", "16"], capsys)
+        assert code == 3
+        assert "synthetic overflow" in err
+
 
 class TestFileOutput:
     def test_out_writes_document_and_manifest(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,7 @@ import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.reference_oracles import ConvergenceError, _companding_model_report, _invert_compressor
 
-from _oracles import mp_cell_distortion, mp_invert_compressor
+from _oracles import mp_cell_distortion, mp_invert_compressor, reference_lloyd_max
 
 UNIT = SourceModel()
 
@@ -55,6 +57,60 @@ class TestLloydMax:
     def test_rejects_tiny_codebook(self):
         with pytest.raises(ValueError):
             lloyd_max(UNIT, 1)
+
+    @pytest.mark.parametrize("n_levels", [3, 5, 17])
+    def test_rejects_odd_codebook(self, n_levels):
+        with pytest.raises(ValueError, match="even"):
+            lloyd_max(UNIT, n_levels)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-12])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            lloyd_max(UNIT, 16, tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_iterations", [0, -5])
+    def test_rejects_bad_iteration_cap(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            lloyd_max(UNIT, 16, max_iterations=max_iterations)
+
+
+class TestLloydMaxHalfCodebook:
+    """The positive-half iteration reproduces the whole-codebook iteration bit
+    for bit: levels, thresholds, distortion and iteration count."""
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.37, 2.0, 1e3])
+    @pytest.mark.parametrize("n_levels", [2, 4, 6, 8, 16, 32, 64])
+    def test_equals_whole_codebook_iteration(self, n_levels, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lloyd_max(SourceModel(sigma), n_levels)
+            want = reference_lloyd_max(SourceModel(sigma), n_levels)
+        assert got == want
+
+    def test_same_iteration_cap_failure(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as got:
+                lloyd_max(UNIT, 16, tolerance=1e-15, max_iterations=3)
+            with pytest.raises(ConvergenceError) as want:
+                reference_lloyd_max(UNIT, 16, tolerance=1e-15, max_iterations=3)
+        assert str(got.value) == str(want.value)
+
+    def test_n128_iteration_count(self):
+        assert lloyd_max(UNIT, 128).iterations == 9_474
+
+    def test_working_set(self):
+        # plain per-iteration arrays of N/2 cells: no N-cell or preallocated
+        # buffers (the whole-codebook iteration peaks at about 309 KB here)
+        lloyd_max(UNIT, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError):
+                lloyd_max(UNIT, 256, max_iterations=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024, peak
 
 
 class TestMcDistortion:
