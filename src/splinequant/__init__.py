@@ -23,7 +23,6 @@ from .spline_fit import (
     InversionError,
     KnotVector,
     QuadraticSpline,
-    QuadSegment,
     fit,
     invert_segment,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "InversionError",
     "KnotVector",
     "QuadraticSpline",
-    "QuadSegment",
     "fit",
     "invert_segment",
     "CompandingQuantizer",

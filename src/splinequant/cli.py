@@ -140,9 +140,10 @@ def _design_document(design: Design, auto: bool) -> dict:
         "step": quantizer.step,
         "overload_level": quantizer.overload_level,
         "knots": list(config.knots.knots),
+        # the table's rows are c0, c1, c2, lo, hi; the document lists lo, hi first
         "segments": [
-            {"lo": s.lo, "hi": s.hi, "c0": s.c0, "c1": s.c1, "c2": s.c2}
-            for s in spline.segments
+            dict(zip(("lo", "hi", "c0", "c1", "c2"), column))
+            for column in spline.coefficients[[3, 4, 0, 1, 2]].T.tolist()
         ],
         "knot_jumps": list(spline.knot_jumps()),
         "counts": list(quantizer.counts),
@@ -333,7 +334,7 @@ def _positive_float(value: str) -> float:
 
 def _positive_int(value: str) -> int:
     x = float(value)
-    if not (x >= 1.0 and math.isfinite(x)):
+    if not (x >= 1.0 and x.is_integer()):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return int(x)
 
@@ -346,42 +347,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, levels_default=16):
-        p.add_argument("--levels", type=_even_levels, default=levels_default,
-                       help="number of output levels N (even, >= 4; the two-segment "
-                            "commands need >= 6; default %(default)s)")
-        p.add_argument("--grid-step", type=_positive_float, default=0.01, dest="grid_step",
-                       help="threshold sweep resolution (default %(default)s)")
+    def command(name, func, help, levels="even, >= 6 for two segments", grid_step=True):
+        """Add a subcommand with --format, --out and the options it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if levels:
+            p.add_argument("--levels", type=_even_levels, default=16,
+                           help=f"number of output levels N ({levels}; default %(default)s)")
+        if grid_step:
+            p.add_argument("--grid-step", type=_positive_float, default=0.01, dest="grid_step",
+                           help="threshold sweep resolution (default %(default)s)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output document format (default %(default)s)")
         p.add_argument("--out", default=None, help="write the document to this path instead of stdout")
+        return p
 
-    p = sub.add_parser("design", help="build one quantizer and report it")
-    common(p)
+    p = command("design", _cmd_design, "build one quantizer and report it")
     p.add_argument("--x1", default="auto",
                    help="interior segment threshold, or 'auto' to sweep for the best (default auto)")
-    p.set_defaults(func=_cmd_design)
-
-    p = sub.add_parser("sweep", help="emit the SQNR-vs-threshold curve")
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("table1", help="midpoint vs optimized vs Lloyd-Max comparison")
-    common(p)
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("validate", help="Monte-Carlo check of the analytic distortion")
-    common(p)
+    command("sweep", _cmd_sweep, "emit the SQNR-vs-threshold curve")
+    command("table1", _cmd_table1, "midpoint vs optimized vs Lloyd-Max comparison", levels=None)
+    p = command("validate", _cmd_validate, "Monte-Carlo check of the analytic distortion")
     p.add_argument("--x1", default="auto", help="threshold to validate (default auto)")
     p.add_argument("--samples", type=_positive_int, default=10_000_000,
-                   help="Monte-Carlo sample count (default %(default)s)")
+                   help="Monte-Carlo sample count, an integer (default %(default)s)")
     p.add_argument("--seed", type=_seed, default=42, help="random seed (default %(default)s)")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("lloyd-max", help="reference MSE-optimal quantizer")
-    common(p)
-    p.set_defaults(func=_cmd_lloyd_max)
-
+    command("lloyd-max", _cmd_lloyd_max, "reference MSE-optimal quantizer", "even, >= 4", False)
     return parser
 
 

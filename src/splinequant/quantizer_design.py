@@ -9,6 +9,8 @@ Design conventions
   are the spline preimages of one half-step grid j*delta/2, j = 1 ... N-3:
   odd j give the granular reproduction levels, even j the decision
   thresholds; cells are half-open [threshold, next_threshold).
+* A fitted curve is a ``spline_fit`` coefficient table; that module owns its
+  row layout and evaluates it here (``curve_value``, ``curve_slope``, ``segment_roots``).
 * The checks on a fitted curve, the grid inversion and the granular term are
   array kernels over a stack of designs.  ``build`` and ``sqnr`` run them on
   one design; ``score_batch`` runs them on every candidate of a threshold
@@ -37,6 +39,7 @@ import numpy as np
 
 from .gauss_analytics import SourceModel, cell_second_moment, pdf, support_threshold, tail_centroid
 from .spline_fit import KnotVector, QuadraticSpline, inversion_error, segment_roots
+from .spline_fit import curve_slope, curve_value
 
 __all__ = [
     "DesignConfig",
@@ -162,12 +165,11 @@ def _curve_failures(tables: np.ndarray, delta: float) -> list[str | None]:
     one, or None.  In order: increasing on every segment (slope positive at
     both ends, segment by segment, left end first), knot values increasing,
     value at 0 below the first target delta/2."""
-    c0, c1, c2, lo, hi = tables.transpose(1, 0, 2)
-    ends = np.stack((lo, hi), axis=-1)
+    rows = tables.transpose(1, 0, 2)
+    ends = np.stack((rows[3], rows[4]), axis=-1)
     # a quadratic's slope is linear, so its minimum sits at an end
-    slopes = c1[..., None] + 2.0 * c2[..., None] * ends
-    value = lambda x: c0 + x * (c1 + c2 * x)
-    kv = np.concatenate((value(lo)[:, :1], value(hi)), axis=1)
+    slopes = curve_slope(rows[..., None], ends)
+    kv = np.concatenate((curve_value(rows, rows[3])[:, :1], curve_value(rows, rows[4])), axis=1)
     flat = (slopes <= 0.0).reshape(len(tables), -1)
     bad_kv = (kv[:, :-1] >= kv[:, 1:]).any(axis=1)
     failures: list[str | None] = [None] * len(tables)
@@ -197,21 +199,20 @@ def _invert_grid(
     them, each (designs, grid), and per design the reason the inversion or the
     interleave check failed, or None."""
     grid = np.arange(1, 2 * per_side) * (0.5 * delta)
-    c0, c1, c2, _, hi = tables.transpose(1, 0, 2)
-    inner = (c0 + hi * (c1 + c2 * hi))[:, :-1]
+    rows = tables.transpose(1, 0, 2)
+    inner = curve_value(rows, rows[4])[:, :-1]
     # segment i takes the targets in [kv[i], kv[i+1]), the first and last
     # open outwards: the count of interior knot values at or below the target
     seg = np.count_nonzero(inner[:, :, None] <= grid, axis=1)
     at = np.take_along_axis(tables, seg[:, None, :], axis=2).transpose(1, 0, 2)
-    c0, c1, c2, lo, _ = at
     # a target below its segment's own value at the left knot sits in an
     # upward fit discontinuity there; the generalized inverse of the jump is
     # the knot itself
-    start = c0 + lo * (c1 + c2 * lo)
+    start = curve_value(at, at[3])
     target = np.maximum(grid, start)
     x, failed = segment_roots(at, target)
-    x = np.where(grid < start, lo, x)
-    slope = c1 + 2.0 * c2 * x
+    x = np.where(grid < start, at[3], x)
+    slope = curve_slope(at, x)
 
     points = np.concatenate((np.zeros((len(x), 1)), x, np.full((len(x), 1), x_max)), axis=1)
     out_of_order = points[:, :-1] >= points[:, 1:]
@@ -261,7 +262,7 @@ def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
         step=delta,
         levels=tuple(levels.tolist()),
         thresholds=tuple(points[2::2].tolist()),
-        counts=tuple(np.bincount(level_segments, minlength=len(spline.segments)).tolist()),
+        counts=tuple(np.bincount(level_segments, minlength=tables.shape[2]).tolist()),
         level_segments=tuple(level_segments.tolist()),
         overload_level=tail_centroid(config.source, config.x_max),
         cell_lengths_asymptotic=tuple((delta / slope[::2]).tolist()),
@@ -285,9 +286,9 @@ def granular_distortion(q: CompandingQuantizer) -> float:
     (asymptotic), algebraically equal to the midpoint form sum of density *
     cell_length^3 / 6.
     """
-    _, c1, c2, _, _ = q.spline.coefficients.take(q.level_segments, axis=1)
     y = np.array(q.levels)
-    return float(_granular(y, c1 + 2.0 * c2 * y, q.config))
+    slopes = curve_slope(q.spline.coefficients.take(q.level_segments, axis=1), y)
+    return float(_granular(y, slopes, q.config))
 
 
 def overload_distortion_exact(q: CompandingQuantizer) -> float:

@@ -214,10 +214,10 @@ def exact_compressor_sqnr(source: SourceModel, n_levels: int) -> DistortionRepor
 
     Same level grid and distortion formulas as the fitted designs, but levels
     and slopes come straight from the ideal curve; serves as the no-fit-error
-    comparator.
+    comparator.  N must be even and >= 4, as for every design.
     """
-    if n_levels < 4:
-        raise ValueError(f"n_levels must be >= 4, got {n_levels}")
+    if n_levels < 4 or n_levels % 2:
+        raise ValueError(f"n_levels must be even and >= 4, got {n_levels}")
     x_max = support_threshold(source, n_levels)
     return _companding_model_report(
         source,

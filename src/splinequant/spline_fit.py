@@ -5,14 +5,16 @@ Each segment is fitted independently: the squared-error integral over one knot
 interval is minimized by its own quadratic, so the normal equations decouple
 into 3x3 systems.  No continuity is imposed across knots; the jump sizes are
 available as a diagnostic through ``QuadraticSpline.knot_jumps``.
+
+A fitted curve is its coefficient table, one column per segment, rows c0, c1,
+c2, lo, hi.  This module owns that layout: other modules evaluate a table only
+through ``curve_value``, ``curve_slope`` and ``segment_roots``.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,8 +23,9 @@ from .gauss_analytics import integrate
 
 __all__ = [
     "KnotVector",
-    "QuadSegment",
     "QuadraticSpline",
+    "curve_value",
+    "curve_slope",
     "FitError",
     "InversionError",
     "fit",
@@ -76,86 +79,68 @@ class KnotVector:
         return self.knots[-1]
 
 
-@dataclass(frozen=True)
-class QuadSegment:
-    """One polynomial piece c0 + c1*x + c2*x^2 on [lo, hi]."""
-
-    c0: float
-    c1: float
-    c2: float
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"segment bounds out of order: [{self.lo}, {self.hi}]")
-
-    def value(self, x: float) -> float:
-        return self.c0 + x * (self.c1 + self.c2 * x)
-
-    def slope(self, x: float) -> float:
-        return self.c1 + 2.0 * self.c2 * x
+def curve_value(rows, x):
+    """c0 + x*(c1 + c2*x) from the leading rows c0, c1, c2 of a coefficient
+    table, or of any stack or selection of columns that broadcasts with x."""
+    return rows[0] + x * (rows[1] + rows[2] * x)
 
 
-@dataclass(frozen=True)
+def curve_slope(rows, x):
+    """c1 + 2*c2*x, the slope of ``curve_value`` for the same ``rows``."""
+    return rows[1] + 2.0 * rows[2] * x
+
+
+@dataclass(frozen=True, eq=False)
 class QuadraticSpline:
-    """Ordered segments tiling [knots[0], knots[-1]]; immutable once built."""
+    """Piecewise quadratic tiling [knots[0], knots[-1]], held as its read-only
+    (5, n_segments) coefficient table: column i is c0 + c1*x + c2*x^2 on [lo, hi]."""
 
-    segments: tuple[QuadSegment, ...]
+    coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("spline needs at least one segment")
-        for left, right in zip(self.segments, self.segments[1:]):
-            if left.hi != right.lo:
-                raise ValueError(
-                    f"segments do not tile the domain: {left.hi} != {right.lo}"
-                )
+        table = np.array(self.coefficients, dtype=float)
+        if table.ndim != 2 or table.shape[0] != 5 or table.shape[1] < 1:
+            raise ValueError(f"coefficient table must have shape (5, n_segments), got {table.shape}")
+        lo, hi = table[3], table[4]
+        if not ((lo < hi).all() and (hi[:-1] == lo[1:]).all()):
+            bounds = list(zip(lo.tolist(), hi.tolist()))
+            raise ValueError(f"segment bounds out of order or not tiling the domain: {bounds}")
+        table.flags.writeable = False
+        object.__setattr__(self, "coefficients", table)
 
     @property
     def knots(self) -> tuple[float, ...]:
-        return tuple(s.lo for s in self.segments) + (self.segments[-1].hi,)
+        return tuple(self.coefficients[3].tolist()) + (self.coefficients[4, -1].item(),)
 
-    @property
-    def lo(self) -> float:
-        return self.segments[0].lo
+    def _at(self, f, x):
+        """``f`` at x on the owning segment; an interior knot belongs to its left."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.knots[0], self.knots[-1]
+        outside = (x < lo) | (x > hi)
+        if outside.any():
+            raise ValueError(f"x={x.flat[np.argmax(outside)]} outside spline domain [{lo}, {hi}]")
+        y = f(self.coefficients.take(np.searchsorted(self.coefficients[4, :-1], x), axis=1), x)
+        return float(y) if y.ndim == 0 else y
 
-    @property
-    def hi(self) -> float:
-        return self.segments[-1].hi
+    def value(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Curve value at ``x``, a float or an array."""
+        return self._at(curve_value, x)
 
-    def segment_index(self, x: float) -> int:
-        """Owning segment of ``x``; interior knots resolve to the left segment."""
-        if x < self.lo or x > self.hi:
-            raise ValueError(f"x={x} outside spline domain [{self.lo}, {self.hi}]")
-        return max(0, bisect.bisect_left(self.knots, x) - 1)
-
-    def value(self, x: float) -> float:
-        return self.segments[self.segment_index(x)].value(x)
-
-    def derivative(self, x: float) -> float:
-        return self.segments[self.segment_index(x)].slope(x)
+    def derivative(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Curve slope at ``x``, a float or an array."""
+        return self._at(curve_slope, x)
 
     def knot_values(self) -> tuple[float, ...]:
         """Values at all knots under the left-segment tie-break; the first entry
         is the leading segment's value at its own left edge."""
-        return (self.segments[0].value(self.lo),) + tuple(
-            s.value(s.hi) for s in self.segments
-        )
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """Read-only (5, n_segments) table whose rows are c0, c1, c2, lo, hi."""
-        table = np.array([(s.c0, s.c1, s.c2, s.lo, s.hi) for s in self.segments]).T
-        table.flags.writeable = False
-        return table
+        table = self.coefficients
+        return tuple(curve_value(table, table[3])[:1].tolist() + curve_value(table, table[4]).tolist())
 
     def knot_jumps(self) -> tuple[float, ...]:
         """Discontinuity magnitude at each interior knot (fit diagnostic)."""
-        return tuple(
-            abs(right.value(right.lo) - left.value(left.hi))
-            for left, right in zip(self.segments, self.segments[1:])
-        )
+        table = self.coefficients
+        jumps = curve_value(table, table[3])[1:] - curve_value(table, table[4])[:-1]
+        return tuple(np.abs(jumps).tolist())
 
 
 def _solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,7 +215,7 @@ def fit(target: Callable[[np.ndarray], np.ndarray], knots: KnotVector) -> Quadra
     ``fit_batch``.
     """
     (table,) = fit_batch([knots.knots], target_moments(target, [knots.knots]))
-    return QuadraticSpline(tuple(QuadSegment(*col) for col in table.T.tolist()))
+    return QuadraticSpline(table)
 
 
 def invert_segment(

@@ -12,7 +12,9 @@ fits, builds and scores one candidate at a time (``scalar_fit`` with its
 ``scalar_solve3``, ``per_level_build``, ``scalar_sqnr``), the reference for
 the library's one array pass over all candidates.  ``reference_lloyd_max``
 iterates the whole Lloyd-Max codebook, both halves, the reference for the
-library's positive-half iteration.  The ``mp_``
+library's positive-half iteration.  ``make_spline`` builds a spline from
+per-segment rows (c0, c1, c2, lo, hi); ``segment_rows``, ``scalar_value``
+and ``scalar_slope`` read them back for the scalar references.  The ``mp_``
 helpers evaluate closed forms in 50-digit mpmath arithmetic; they import
 mpmath when called, so tests that use them skip where it is not installed.
 """
@@ -45,7 +47,6 @@ from splinequant.spline_fit import (
     InversionError,
     KnotVector,
     QuadraticSpline,
-    QuadSegment,
     target_moments,
 )
 from splinequant.threshold_optimizer import SweepError
@@ -71,14 +72,37 @@ def gl_integrate(f, lo: float, hi: float, order: int = 80) -> float:
     return float(0.5 * (hi - lo) * np.dot(w, vals))
 
 
+def make_spline(*segments: tuple[float, float, float, float, float]) -> QuadraticSpline:
+    """The spline whose segments, left to right, are the given rows
+    (c0, c1, c2, lo, hi)."""
+    return QuadraticSpline(np.array(segments, dtype=float).T)
+
+
+def segment_rows(spline: QuadraticSpline) -> list[tuple[float, float, float, float, float]]:
+    """Per segment, left to right, its (c0, c1, c2, lo, hi) as Python floats."""
+    return [tuple(column) for column in spline.coefficients.T.tolist()]
+
+
+def scalar_value(segment, x: float) -> float:
+    """Segment polynomial c0 + x*(c1 + c2*x) at ``x`` in Python floats."""
+    c0, c1, c2, _, _ = segment
+    return c0 + x * (c1 + c2 * x)
+
+
+def scalar_slope(segment, x: float) -> float:
+    """Segment slope c1 + 2*c2*x at ``x`` in Python floats."""
+    _, c1, c2, _, _ = segment
+    return c1 + 2.0 * c2 * x
+
+
 def residual_moments(target, segment, order: int = 80) -> list[float]:
-    """Integrals of (target - segment polynomial) * x^k, k = 0, 1, 2."""
+    """Integrals of (target - segment polynomial) * x^k, k = 0, 1, 2, for a
+    segment row (c0, c1, c2, lo, hi)."""
+    c0, c1, c2, lo, hi = segment
     x, w = gl_nodes(order)
-    t = 0.5 * (segment.hi - segment.lo) * x + 0.5 * (segment.hi + segment.lo)
-    w = 0.5 * (segment.hi - segment.lo) * w
-    resid = np.asarray([target(float(v)) for v in t]) - (
-        segment.c0 + segment.c1 * t + segment.c2 * t**2
-    )
+    t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * w
+    resid = np.asarray([target(float(v)) for v in t]) - (c0 + c1 * t + c2 * t**2)
     return [float(np.dot(w, resid * t**k)) for k in range(3)]
 
 
@@ -103,15 +127,13 @@ def perturbed_objectives(target, spline, magnitude: float, count: int, seed: int
     x, w = gl_nodes(64)
     base = 0.0
     per_seg = []
-    for seg in spline.segments:
-        t = 0.5 * (seg.hi - seg.lo) * x + 0.5 * (seg.hi + seg.lo)
-        wt = 0.5 * (seg.hi - seg.lo) * w / (seg.hi - seg.lo)
-        resid = np.asarray([target(float(v)) for v in t]) - (
-            seg.c0 + seg.c1 * t + seg.c2 * t**2
-        )
+    for c0, c1, c2, lo, hi in segment_rows(spline):
+        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        wt = 0.5 * (hi - lo) * w / (hi - lo)
+        resid = np.asarray([target(float(v)) for v in t]) - (c0 + c1 * t + c2 * t**2)
         base += float(np.dot(wt, resid**2))
         per_seg.append((t, wt, resid))
-    n_coef = 3 * len(spline.segments)
+    n_coef = 3 * len(per_seg)
     deltas = rng.standard_normal((count, n_coef))
     deltas *= magnitude / np.linalg.norm(deltas, axis=1, keepdims=True)
     perturbed = np.zeros(count)
@@ -134,7 +156,7 @@ def uniform_midpoint_quantizer(n_levels: int, x_max: float):
 
 def splines(tables: np.ndarray) -> list[QuadraticSpline]:
     """The splines of a (fits, 5, segments) stack of ``fit_batch`` tables."""
-    return [QuadraticSpline(tuple(QuadSegment(*col) for col in t.T.tolist())) for t in tables]
+    return [QuadraticSpline(t) for t in tables]
 
 
 def gaussian_cell_distortion(lo: float, hi: float, y: float) -> float:
@@ -275,8 +297,8 @@ def recursive_simpson(
 
 def scalar_invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:
     """One point of ``invert_segment``: the per-point scalar solve."""
-    seg = spline.segments[segment_index]
-    a, b, c = seg.c2, seg.c1, seg.c0 - target
+    c0, c1, c2, lo, hi = segment_rows(spline)[segment_index]
+    a, b, c = c2, c1, c0 - target
     if abs(a) < 1e-12 * abs(b):
         if b == 0.0:
             raise InversionError("degenerate segment polynomial (constant)")
@@ -295,26 +317,26 @@ def scalar_invert_segment(spline: QuadraticSpline, segment_index: int, target: f
         else:
             roots.append(0.0)  # double root at the vertex when b == 0 and disc == 0
         roots = sorted(set(roots))
-    inside = [r for r in roots if seg.lo - _DOMAIN_SLACK <= r <= seg.hi + _DOMAIN_SLACK]
+    inside = [r for r in roots if lo - _DOMAIN_SLACK <= r <= hi + _DOMAIN_SLACK]
     if not inside:
         raise InversionError(
-            f"no root in [{seg.lo}, {seg.hi}] for target {target} on segment {segment_index}"
+            f"no root in [{lo}, {hi}] for target {target} on segment {segment_index}"
         )
     if len(inside) > 1 and abs(inside[1] - inside[0]) > _DOMAIN_SLACK:
         raise InversionError(
             f"both roots {inside} inside segment {segment_index}: non-monotonic segment"
         )
-    return min(max(inside[0], seg.lo), seg.hi)
+    return min(max(inside[0], lo), hi)
 
 
 def _check_monotone(spline: QuadraticSpline) -> None:
     # a quadratic's slope is linear, so its minimum sits at an end
-    for i, seg in enumerate(spline.segments):
-        for end, x in (("left", seg.lo), ("right", seg.hi)):
-            if seg.slope(x) <= 0.0:
+    for i, seg in enumerate(segment_rows(spline)):
+        for end, x in (("left", seg[3]), ("right", seg[4])):
+            if scalar_slope(seg, x) <= 0.0:
                 raise DesignError(
                     f"fitted curve not increasing on segment {i} "
-                    f"(slope {seg.slope(x):.3e} at its {end} end x={x:.6f})"
+                    f"(slope {scalar_slope(seg, x):.3e} at its {end} end x={x:.6f})"
                 )
 
 
@@ -332,8 +354,8 @@ def _assign_targets(
         raise DesignError(
             f"fitted value at 0 ({kv[0]:.6f}) reaches the first target {0.5 * delta:.6f}"
         )
-    per_segment: list[list[float]] = [[] for _ in spline.segments]
-    last = len(spline.segments) - 1
+    per_segment: list[list[float]] = [[] for _ in segment_rows(spline)]
+    last = len(per_segment) - 1
     for k in range(1, config.granular_per_side + 1):
         t = (k - 0.5) * delta
         if t < kv[0] or t > kv[-1]:
@@ -346,11 +368,11 @@ def _assign_targets(
 
 
 def _invert_target(spline: QuadraticSpline, i: int, t: float) -> float:
-    seg = spline.segments[i]
-    if t < seg.value(seg.lo):
+    seg = segment_rows(spline)[i]
+    if t < scalar_value(seg, seg[3]):
         # target sits in an upward fit discontinuity at the left knot; the
         # generalized inverse of the jump is the knot itself
-        return seg.lo
+        return seg[3]
     return scalar_invert_segment(spline, i, t)
 
 
@@ -380,7 +402,7 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
     try:
         for k in range(1, m):
             t = k * delta
-            i = min(max(bisect.bisect_right(kv, t) - 1, 0), len(spline.segments) - 1)
+            i = min(max(bisect.bisect_right(kv, t) - 1, 0), len(kv) - 2)
             thresholds.append(_invert_target(spline, i, t))
     except InversionError as exc:
         raise DesignError(f"threshold inversion failed: {exc}") from exc
@@ -397,9 +419,8 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
             )
 
     overload_level = tail_centroid(config.source, config.x_max)
-    asym = tuple(
-        delta / spline.segments[i].slope(y) for i, y in zip(level_segments, levels)
-    )
+    rows = segment_rows(spline)
+    asym = tuple(delta / scalar_slope(rows[i], y) for i, y in zip(level_segments, levels))
     bounds = [0.0] + thresholds
     exact = tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
@@ -450,15 +471,16 @@ def scalar_fit(knots: KnotVector, moments: np.ndarray) -> QuadraticSpline:
             for j in range(3)
         ]
         c0, c1, c2 = scalar_solve3(gram, rhs)
-        segments.append(QuadSegment(c0, c1, c2, lo, hi))
-    return QuadraticSpline(tuple(segments))
+        segments.append((c0, c1, c2, lo, hi))
+    return make_spline(*segments)
 
 
 def scalar_granular_distortion(q: CompandingQuantizer) -> float:
     """Companding-model granular noise power, summed level by level."""
     cfg = q.config
     src = cfg.source
-    slopes = [q.spline.segments[i].slope(y) for i, y in zip(q.level_segments, q.levels)]
+    rows = segment_rows(q.spline)
+    slopes = [scalar_slope(rows[i], y) for i, y in zip(q.level_segments, q.levels)]
     lead = sum(
         pdf(src, y) / s**2 * d
         for y, s, d in zip(q.levels, slopes, q.cell_lengths_asymptotic)

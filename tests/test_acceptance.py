@@ -25,10 +25,12 @@ import splinequant as sq
 from splinequant import mc_distortion, overload_distortion_closed, overload_distortion_exact, true_distortion
 
 from _oracles import (
+    make_spline,
     mp_overload_closed,
     mp_tail_second_moment,
     perturbed_objectives,
     residual_moments,
+    segment_rows,
     uniform_midpoint_quantizer,
 )
 
@@ -127,9 +129,9 @@ def test_criterion_7_fit_optimality_everywhere(candidate_builds, model):
         for row in rows:
             base, perturbed = perturbed_objectives(row.target, row.spline, 1e-3, 100, seed=1234)
             improvements += int((perturbed < base).sum())
-            for seg in row.spline.segments:
+            for seg in segment_rows(row.spline):
                 for moment in residual_moments(row.target, seg):
-                    worst_orth = max(worst_orth, abs(moment) / (seg.hi - seg.lo))
+                    worst_orth = max(worst_orth, abs(moment) / (seg[4] - seg[3]))
             n_checked += 1
     ok = improvements == 0 and worst_orth <= 1e-8
     line = verdict(
@@ -173,7 +175,7 @@ def test_criterion_8_structural_invariants(candidate_builds, designs):
 
     # identity compressor curve must reproduce the textbook uniform quantizer
     x_max = sq.support_threshold(sq.SourceModel(), 8)
-    ident = sq.QuadraticSpline((sq.QuadSegment(0.0, 1.0, 0.0, 0.0, x_max),))
+    ident = make_spline((0.0, 1.0, 0.0, 0.0, x_max))
     q8 = sq.build(ident, sq.DesignConfig(8, sq.KnotVector((0.0, x_max)), sq.SourceModel()))
     step, levels, thresholds = uniform_midpoint_quantizer(8, x_max)
     uniform_ok = (

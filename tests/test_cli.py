@@ -159,6 +159,10 @@ class TestValidateCommand:
         assert doc["results"]["mc_std_error"] > 0
         assert code in (0, 1)
 
+    def test_integral_float_notation_samples(self, capsys):
+        _, doc = run_json(["validate", "--levels", "16", "--x1", "1.68", "--samples", "1e3"], capsys)
+        assert doc["results"]["n_samples"] == 1000
+
 
 class TestSmallLevelCounts:
     @pytest.mark.parametrize(
@@ -203,6 +207,9 @@ class TestUsageErrors:
             ["design", "--levels", "16", "--grid-step", "1e-9"],
             ["sweep", "--levels", "16", "--grid-step", "1e-9"],
             ["design", "--levels", "2"],
+            ["validate", "--levels", "16", "--samples", "2.9"],
+            ["table1", "--levels", "64"],
+            ["lloyd-max", "--levels", "16", "--grid-step", "0.1"],
         ],
     )
     def test_bad_flags_exit_2(self, argv, capsys):

@@ -10,7 +10,6 @@ from splinequant import (
     DesignError,
     KnotVector,
     QuadraticSpline,
-    QuadSegment,
     SourceModel,
     build,
     decode,
@@ -28,16 +27,22 @@ from splinequant import (
 
 from splinequant.spline_fit import fit_batch, target_moments
 
-from _oracles import gaussian_cell_distortion, per_level_build, splines, uniform_midpoint_quantizer
+from _oracles import (
+    gaussian_cell_distortion,
+    make_spline,
+    per_level_build,
+    scalar_slope,
+    segment_rows,
+    splines,
+    uniform_midpoint_quantizer,
+)
 
 UNIT = SourceModel()
 X_MAX_16 = support_threshold(UNIT, 16)
 
 
 def identity_spline(knots) -> QuadraticSpline:
-    return QuadraticSpline(
-        tuple(QuadSegment(0.0, 1.0, 0.0, lo, hi) for lo, hi in zip(knots, knots[1:]))
-    )
+    return make_spline(*((0.0, 1.0, 0.0, lo, hi) for lo, hi in zip(knots, knots[1:])))
 
 
 def identity_build(n_levels: int, knots) -> sq.CompandingQuantizer:
@@ -124,14 +129,14 @@ class TestAllocateLevels:
 
     def test_decreasing_spline_rejected(self):
         knots = (0.0, 1.0)
-        spline = QuadraticSpline((QuadSegment(0.0, -1.0, 0.0, 0.0, 1.0),))
+        spline = make_spline((0.0, -1.0, 0.0, 0.0, 1.0))
         with pytest.raises(DesignError):
             build(spline, DesignConfig(8, KnotVector(knots), UNIT))
 
     def test_offset_start_rejected(self):
         # curve starts above the first target: no level can land below it
         knots = (0.0, 2.0)
-        spline = QuadraticSpline((QuadSegment(1.0, 1.0, 0.0, 0.0, 2.0),))
+        spline = make_spline((1.0, 1.0, 0.0, 0.0, 2.0))
         with pytest.raises(DesignError):
             build(spline, DesignConfig(8, KnotVector(knots), UNIT))
 
@@ -179,19 +184,19 @@ class TestBuild:
 
     def test_decreasing_spline_rejected(self):
         knots = (0.0, 1.0)
-        spline = QuadraticSpline((QuadSegment(0.0, 1.0, -0.8, 0.0, 1.0),))
+        spline = make_spline((0.0, 1.0, -0.8, 0.0, 1.0))
         with pytest.raises(DesignError):
             build(spline, DesignConfig(8, KnotVector(knots), UNIT))
 
     @pytest.mark.parametrize(
         "segment, end",
-        [(QuadSegment(0.0, 1.0, -0.8, 0.0, 1.0), "right"), (QuadSegment(0.0, -0.5, 1.0, 0.0, 1.0), "left")],
+        [((0.0, 1.0, -0.8, 0.0, 1.0), "right"), ((0.0, -0.5, 1.0, 0.0, 1.0), "left")],
     )
     def test_monotone_failure_names_the_end(self, segment, end):
         # slope 1 - 1.6x turns negative at the right end, -0.5 + 2x is negative at the left
         config = DesignConfig(8, KnotVector((0.0, 1.0)), UNIT)
         with pytest.raises(DesignError, match=f"segment 0 .*at its {end} end"):
-            build(QuadraticSpline((segment,)), config)
+            build(make_spline(segment), config)
 
     @pytest.mark.parametrize("n_levels", [8 * 2**k for k in range(9)])
     def test_equals_per_level_build_over_sweep_grid(self, n_levels):
@@ -224,7 +229,7 @@ class TestBuild:
 
     def test_target_beyond_fitted_range_rejected(self):
         # 0.8x reaches 2.4 at x_max = 3, below the top level target 2.5
-        spline = QuadraticSpline((QuadSegment(0.0, 0.8, 0.0, 0.0, 3.0),))
+        spline = make_spline((0.0, 0.8, 0.0, 0.0, 3.0))
         with pytest.raises(DesignError, match="target 2.5"):
             build(spline, DesignConfig(8, KnotVector((0.0, 3.0)), UNIT))
 
@@ -234,12 +239,7 @@ class TestBuild:
         # first segment rises to 1.2 at the knot x = 1, the second restarts
         # at ``value_at_knot`` there and rises linearly to 3 at x = 3.
         slope = (3.0 - value_at_knot) / 2.0
-        spline = QuadraticSpline(
-            (
-                QuadSegment(0.0, 1.2, 0.0, 0.0, 1.0),
-                QuadSegment(value_at_knot - slope, slope, 0.0, 1.0, 3.0),
-            )
-        )
+        spline = make_spline((0.0, 1.2, 0.0, 0.0, 1.0), (value_at_knot - slope, slope, 0.0, 1.0, 3.0))
         return build(spline, DesignConfig(8, KnotVector((0.0, 1.0, 3.0)), UNIT))
 
     def test_target_inside_upward_jump_maps_to_knot(self):
@@ -267,7 +267,8 @@ class TestGranularDistortion:
 
     def test_two_forms_agree(self, fitted16):
         _, _, q = fitted16
-        slopes = [q.spline.segments[i].slope(y) for i, y in zip(q.level_segments, q.levels)]
+        rows = segment_rows(q.spline)
+        slopes = [scalar_slope(rows[i], y) for i, y in zip(q.level_segments, q.levels)]
         lead = 2.0 * q.config.x_max**2 / (3.0 * 14**2) * sum(
             pdf(UNIT, y) / s**2 * d
             for y, s, d in zip(q.levels, slopes, q.cell_lengths_asymptotic)

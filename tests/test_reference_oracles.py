@@ -225,3 +225,9 @@ class TestExactCompressorModel:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             exact_compressor_sqnr(UNIT, 2)
+
+    @pytest.mark.parametrize("n_levels", [5, 7, 17])
+    def test_rejects_odd_n(self, n_levels):
+        # an odd N has a zero level that the per-side level sum would drop
+        with pytest.raises(ValueError, match="even"):
+            exact_compressor_sqnr(UNIT, n_levels)

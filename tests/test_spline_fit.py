@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from splinequant import (
     InversionError,
     KnotVector,
     QuadraticSpline,
-    QuadSegment,
     SourceModel,
     compressor,
     fit,
@@ -19,11 +19,15 @@ from splinequant import (
 from splinequant.spline_fit import fit_batch, target_moments
 
 from _oracles import (
+    make_spline,
     perturbed_objectives,
     recursive_simpson,
     residual_moments,
     scalar_invert_segment,
+    scalar_slope,
     scalar_solve3,
+    scalar_value,
+    segment_rows,
     splines,
     weighted_objective,
 )
@@ -39,8 +43,16 @@ def gauss_target(x):
 
 def objective(target, spline: QuadraticSpline) -> float:
     """Length-weighted squared fit error of ``spline`` on its own knots."""
-    coeffs = [(s.c0, s.c1, s.c2) for s in spline.segments]
+    coeffs = [seg[:3] for seg in segment_rows(spline)]
     return weighted_objective(target, coeffs, spline.knots)
+
+
+def fitted_splines(n_levels: int) -> list[QuadraticSpline]:
+    """The fitted curves of every threshold on a 0.1 grid over [x_max/2, x_max)."""
+    x_max = support_threshold(UNIT, n_levels)
+    knots = [(0.0, x1, x_max) for x1 in np.arange(0.5 * x_max, x_max, 0.1).tolist()]
+    target = lambda x: compressor(UNIT, x_max, x)
+    return splines(fit_batch(knots, target_moments(target, knots)))
 
 
 @pytest.fixture(scope="module")
@@ -71,55 +83,98 @@ class TestKnotVector:
 
 class TestQuadraticSpline:
     def test_segments_must_tile(self):
-        a = QuadSegment(0.0, 1.0, 0.0, 0.0, 1.0)
-        b = QuadSegment(0.0, 1.0, 0.0, 1.5, 2.0)
-        with pytest.raises(ValueError):
-            QuadraticSpline((a, b))
+        with pytest.raises(ValueError, match="tiling"):
+            make_spline((0.0, 1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.5, 2.0))
 
     def test_segment_bounds_order(self):
+        with pytest.raises(ValueError, match="out of order"):
+            make_spline((0.0, 1.0, 0.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (5,), (5, 0), (2, 5, 1)])
+    def test_table_shape_checked(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            QuadraticSpline(np.ones(shape))
+
+    def test_table_is_a_read_only_copy(self):
+        table = np.array([[0.0], [1.0], [0.0], [0.0], [1.0]])
+        sp = QuadraticSpline(table)
+        table[1, 0] = 5.0
+        assert sp.derivative(0.5) == 1.0
         with pytest.raises(ValueError):
-            QuadSegment(0.0, 1.0, 0.0, 2.0, 1.0)
+            sp.coefficients[1, 0] = 5.0
 
     def test_domain_errors(self):
-        sp = QuadraticSpline((QuadSegment(0.0, 1.0, 0.0, 0.0, 1.0),))
+        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             sp.value(-0.1)
         with pytest.raises(ValueError):
             sp.value(1.1)
+        with pytest.raises(ValueError, match="x=1.1 outside"):
+            sp.derivative(np.array([0.5, 1.1, -0.1]))
 
     def test_knot_ties_break_left(self):
         # deliberately discontinuous: left piece is x, right piece is x + 1
-        left = QuadSegment(0.0, 1.0, 0.0, 0.0, 1.0)
-        right = QuadSegment(1.0, 1.0, 0.0, 1.0, 2.0)
-        sp = QuadraticSpline((left, right))
+        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0, 2.0))
         assert sp.value(1.0) == 1.0  # left polynomial, not 2.0
         assert sp.value(1.0 + 1e-12) > 2.0 - 1e-9
         assert sp.knot_jumps() == (1.0,)
 
+    def test_knot_ties_break_left_for_arrays_and_slopes(self):
+        # left piece x, right piece 1 + 2x: value and slope both jump at 1
+        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0, 2.0))
+        assert sp.derivative(1.0) == 1.0  # left slope, not 2.0
+        assert sp.value(np.array([0.0, 1.0, 2.0])).tolist() == [0.0, 1.0, 5.0]
+        assert sp.derivative(np.array([[1.0, 1.5]])).tolist() == [[1.0, 2.0]]
+
     def test_knot_values_use_left_convention(self):
-        left = QuadSegment(0.0, 1.0, 0.0, 0.0, 1.0)
-        right = QuadSegment(1.0, 1.0, 0.0, 1.0, 2.0)
-        sp = QuadraticSpline((left, right))
+        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0, 2.0))
         assert sp.knot_values() == (0.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("n_levels", [16, 64, 256])
+    def test_array_evaluation_equals_scalar_calls(self, n_levels):
+        # every element equals the scalar call and the per-segment scalar
+        # formula bit for bit, the knots included (left segment), in any shape
+        for sp in fitted_splines(n_levels):
+            rows = segment_rows(sp)
+            xs = np.concatenate((np.linspace(0.0, sp.knots[-1], 23), sp.knots))
+            owner = [max(0, bisect.bisect_left(sp.knots, x) - 1) for x in xs.tolist()]
+            for method, formula in ((sp.value, scalar_value), (sp.derivative, scalar_slope)):
+                got = method(xs)
+                assert got.tolist() == [method(x) for x in xs.tolist()]
+                assert got.tolist() == [formula(rows[i], x) for i, x in zip(owner, xs.tolist())]
+                assert method(xs.reshape(-1, 1)).tolist() == got.reshape(-1, 1).tolist()
+                assert all(type(method(x)) is float for x in xs.tolist())
+
+    @pytest.mark.parametrize("n_levels", [16, 64, 256])
+    def test_knot_jumps_and_values_equal_scalar_formula(self, n_levels):
+        for sp in fitted_splines(n_levels):
+            rows = segment_rows(sp)
+            assert sp.knot_jumps() == tuple(
+                abs(scalar_value(right, right[3]) - scalar_value(left, left[4]))
+                for left, right in zip(rows, rows[1:])
+            )
+            assert sp.knot_values() == (scalar_value(rows[0], rows[0][3]),) + tuple(
+                scalar_value(seg, seg[4]) for seg in rows
+            )
 
 
 class TestFitExactRecovery:
     def test_identity_target(self):
         knots = KnotVector((0.0, 0.7, 1.3, 2.0))
         sp = fit(lambda x: x, knots)
-        for seg in sp.segments:
-            assert seg.c0 == pytest.approx(0.0, abs=1e-11)
-            assert seg.c1 == pytest.approx(1.0, abs=1e-11)
-            assert seg.c2 == pytest.approx(0.0, abs=1e-11)
+        for c0, c1, c2, _, _ in segment_rows(sp):
+            assert c0 == pytest.approx(0.0, abs=1e-11)
+            assert c1 == pytest.approx(1.0, abs=1e-11)
+            assert c2 == pytest.approx(0.0, abs=1e-11)
         assert objective(lambda x: x, sp) <= 1e-16
 
     def test_quadratic_target(self):
         knots = KnotVector((0.0, 1.0, 2.0))
         sp = fit(lambda x: 1.0 + 2.0 * x + 3.0 * x * x, knots)
-        for seg in sp.segments:
-            assert seg.c0 == pytest.approx(1.0, rel=1e-10, abs=1e-10)
-            assert seg.c1 == pytest.approx(2.0, rel=1e-10, abs=1e-10)
-            assert seg.c2 == pytest.approx(3.0, rel=1e-10, abs=1e-10)
+        for c0, c1, c2, _, _ in segment_rows(sp):
+            assert c0 == pytest.approx(1.0, rel=1e-10, abs=1e-10)
+            assert c1 == pytest.approx(2.0, rel=1e-10, abs=1e-10)
+            assert c2 == pytest.approx(3.0, rel=1e-10, abs=1e-10)
 
     def test_piecewise_quadratic_target(self):
         knots = KnotVector((0.0, 1.0, 2.0))
@@ -133,14 +188,15 @@ class TestFitExactRecovery:
 
 class TestFitOptimality:
     def test_residual_orthogonal_to_quadratics(self, gauss_spline):
-        for seg in gauss_spline.segments:
+        for seg in segment_rows(gauss_spline):
+            lo, hi = seg[3:]
             for k, moment in enumerate(residual_moments(gauss_target, seg)):
-                assert abs(moment) <= 1e-8 * (seg.hi - seg.lo), (seg.lo, k, moment)
+                assert abs(moment) <= 1e-8 * (hi - lo), (lo, k, moment)
 
     def test_brute_force_coordinate_scan(self, gauss_spline):
         # scanning each coefficient around the fit must not find a better
         # objective; the scan minimum must match the fitted value to 1e-6
-        coeffs = [(s.c0, s.c1, s.c2) for s in gauss_spline.segments]
+        coeffs = [seg[:3] for seg in segment_rows(gauss_spline)]
         base = weighted_objective(gauss_target, coeffs, GAUSS_KNOTS.knots)
         best_scan = math.inf
         for si in range(2):
@@ -159,17 +215,13 @@ class TestFitOptimality:
         assert (perturbed >= base).all()
 
     def test_single_coefficient_bump_increases_objective(self, gauss_spline):
-        import dataclasses
-
         base = objective(gauss_target, gauss_spline)
         for si in (0, 1):
-            for name in ("c0", "c1", "c2"):
+            for ci in range(3):  # the rows c0, c1, c2
                 for sign in (1.0, -1.0):
-                    seg = gauss_spline.segments[si]
-                    bumped = dataclasses.replace(seg, **{name: getattr(seg, name) + sign * 1e-3})
-                    segments = list(gauss_spline.segments)
-                    segments[si] = bumped
-                    worse = objective(gauss_target, QuadraticSpline(tuple(segments)))
+                    table = np.array(gauss_spline.coefficients)
+                    table[ci, si] += sign * 1e-3
+                    worse = objective(gauss_target, QuadraticSpline(table))
                     assert worse > base
 
 
@@ -183,12 +235,7 @@ class TestFitObjective:
     def test_weights_by_inverse_length(self):
         # a constant unit residual on a segment contributes exactly 1
         knots = KnotVector((0.0, 0.25, 2.0))
-        sp = QuadraticSpline(
-            (
-                QuadSegment(1.0, 0.0, 0.0, 0.0, 0.25),
-                QuadSegment(1.0, 0.0, 0.0, 0.25, 2.0),
-            )
-        )
+        sp = make_spline((1.0, 0.0, 0.0, 0.0, 0.25), (1.0, 0.0, 0.0, 0.25, 2.0))
         assert objective(lambda x: 0.0, sp) == pytest.approx(2.0, rel=1e-10)
 
 
@@ -198,8 +245,9 @@ class TestEvalAndDeriv:
         assert sp.value(0.5) == pytest.approx(0.5, abs=1e-13)
 
     def test_fitted_offset_at_zero(self, gauss_spline):
-        assert gauss_spline.value(0.0) == gauss_spline.segments[0].c0
-        assert gauss_spline.segments[0].c0 != 0.0
+        c0 = segment_rows(gauss_spline)[0][0]
+        assert gauss_spline.value(0.0) == c0
+        assert c0 != 0.0
 
     def test_identity_derivative(self):
         sp = fit(lambda x: x, KnotVector((0.0, 2.0)))
@@ -207,7 +255,7 @@ class TestEvalAndDeriv:
             assert sp.derivative(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_square_derivative(self):
-        sp = QuadraticSpline((QuadSegment(0.0, 0.0, 1.0, 0.0, 3.0),))
+        sp = make_spline((0.0, 0.0, 1.0, 0.0, 3.0))
         assert sp.derivative(2.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_derivative_matches_finite_difference(self, gauss_spline):
@@ -221,43 +269,43 @@ class TestEvalAndDeriv:
 
 class TestInvertSegment:
     def test_identity_segment(self):
-        sp = QuadraticSpline((QuadSegment(0.0, 1.0, 0.0, 0.0, 1.0),))
+        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0))
         assert invert_segment(sp, 0, 0.7) == pytest.approx(0.7, abs=1e-14)
 
     def test_out_of_domain_root_rejected(self):
-        sp = QuadraticSpline((QuadSegment(0.0, 0.0, 1.0, 0.0, 3.0),))
+        sp = make_spline((0.0, 0.0, 1.0, 0.0, 3.0))
         assert invert_segment(sp, 0, 4.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_no_real_root(self):
-        sp = QuadraticSpline((QuadSegment(0.0, 0.0, 1.0, 0.0, 3.0),))
+        sp = make_spline((0.0, 0.0, 1.0, 0.0, 3.0))
         with pytest.raises(InversionError):
             invert_segment(sp, 0, -1.0)
 
     def test_no_root_in_domain(self):
-        sp = QuadraticSpline((QuadSegment(0.0, 0.0, 1.0, 0.0, 1.0),))
+        sp = make_spline((0.0, 0.0, 1.0, 0.0, 1.0))
         with pytest.raises(InversionError):
             invert_segment(sp, 0, 4.0)
 
     def test_two_roots_in_domain_signal_non_monotonic(self):
-        sp = QuadraticSpline((QuadSegment(0.0, -3.0, 1.0, 0.0, 4.0),))
+        sp = make_spline((0.0, -3.0, 1.0, 0.0, 4.0))
         # vertex at 1.5: values 0 at x=0 and x=3, both inside [0, 4]
         with pytest.raises(InversionError):
             invert_segment(sp, 0, 0.0)
 
     def test_linear_fallback(self):
-        sp = QuadraticSpline((QuadSegment(1.0, 2.0, 0.0, 0.0, 5.0),))
+        sp = make_spline((1.0, 2.0, 0.0, 0.0, 5.0))
         assert invert_segment(sp, 0, 7.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_round_trip_on_fitted_spline(self, gauss_spline):
-        for i, seg in enumerate(gauss_spline.segments):
-            lo_v, hi_v = seg.value(seg.lo), seg.value(seg.hi)
+        for i, seg in enumerate(segment_rows(gauss_spline)):
+            lo_v, hi_v = scalar_value(seg, seg[3]), scalar_value(seg, seg[4])
             for frac in np.linspace(0.02, 0.98, 17):
                 t = lo_v + frac * (hi_v - lo_v)
                 y = invert_segment(gauss_spline, i, t)
-                assert seg.value(y) == pytest.approx(t, abs=1e-10)
+                assert scalar_value(seg, y) == pytest.approx(t, abs=1e-10)
 
     def test_constant_segment_rejected(self):
-        sp = QuadraticSpline((QuadSegment(1.0, 0.0, 0.0, 0.0, 1.0),))
+        sp = make_spline((1.0, 0.0, 0.0, 0.0, 1.0))
         with pytest.raises(InversionError, match="constant"):
             invert_segment(sp, 0, 1.0)
 
@@ -265,13 +313,9 @@ class TestInvertSegment:
 class TestInvertSegmentArrays:
     SPLINES = {
         "fitted": fit(gauss_target, GAUSS_KNOTS),
-        "jump": QuadraticSpline(
-            (QuadSegment(0.0, 1.2, 0.0, 0.0, 1.0), QuadSegment(1.05, 0.65, 0.0, 1.0, 3.0))
-        ),
-        "non-monotonic": QuadraticSpline((QuadSegment(0.0, -3.0, 1.0, 0.0, 4.0),)),
-        "square": QuadraticSpline(
-            (QuadSegment(0.0, 0.0, 1.0, 0.0, 1.0), QuadSegment(0.0, 0.0, 1.0, 1.0, 3.0))
-        ),
+        "jump": make_spline((0.0, 1.2, 0.0, 0.0, 1.0), (1.05, 0.65, 0.0, 1.0, 3.0)),
+        "non-monotonic": make_spline((0.0, -3.0, 1.0, 0.0, 4.0)),
+        "square": make_spline((0.0, 0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0, 3.0)),
     }
 
     @staticmethod
@@ -288,10 +332,10 @@ class TestInvertSegmentArrays:
         # its elements does, with the message of the first such element
         spline = self.SPLINES[name]
         rng = np.random.default_rng(5)
-        values = [spline.value(x) for x in np.linspace(spline.lo, spline.hi, 7)]
+        values = [spline.value(x) for x in np.linspace(spline.knots[0], spline.knots[-1], 7)]
         lo, hi = min(values), max(values)
         targets = np.concatenate((values, rng.uniform(lo - 1.0, hi + 1.0, 40)))
-        for i in range(len(spline.segments)):
+        for i in range(len(spline.knots) - 1):
             outcomes, reference = (
                 [self.scalar_outcome(invert, spline, i, float(t)) for t in targets]
                 for invert in (invert_segment, scalar_invert_segment)
@@ -366,4 +410,7 @@ class TestTargetMoments:
     def test_fit_from_batched_moments_equals_fit(self, gauss_spline):
         knots = [GAUSS_KNOTS.knots, (0.0, 1.2, X_MAX_16), GAUSS_KNOTS.knots]
         tables = fit_batch(knots, target_moments(gauss_target, knots))
-        assert splines(tables) == [gauss_spline, fit(gauss_target, KnotVector(knots[1])), gauss_spline]
+        want = [gauss_spline, fit(gauss_target, KnotVector(knots[1])), gauss_spline]
+        assert [sp.coefficients.tolist() for sp in splines(tables)] == [
+            sp.coefficients.tolist() for sp in want
+        ]
