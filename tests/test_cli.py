@@ -295,6 +295,24 @@ class TestFileOutput:
         assert rows[0][0] == "x1"
         assert (tmp_path / "sweep.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("case", ["design-16-fixed", "table1-csv"])
+    def test_out_file_is_the_stdout_document(self, case, tmp_path, capsys):
+        # the --out file holds the stdout document byte for byte (a JSON one
+        # embeds a manifest with no outputs); only the sidecar lists the path
+        argv = list(cli_golden.CASES[case])
+        fmt = "csv" if "csv" in argv else "json"
+        out = tmp_path / f"doc.{fmt}"
+        _, stdout, _ = run_cli(argv, capsys)
+        code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_bytes() == stdout.encode("utf-8")
+        _, doc = run_json(argv, capsys)
+        assert doc["manifest"]["outputs"] == []
+        expected = dict(doc["manifest"], outputs=[str(out)])
+        expected["parameters"] = dict(expected["parameters"], format=fmt)
+        sidecar = json.loads((tmp_path / f"doc.{fmt}.manifest.json").read_text())
+        assert sidecar == expected
+
 
 class TestGoldenDocuments:
     @pytest.mark.parametrize("name", sorted(cli_golden.CASES))

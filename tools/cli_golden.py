@@ -39,6 +39,12 @@ CASES = {
     "validate-16": ("validate", "--levels", "16", "--x1", "1.68", "--samples", "100000", "--seed", "42"),
     "lloyd-max-16": ("lloyd-max", "--levels", "16"),
     "design-1024-auto": ("design", "--levels", "1024", "--x1", "auto"),
+    "table1-csv": ("table1", "--grid-step", "0.05", "--format", "csv"),
+    "validate-16-csv": (
+        "validate", "--levels", "16", "--x1", "1.68", "--samples", "100000", "--seed", "42",
+        "--format", "csv",
+    ),
+    "lloyd-max-16-csv": ("lloyd-max", "--levels", "16", "--format", "csv"),
 }
 
 
