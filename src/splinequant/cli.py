@@ -9,7 +9,11 @@ validate   Monte-Carlo check of the analytic distortion, pass/fail at 3 sigma
 lloyd-max  reference MSE-optimal quantizer for a given level count
 
 Every command honors --format json|csv and --out.  JSON documents embed the
-run manifest; file outputs additionally get a ``<out>.manifest.json`` sidecar.
+run manifest (command, parameters, tool version, outputs).  The --out file is
+byte-identical to the stdout document, whose manifest lists no outputs; only
+the ``<out>.manifest.json`` sidecar lists the path.  Tabular CSV (sweep,
+table1) has the JSON row keys as columns, in order; the other commands
+flatten to field,index,value rows.  --samples is an integer from 1 to 10^9.
 Exit codes: 0 success, 1 failed validation verdict, 2 usage error, 3 design or
 numerical failure.
 """
@@ -22,7 +26,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .gauss_analytics import SourceModel, support_threshold
@@ -39,23 +42,11 @@ EXIT_DESIGN_FAILURE = 3
 
 TABLE1_LEVELS = (16, 32)
 
+# --samples ceiling: about 0.17 s of Monte-Carlo work per 10^6 samples
+MAX_SAMPLES = 10**9
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside every output."""
-
-    command: str
-    parameters: dict
-    tool_version: str = __version__
-    outputs: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "outputs": list(self.outputs),
-        }
+# the options a manifest records, in document order; each command has a subset
+MANIFEST_PARAMETERS = ("levels", "x1", "grid_step", "samples", "seed", "format")
 
 
 def _sig6(value):
@@ -69,53 +60,64 @@ def _sig6(value):
     return value
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_cell(value):
+    """One CSV cell; the csv module writes None as an empty cell."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.6g}" if isinstance(value, float) else value
+
+
+def _csv_text(table: list[dict]) -> str:
+    """A header of the first row's keys, then every row's values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else (f"{v:.6g}" if isinstance(v, float) else v) for v in row])
+    writer.writerow(table[0])
+    for row in table:
+        writer.writerow([_csv_cell(v) for v in row.values()])
     return buf.getvalue()
 
 
-def _kv_rows(results: dict) -> list[list]:
+def _kv_rows(results: dict) -> list[dict]:
+    """Flatten a nested report to field,index,value rows."""
     rows = []
     for key, value in results.items():
         if isinstance(value, dict):
-            for k2, v2 in value.items():
-                rows.append([f"{key}.{k2}", None, v2])
+            rows += [(f"{key}.{k}", None, v) for k, v in value.items()]
         elif isinstance(value, (list, tuple)):
             for i, v in enumerate(value):
                 if isinstance(v, dict):
-                    for k2, v2 in v.items():
-                        rows.append([f"{key}[{i}].{k2}", i, v2])
+                    rows += [(f"{key}[{i}].{k}", i, v2) for k, v2 in v.items()]
                 else:
-                    rows.append([key, i, v])
+                    rows.append((key, i, v))
         else:
-            rows.append([key, None, value])
-    return rows
+            rows.append((key, None, value))
+    return [dict(zip(("field", "index", "value"), row)) for row in rows]
 
 
-def _emit(args, manifest: RunManifest, results: dict, header=None, rows=None) -> None:
-    """Write the document to --out or stdout; file outputs get a manifest sidecar."""
+def _emit(args, results: dict, table: list[dict] | None = None) -> None:
+    """Write a command's document to --out or stdout.
+
+    ``table`` holds the row dicts of a tabular command's CSV; without it CSV
+    flattens ``results``.  A file output gets a manifest sidecar listing it.
+    """
+    manifest = {
+        "command": args.command,
+        "parameters": {k: getattr(args, k) for k in MANIFEST_PARAMETERS if hasattr(args, k)},
+        "tool_version": __version__,
+        "outputs": [],
+    }
     if args.format == "json":
-        document = {"manifest": manifest.as_dict(), "results": _sig6(results)}
-        text = json.dumps(document, indent=2) + "\n"
+        text = json.dumps({"manifest": manifest, "results": _sig6(results)}, indent=2) + "\n"
     else:
-        if rows is None:
-            header = ["field", "index", "value"]
-            rows = _kv_rows(results)
-        text = _csv_text(header, rows)
-    if args.out:
-        manifest.outputs.append(args.out)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest.as_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
+        text = _csv_text(_kv_rows(results) if table is None else table)
+    if not args.out:
         sys.stdout.write(text)
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(dict(manifest, outputs=[args.out]), indent=2) + "\n")
+    print(f"wrote {args.out}", file=sys.stderr)
 
 
 def _design(args) -> Design:
@@ -129,9 +131,8 @@ def _design(args) -> Design:
 
 
 def _design_document(design: Design, auto: bool) -> dict:
-    config, spline, quantizer, report = (
-        design.config, design.spline, design.quantizer, design.report
-    )
+    quantizer, report = design.quantizer, design.report
+    config = quantizer.config
     return {
         "n_levels": config.n_levels,
         "x1": config.knots[1],
@@ -143,9 +144,9 @@ def _design_document(design: Design, auto: bool) -> dict:
         # the table's rows are c0, c1, c2, lo, hi; the document lists lo, hi first
         "segments": [
             dict(zip(("lo", "hi", "c0", "c1", "c2"), column))
-            for column in spline.coefficients[[3, 4, 0, 1, 2]].T.tolist()
+            for column in quantizer.spline.coefficients[[3, 4, 0, 1, 2]].T.tolist()
         ],
-        "knot_jumps": list(spline.knot_jumps()),
+        "knot_jumps": list(quantizer.spline.knot_jumps()),
         "counts": list(quantizer.counts),
         "levels": list(quantizer.levels),
         "thresholds": list(quantizer.thresholds),
@@ -162,44 +163,22 @@ def _design_document(design: Design, auto: bool) -> dict:
 
 
 def _cmd_design(args) -> int:
-    results = _design_document(_design(args), args.x1 == "auto")
-    manifest = RunManifest(
-        "design",
-        {
-            "levels": args.levels,
-            "x1": args.x1,
-            "grid_step": args.grid_step,
-            "format": args.format,
-        },
-    )
-    _emit(args, manifest, results)
+    _emit(args, _design_document(_design(args), args.x1 == "auto"))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     result = sweep(args.levels, args.grid_step)
-    rows = []
-    curve = []
-    for cand in result.candidates:
-        is_best = cand.valid and cand.x1 == result.best_x1
-        rows.append(
-            [
-                float(cand.x1),
-                None if cand.sqnr_db is None else float(cand.sqnr_db),
-                "true" if cand.valid else "false",
-                "true" if is_best else "false",
-                cand.failure or "",
-            ]
-        )
-        curve.append(
-            {
-                "x1": cand.x1,
-                "sqnr_db": cand.sqnr_db,
-                "valid": cand.valid,
-                "is_best": is_best,
-                "failure": cand.failure,
-            }
-        )
+    curve = [
+        {
+            "x1": cand.x1,
+            "sqnr_db": cand.sqnr_db,
+            "valid": cand.valid,
+            "is_best": cand.valid and cand.x1 == result.best_x1,
+            "failure": cand.failure,
+        }
+        for cand in result.candidates
+    ]
     results = {
         "n_levels": result.n_levels,
         "x_max": result.x_max,
@@ -208,11 +187,7 @@ def _cmd_sweep(args) -> int:
         "best_sqnr_db": result.best_sqnr_db,
         "curve": curve,
     }
-    manifest = RunManifest(
-        "sweep",
-        {"levels": args.levels, "grid_step": args.grid_step, "format": args.format},
-    )
-    _emit(args, manifest, results, header=["x1", "sqnr_db", "valid", "is_best", "failure"], rows=rows)
+    _emit(args, results, table=curve)
     return EXIT_OK
 
 
@@ -241,23 +216,8 @@ def _table1_rows(grid_step: float) -> list[dict]:
 
 
 def _cmd_table1(args) -> int:
-    rows_dicts = _table1_rows(args.grid_step)
-    header = [
-        "n_levels",
-        "bits",
-        "x_max",
-        "sqnr_equ_db",
-        "sqnr_num_db",
-        "sqnr_opt_db",
-        "x1_equ",
-        "x1_num",
-    ]
-    rows = [[row[h] if h == "n_levels" else float(row[h]) for h in header] for row in rows_dicts]
-    results = {"rows": rows_dicts}
-    manifest = RunManifest(
-        "table1", {"grid_step": args.grid_step, "format": args.format}
-    )
-    _emit(args, manifest, results, header=header, rows=rows)
+    rows = _table1_rows(args.grid_step)
+    _emit(args, {"rows": rows}, table=rows)
     return EXIT_OK
 
 
@@ -269,7 +229,7 @@ def _cmd_validate(args) -> int:
     passed = abs(z) <= 3.0
     results = {
         "n_levels": args.levels,
-        "x1": design.config.knots[1],
+        "x1": design.quantizer.config.knots[1],
         "analytic_distortion": analytic,
         "model_distortion": design.report.total,
         "mc_distortion": mc.mean_distortion,
@@ -279,18 +239,7 @@ def _cmd_validate(args) -> int:
         "z_score": z,
         "verdict": "PASS" if passed else "FAIL",
     }
-    manifest = RunManifest(
-        "validate",
-        {
-            "levels": args.levels,
-            "x1": args.x1,
-            "grid_step": args.grid_step,
-            "samples": args.samples,
-            "seed": args.seed,
-            "format": args.format,
-        },
-    )
-    _emit(args, manifest, results)
+    _emit(args, results)
     return EXIT_OK if passed else EXIT_VALIDATION_FAILED
 
 
@@ -304,10 +253,7 @@ def _cmd_lloyd_max(args) -> int:
         "levels": list(result.levels),
         "thresholds": list(result.thresholds),
     }
-    manifest = RunManifest(
-        "lloyd-max", {"levels": args.levels, "format": args.format}
-    )
-    _emit(args, manifest, results)
+    _emit(args, results)
     return EXIT_OK
 
 
@@ -332,10 +278,12 @@ def _positive_float(value: str) -> float:
     return x
 
 
-def _positive_int(value: str) -> int:
+def _sample_count(value: str) -> int:
     x = float(value)
     if not (x >= 1.0 and x.is_integer()):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if x > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES:,} samples, got {value}")
     return int(x)
 
 
@@ -369,8 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("table1", _cmd_table1, "midpoint vs optimized vs Lloyd-Max comparison", levels=None)
     p = command("validate", _cmd_validate, "Monte-Carlo check of the analytic distortion")
     p.add_argument("--x1", default="auto", help="threshold to validate (default auto)")
-    p.add_argument("--samples", type=_positive_int, default=10_000_000,
-                   help="Monte-Carlo sample count, an integer (default %(default)s)")
+    p.add_argument("--samples", type=_sample_count, default=10_000_000,
+                   help="Monte-Carlo sample count, an integer from 1 to 1e9 (default %(default)s)")
     p.add_argument("--seed", type=_seed, default=42, help="random seed (default %(default)s)")
     command("lloyd-max", _cmd_lloyd_max, "reference MSE-optimal quantizer", "even, >= 4", False)
     return parser

@@ -11,7 +11,6 @@ from typing import Callable
 from .gauss_analytics import SourceModel, compressor, support_threshold
 from .quantizer_design import (
     CompandingQuantizer,
-    DesignConfig,
     DesignError,
     DistortionReport,
     build,
@@ -19,7 +18,7 @@ from .quantizer_design import (
     sqnr,
     standard_config,
 )
-from .spline_fit import QuadraticSpline, fit, fit_batch, target_moments
+from .spline_fit import fit, fit_batch, target_moments
 
 __all__ = [
     "Design",
@@ -47,10 +46,9 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class Design:
-    """One design: its configuration, fitted curve, quantizer and report."""
+    """One design: its quantizer, which holds the configuration and fitted
+    curve, and its report."""
 
-    config: DesignConfig
-    spline: QuadraticSpline
     quantizer: CompandingQuantizer
     report: DistortionReport
 
@@ -91,7 +89,7 @@ def evaluate_candidate(n_levels: int, x1: float, source: SourceModel = SourceMod
     config = standard_config(n_levels, (x1,), source)
     spline = fit(lambda x: compressor(source, config.x_max, x), config.knots)
     quantizer = build(spline, config)
-    return Design(config, spline, quantizer, sqnr(quantizer))
+    return Design(quantizer, sqnr(quantizer))
 
 
 def sweep(

@@ -210,12 +210,19 @@ class TestUsageErrors:
             ["validate", "--levels", "16", "--samples", "2.9"],
             ["table1", "--levels", "64"],
             ["lloyd-max", "--levels", "16", "--grid-step", "0.1"],
+            ["validate", "--levels", "16", "--samples", "1e12"],
+            ["validate", "--levels", "16", "--samples", "1000000001"],
         ],
     )
     def test_bad_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("value", ["1e9", "1000000000"])
+    def test_samples_maximum_parses(self, value):
+        args = cli._build_parser().parse_args(["validate", "--samples", value])
+        assert args.samples == cli.MAX_SAMPLES == 10**9
 
     def test_negative_seed_rejected_before_any_work(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "evaluate_candidate", None)
