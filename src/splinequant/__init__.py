@@ -19,7 +19,6 @@ from .gauss_analytics import (
     upper_tail,
 )
 from .spline_fit import (
-    FitError,
     InversionError,
     KnotVector,
     QuadraticSpline,
@@ -72,7 +71,6 @@ __all__ = [
     "support_threshold",
     "tail_centroid",
     "upper_tail",
-    "FitError",
     "InversionError",
     "KnotVector",
     "QuadraticSpline",

@@ -11,9 +11,11 @@ lloyd-max  reference MSE-optimal quantizer for a given level count
 Every command honors --format json|csv and --out.  JSON documents embed the
 run manifest (command, parameters, tool version, outputs).  The --out file is
 byte-identical to the stdout document, whose manifest lists no outputs; only
-the ``<out>.manifest.json`` sidecar lists the path.  Tabular CSV (sweep,
-table1) has the JSON row keys as columns, in order; the other commands
-flatten to field,index,value rows.  --samples is an integer from 1 to 10^9.
+the ``<out>.manifest.json`` sidecar lists the path.  An --out that is a
+directory, or whose directory is missing or not writable, is a usage error,
+found before any work.  Tabular CSV (sweep, table1) has the JSON row keys as
+columns, in order; the other commands flatten to field,index,value rows.
+--samples is an integer from 1 to 10^9.
 Exit codes: 0 success, 1 failed validation verdict, 2 usage error, 3 design or
 numerical failure.
 """
@@ -25,6 +27,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -107,7 +110,8 @@ def _emit(args, results: dict, table: list[dict] | None = None) -> None:
         "outputs": [],
     }
     if args.format == "json":
-        text = json.dumps({"manifest": manifest, "results": _sig6(results)}, indent=2) + "\n"
+        document = {"manifest": manifest, "results": _sig6(results)}
+        text = json.dumps(document, indent=2, allow_nan=False) + "\n"
     else:
         text = _csv_text(_kv_rows(results) if table is None else table)
     if not args.out:
@@ -225,8 +229,9 @@ def _cmd_validate(args) -> int:
     design = _design(args)
     analytic = true_distortion(design.quantizer)
     mc = mc_distortion(design.quantizer, args.samples, args.seed)
-    z = (mc.mean_distortion - analytic) / mc.std_error if mc.std_error > 0 else math.inf
-    passed = abs(z) <= 3.0
+    # no z-score without spread (one sample): the verdict is FAIL
+    z = (mc.mean_distortion - analytic) / mc.std_error if mc.std_error > 0 else None
+    passed = z is not None and abs(z) <= 3.0
     results = {
         "n_levels": args.levels,
         "x1": design.quantizer.config.knots[1],
@@ -335,6 +340,12 @@ def main(argv: list[str] | None = None) -> int:
         x_max = support_threshold(SourceModel(), args.levels)
         if not 0.0 < x1 < x_max:
             parser.error(f"--x1 must lie in (0, {x_max:.6g}) for N={args.levels}")
+    if args.out:
+        directory = os.path.dirname(args.out) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            parser.error(f"--out directory {directory!r} is missing or not writable")
+        if os.path.isdir(args.out):
+            parser.error(f"--out {args.out!r} is a directory")
     try:
         return args.func(args)
     except (DesignError, SweepError, ConvergenceError, ArithmeticError) as exc:

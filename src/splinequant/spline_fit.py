@@ -2,9 +2,11 @@
 plus evaluation, differentiation, and per-segment inversion of the result.
 
 Each segment is fitted independently: the squared-error integral over one knot
-interval is minimized by its own quadratic, so the normal equations decouple
-into 3x3 systems.  No continuity is imposed across knots; the jump sizes are
-available as a diagnostic through ``QuadraticSpline.knot_jumps``.
+interval is minimized by its own quadratic, the target's projection onto the
+Legendre polynomials of degree <= 2 on that interval, which needs only the
+target moments and no linear solve.  No continuity is imposed across knots;
+the jump sizes are available as a diagnostic through
+``QuadraticSpline.knot_jumps``.
 
 A fitted curve is its coefficient table, one column per segment, rows c0, c1,
 c2, lo, hi.  This module owns that layout: other modules evaluate a table only
@@ -13,7 +15,6 @@ through ``curve_value``, ``curve_slope`` and ``segment_roots``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +27,6 @@ __all__ = [
     "QuadraticSpline",
     "curve_value",
     "curve_slope",
-    "FitError",
     "InversionError",
     "fit",
     "fit_batch",
@@ -36,13 +36,7 @@ __all__ = [
     "inversion_error",
 ]
 
-log = logging.getLogger(__name__)
-
 _DOMAIN_SLACK = 1e-9
-
-
-class FitError(ArithmeticError):
-    """Raised when the per-segment normal equations cannot be solved."""
 
 
 class InversionError(ValueError):
@@ -143,30 +137,6 @@ class QuadraticSpline:
         return tuple(np.abs(jumps).tolist())
 
 
-def _solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve every 3x3 system a[m] x = b[m] (shapes (M, 3, 3) and (M, 3)) by LU
-    with partial pivoting, the first maximal |pivot| in each column, one
-    elimination step for all systems at once; logs a 1-norm condition
-    estimate per system."""
-    if log.isEnabledFor(logging.DEBUG):
-        for cond in np.linalg.cond(a, 1).tolist():
-            log.debug("moment matrix condition estimate: %.3e", cond)
-    a, x = np.array(a, dtype=float), np.array(b, dtype=float)
-    m = np.arange(len(a))
-    for col in range(3):
-        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        if np.count_nonzero(np.abs(a[m, piv, col]) < 1e-300):
-            raise FitError("singular moment matrix")
-        for v in (a, x):
-            v[m, col], v[m, piv] = v[m, piv], v[m, col]
-        f = a[:, col + 1 :, col] / a[:, col, col, None]
-        a[:, col + 1 :, col + 1 :] -= f[:, :, None] * a[:, col, None, col + 1 :]
-        x[:, col + 1 :] -= f * x[:, col, None]
-    for r in (2, 1, 0):
-        x[:, r] = (x[:, r] - np.sum(a[:, r, r + 1 :] * x[:, r + 1 :], axis=1)) / a[:, r, r]
-    return x
-
-
 def target_moments(
     target: Callable[[np.ndarray], np.ndarray],
     knots: Sequence[Sequence[float]],
@@ -181,28 +151,35 @@ def target_moments(
     return rows.reshape(len(knots), -1, 3)
 
 
-# Gram entry (j, k) of a segment is the integral of x^(j+k) over it
-_GRAM_INDEX = np.add.outer(np.arange(3), np.arange(3))
-
-
 def fit_batch(knots: Sequence[Sequence[float]], moments: np.ndarray) -> np.ndarray:
     """Per-segment least-squares quadratics for many fits at once.
 
-    ``knots`` holds one knot vector per row, ``moments`` the matching
-    ``target_moments`` array.  Returns a (rows, 5, n_segments) array: for each
-    fit the table that ``QuadraticSpline.coefficients`` holds, rows c0, c1,
-    c2, lo, hi.  The monomial moments come from closed-form antiderivatives,
-    and all segments' normal equations go through one batched ``_solve3``.
+    ``knots`` holds one strictly increasing knot vector per row, ``moments``
+    the matching ``target_moments`` array.  Returns a (rows, 5, n_segments)
+    array: for each fit the table that ``QuadraticSpline.coefficients``
+    holds, rows c0, c1, c2, lo, hi.  Each segment's fit is the closed-form
+    projection onto the Legendre polynomials in u = (x - m)/h, with midpoint
+    m and half-width h, rewritten as monomials in x; no linear solve.
     """
     knots = np.asarray(knots, dtype=float)
-    # x^p with Python's float pow, which numpy's ** does not match to the last
-    # bit for p >= 2; the fitted coefficients depend on those bits
-    powers = np.array([[v**p for p in range(1, 6)] for v in knots.ravel().tolist()])
-    powers = powers.reshape(knots.shape + (5,))
-    antiderivative = (powers[:, 1:] - powers[:, :-1]) / np.arange(1, 6)
-    gram = antiderivative[..., _GRAM_INDEX].reshape(-1, 3, 3)
-    c = _solve3(gram, np.reshape(moments, (-1, 3))).reshape(len(knots), -1, 3)
-    return np.concatenate((c.transpose(0, 2, 1), knots[:, None, :-1], knots[:, None, 1:]), axis=1)
+    lo, hi = knots[:, :-1], knots[:, 1:]
+    rising = (hi > lo).all(axis=1)
+    if not rising.all():
+        raise ValueError(f"knots must be strictly increasing, got {knots[np.argmin(rising)].tolist()}")
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    m0, m1, m2 = np.moveaxis(np.asarray(moments, dtype=float), -1, 0)
+    # integrals of target * u and target * u^2
+    a1 = (m1 - m * m0) / h
+    a2 = (m2 - m * (2.0 * m1 - m * m0)) / (h * h)
+    # Legendre coefficients: b_k = (2k + 1)/(2h) * integral of target * P_k(u)
+    b0 = m0 / (2.0 * h)
+    b1 = 3.0 * a1 / (2.0 * h)
+    b2 = 5.0 * (3.0 * a2 - m0) / (4.0 * h)
+    # b0 + b1*u + b2*(3u^2 - 1)/2 = (b0 - b2/2) + (b1/h)(x - m) + (1.5*b2/h^2)(x - m)^2
+    s1, c2 = b1 / h, 1.5 * b2 / (h * h)
+    c1 = s1 - 2.0 * m * c2
+    c0 = b0 - 0.5 * b2 - m * (s1 - m * c2)
+    return np.stack((c0, c1, c2, lo, hi), axis=1)
 
 
 def fit(target: Callable[[np.ndarray], np.ndarray], knots: KnotVector) -> QuadraticSpline:
@@ -212,7 +189,7 @@ def fit(target: Callable[[np.ndarray], np.ndarray], knots: KnotVector) -> Quadra
     For each knot interval the returned coefficients minimize the integral of
     (target - polynomial)^2; the residual is therefore orthogonal to 1, x, x^2
     on that interval.  The one-fit case of ``target_moments`` and
-    ``fit_batch``.
+    ``fit_batch``, which computes it as a closed-form projection.
     """
     (table,) = fit_batch([knots.knots], target_moments(target, [knots.knots]))
     return QuadraticSpline(table)

@@ -8,14 +8,15 @@ integrals; ``weighted_objective`` is the fit's length-weighted squared error.
 routine must reproduce, and ``per_level_build`` the per-level quantizer
 construction, with its scalar ``scalar_invert_segment``, that the single-pass
 ``build`` must reproduce.  ``per_candidate_sweep`` is the threshold sweep that
-fits, builds and scores one candidate at a time (``scalar_fit`` with its
-``scalar_solve3``, ``per_level_build``, ``scalar_sqnr``), the reference for
-the library's one array pass over all candidates.  ``reference_lloyd_max``
-iterates the whole Lloyd-Max codebook, both halves, the reference for the
-library's positive-half iteration.  ``make_spline`` builds a spline from
-per-segment rows (c0, c1, c2, lo, hi); ``segment_rows``, ``scalar_value``
-and ``scalar_slope`` read them back for the scalar references.  The ``mp_``
-helpers evaluate closed forms in 50-digit mpmath arithmetic; they import
+fits, builds and scores one candidate at a time (``scalar_fit``, the
+closed-form Legendre projection in Python floats, ``per_level_build``,
+``scalar_sqnr``), the reference for the library's one array pass over all
+candidates.  ``reference_lloyd_max`` iterates the whole Lloyd-Max codebook,
+both halves, the reference for the library's positive-half iteration.
+``make_spline`` builds a spline from per-segment rows (c0, c1, c2, lo, hi);
+``segment_rows``, ``scalar_value`` and ``scalar_slope`` read them back for
+the scalar references.  The ``mp_`` helpers evaluate closed forms, or solve
+the fit's normal equations, in 50-digit mpmath arithmetic; they import
 mpmath when called, so tests that use them skip where it is not installed.
 """
 
@@ -43,7 +44,6 @@ from splinequant.quantizer_design import (
 )
 from splinequant.reference_oracles import ConvergenceError, LloydMaxResult, _invert_compressor
 from splinequant.spline_fit import (
-    FitError,
     InversionError,
     KnotVector,
     QuadraticSpline,
@@ -438,41 +438,37 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
     )
 
 
-def scalar_solve3(m: list[list[float]], b: list[float]) -> list[float]:
-    """3x3 solve by LU with partial pivoting, one system, scalar loops."""
-    a = [row[:] for row in m]
-    x = b[:]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-300:
-            raise FitError("singular moment matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            x[col], x[piv] = x[piv], x[col]
-        for r in range(col + 1, 3):
-            f = a[r][col] / a[col][col]
-            a[r][col] = 0.0
-            for c in range(col + 1, 3):
-                a[r][c] -= f * a[col][c]
-            x[r] -= f * x[col]
-    for r in (2, 1, 0):
-        s = x[r] - sum(a[r][c] * x[c] for c in range(r + 1, 3))
-        x[r] = s / a[r][r]
-    return x
-
-
 def scalar_fit(knots: KnotVector, moments: np.ndarray) -> QuadraticSpline:
-    """Per-segment least squares from given target moments: the Gram matrix
-    from scalar float powers, solved by ``scalar_solve3``."""
+    """Per-segment least squares from given target moments: the Legendre
+    projection on each segment, in Python floats, one segment at a time."""
     segments = []
-    for lo, hi, rhs in zip(knots.knots, knots.knots[1:], moments.tolist()):
-        gram = [
-            [(hi ** (j + k + 1) - lo ** (j + k + 1)) / (j + k + 1) for k in range(3)]
-            for j in range(3)
-        ]
-        c0, c1, c2 = scalar_solve3(gram, rhs)
+    for lo, hi, (m0, m1, m2) in zip(knots.knots, knots.knots[1:], moments.tolist()):
+        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        a1 = (m1 - m * m0) / h
+        a2 = (m2 - m * (2.0 * m1 - m * m0)) / (h * h)
+        b0 = m0 / (2.0 * h)
+        b1 = 3.0 * a1 / (2.0 * h)
+        b2 = 5.0 * (3.0 * a2 - m0) / (4.0 * h)
+        s1, c2 = b1 / h, 1.5 * b2 / (h * h)
+        c1 = s1 - 2.0 * m * c2
+        c0 = b0 - 0.5 * b2 - m * (s1 - m * c2)
         segments.append((c0, c1, c2, lo, hi))
     return make_spline(*segments)
+
+
+def mp_normal_equation_values(lo: float, hi: float, moments, xs) -> list[float]:
+    """The least-squares quadratic on [lo, hi] for the given float target
+    moments, from a 50-digit solve of its 3x3 normal equations, evaluated at
+    each of ``xs``."""
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        gram = mpmath.matrix(
+            [[(hi ** (j + k + 1) - lo ** (j + k + 1)) / (j + k + 1) for k in range(3)] for j in range(3)]
+        )
+        c0, c1, c2 = mpmath.lu_solve(gram, mpmath.matrix([mpmath.mpf(v) for v in moments]))
+        return [float(c0 + x * (c1 + c2 * x)) for x in map(mpmath.mpf, xs)]
 
 
 def scalar_granular_distortion(q: CompandingQuantizer) -> float:

@@ -159,6 +159,22 @@ class TestValidateCommand:
         assert doc["results"]["mc_std_error"] > 0
         assert code in (0, 1)
 
+    def test_one_sample_has_no_z_score_and_fails(self, capsys):
+        # one sample has a zero standard error: the document stays standard
+        # JSON, with a null z-score, and the verdict is FAIL
+        argv = ["validate", "--levels", "16", "--x1", "1.68", "--samples", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-standard {name}"))
+        assert code == 1
+        assert doc["results"]["mc_std_error"] == 0.0
+        assert doc["results"]["z_score"] is None
+        assert doc["results"]["verdict"] == "FAIL"
+        code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        rows = {row[0]: row[2] for row in csv.reader(io.StringIO(out))}
+        assert code == 1
+        assert rows["z_score"] == ""
+        assert rows["verdict"] == "FAIL"
+
     def test_integral_float_notation_samples(self, capsys):
         _, doc = run_json(["validate", "--levels", "16", "--x1", "1.68", "--samples", "1e3"], capsys)
         assert doc["results"]["n_samples"] == 1000
@@ -244,6 +260,23 @@ class TestUsageErrors:
             cli.main(argv)
         assert info.value.code == 2
         assert "fewer than the 2 segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [("missing/x.json", "is missing or not writable"), (".", "is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_rejected_before_any_work(self, path, message, tmp_path, capsys, monkeypatch):
+        def forbidden(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "_cmd_lloyd_max", forbidden)
+        out = tmp_path / path
+        with pytest.raises(SystemExit) as info:
+            cli.main(["lloyd-max", "--levels", "8", "--out", str(out)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_x1_out_of_range(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from splinequant import (
-    FitError,
     InversionError,
     KnotVector,
     QuadraticSpline,
@@ -16,16 +15,17 @@ from splinequant import (
     support_threshold,
 )
 
-from splinequant.spline_fit import fit_batch, target_moments
+from splinequant.spline_fit import curve_value, fit_batch, target_moments
+from splinequant.threshold_optimizer import sweep
 
 from _oracles import (
     make_spline,
+    mp_normal_equation_values,
     perturbed_objectives,
     recursive_simpson,
     residual_moments,
     scalar_invert_segment,
     scalar_slope,
-    scalar_solve3,
     scalar_value,
     segment_rows,
     splines,
@@ -359,38 +359,28 @@ class TestInvertSegmentArrays:
         assert type(invert_segment(gauss_spline, 0, 0.3)) is float
 
 
-class TestSolverGuard:
-    def test_singular_matrix_raises(self):
-        from splinequant.spline_fit import _solve3
+class TestFitPrecision:
+    @pytest.mark.parametrize("n_levels", [16, 64, 256])
+    def test_sweep_fits_match_mpmath_normal_equations(self, n_levels):
+        # for every sweep candidate, the fitted curve at both ends and the
+        # midpoint of each segment is within 1e-8 relative of the 50-digit
+        # least-squares quadratic for the same float moments
+        pytest.importorskip("mpmath")
+        x_max = support_threshold(UNIT, n_levels)
+        knots = [(0.0, cand.x1, x_max) for cand in sweep(n_levels, 0.01).candidates]
+        moments = target_moments(lambda x: compressor(UNIT, x_max, x), knots)
+        for table, segment_moments in zip(fit_batch(knots, moments), moments.tolist()):
+            for column, m in zip(table.T.tolist(), segment_moments):
+                lo, hi = column[3:]
+                xs = (lo, 0.5 * (lo + hi), hi)
+                want = mp_normal_equation_values(lo, hi, m, xs)
+                got = [curve_value(column, x) for x in xs]
+                assert got == pytest.approx(want, rel=1e-8, abs=0.0), (lo, hi)
 
-        good = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
-        singular = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
-        with pytest.raises(FitError):
-            _solve3(np.array([good, singular]), np.ones((2, 3)))
-
-    def test_solver_matches_numpy(self):
-        from splinequant.spline_fit import _solve3
-
-        m, b = self.systems()
-        got = _solve3(m, b)
-        assert np.allclose(got, np.linalg.solve(m, b[..., None])[..., 0], rtol=1e-9, atol=1e-9)
-
-    def test_batched_solve_equals_scalar_solve(self):
-        # one batched call gives every system the scalar LU's bits
-        from splinequant.spline_fit import _solve3
-
-        m, b = self.systems()
-        got = _solve3(m, b).tolist()
-        assert got == [scalar_solve3(mi.tolist(), bi.tolist()) for mi, bi in zip(m, b)]
-
-    @staticmethod
-    def systems():
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((50, 3, 3))
-        # the last 20 tie on |pivot| in the first column: the first row wins
-        m[30:, :, 0] = rng.choice([-1.0, 1.0], (20, 3))
-        m = m[np.abs(np.linalg.det(m)) >= 1e-3]
-        return m, rng.standard_normal((len(m), 3))
+    def test_knot_rows_must_increase(self):
+        knots = [GAUSS_KNOTS.knots, (0.0, 0.0, X_MAX_16)]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_batch(knots, target_moments(gauss_target, knots))
 
 
 class TestTargetMoments:

@@ -162,14 +162,14 @@ class TestOneArrayPass:
         assert result.best_x1 == best
 
     def test_singular_moment_matrix_raises_out_of_sweep(self, monkeypatch):
-        # a fit that cannot be solved is an error, not an invalid candidate
+        # a fit that cannot be made is an error, not an invalid candidate
         def degenerate_first(knots, moments):
             knots = np.array(knots)
-            knots[0, 1] = 0.0  # an empty inner segment: an all-zero Gram matrix
+            knots[0, 1] = 0.0  # an empty inner segment
             return fit_batch(knots, moments)
 
         monkeypatch.setattr(threshold_optimizer, "fit_batch", degenerate_first)
-        with pytest.raises(sq.FitError, match="singular moment matrix"):
+        with pytest.raises(ValueError, match="knots must be strictly increasing"):
             sweep(16)
 
     def test_builds_no_design_per_candidate(self, monkeypatch):
