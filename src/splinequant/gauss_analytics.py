@@ -76,10 +76,8 @@ def pdf(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
 def upper_tail(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
     """P(X > x) at a float or elementwise over an array; computed through
     erfc so large x does not cancel, with the bits of ``math.erfc``."""
-    z = x / (model.sigma * math.sqrt(2.0))
-    if isinstance(x, np.ndarray):
-        return 0.5 * np.asarray(_ERFC(z), dtype=float)
-    return 0.5 * math.erfc(z)
+    q = 0.5 * np.asarray(_ERFC(x / (model.sigma * math.sqrt(2.0))), dtype=float)
+    return q if isinstance(x, np.ndarray) else float(q)
 
 
 def cell_second_moment(
@@ -116,19 +114,17 @@ def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float
 
     Odd, strictly increasing, maps 0 to 0 and +/-x_max to +/-x_max.  Equals
     x_max * sgn(x) * erf(|x| / (sigma*sqrt(6))) / erf(x_max / (sigma*sqrt(6))),
-    the closed form of the normalized cube-root-density integral.  An array
-    ``x`` is mapped elementwise, with the same bits as the scalar path.
+    the closed form of the normalized cube-root-density integral.  A float
+    gives a float and an array is mapped elementwise, with ``math.erf``'s bits.
     """
     if x_max <= 0.0:
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = model.sigma * _SQRT6
-    if isinstance(x, np.ndarray):
-        if np.any(np.abs(x) > x_max * (1.0 + 1e-12)):
-            raise ValueError(f"|x|={np.abs(x).max()} outside compressor domain [0, {x_max}]")
-        return x_max * np.copysign(1.0, x) * erf(np.abs(x) / s) / math.erf(x_max / s)
-    if abs(x) > x_max * (1.0 + 1e-12):
-        raise ValueError(f"|x|={abs(x)} outside compressor domain [0, {x_max}]")
-    return x_max * math.copysign(1.0, x) * math.erf(abs(x) / s) / math.erf(x_max / s)
+    size = np.abs(x)
+    if np.any(size > x_max * (1.0 + 1e-12)):
+        raise ValueError(f"|x|={np.max(size)} outside compressor domain [0, {x_max}]")
+    y = x_max * np.copysign(1.0, x) * erf(size / s) / math.erf(x_max / s)
+    return y if isinstance(x, np.ndarray) else float(y)
 
 
 def compressor_derivative(model: SourceModel, x_max: float, x: float) -> float:

@@ -25,6 +25,9 @@ Design conventions
   of the compressor there, and the asymptotic cell length delta/slope.  The
   headline SQNR combines it with the asymptotic overload term; the exact
   overload term, from the closed-form tail moment, is reported alongside.
+  This module owns the model: one half-step grid, one granular kernel and
+  one report function serve ``sqnr``, ``score_batch`` and the exact-compressor
+  comparator ``reference_oracles.exact_compressor_sqnr``.
 """
 
 from __future__ import annotations
@@ -159,6 +162,13 @@ def step_size(config: DesignConfig) -> float:
     return 2.0 * config.x_max / (config.n_levels - 2)
 
 
+def _half_step_grid(config: DesignConfig) -> np.ndarray:
+    """The grid j*delta/2, j = 1 ... N-3: its odd j are the level targets,
+    (2k-1)*(delta/2) having exactly the bits of (k-1/2)*delta, and its even j
+    the threshold targets."""
+    return np.arange(1, 2 * config.granular_per_side) * (0.5 * step_size(config))
+
+
 def _curve_failures(tables: np.ndarray, delta: float) -> list[str | None]:
     """The checks on the fitted curves alone, for a (designs, 5, segments)
     stack of coefficient tables: per design the reason of the first failing
@@ -182,7 +192,8 @@ def _curve_failures(tables: np.ndarray, delta: float) -> list[str | None]:
                 f"(slope {slope:.3e} at its {('left', 'right')[end]} end x={x:.6f})"
             )
         elif bad_kv[d]:
-            failures[d] = f"compressed knot values not increasing: {tuple(kv[d].tolist())}"
+            values = ", ".join(f"{v:.6g}" for v in kv[d].tolist())
+            failures[d] = f"compressed knot values not increasing: ({values})"
         else:
             failures[d] = (
                 f"fitted value at 0 ({kv[d, 0]:.6f}) reaches the first target {0.5 * delta:.6f}"
@@ -191,14 +202,12 @@ def _curve_failures(tables: np.ndarray, delta: float) -> list[str | None]:
 
 
 def _invert_grid(
-    tables: np.ndarray, delta: float, per_side: int, x_max: float
+    tables: np.ndarray, grid: np.ndarray, x_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str | None]]:
-    """Preimages of the half-step grid j*delta/2, j = 1 ... 2*per_side - 1,
-    under each fitted curve of a stack of tables that passed
-    ``_curve_failures``: the points x, their segments, the curve's slope at
-    them, each (designs, grid), and per design the reason the inversion or the
-    interleave check failed, or None."""
-    grid = np.arange(1, 2 * per_side) * (0.5 * delta)
+    """Preimages of the half-step grid under each fitted curve of a stack of
+    tables that passed ``_curve_failures``: the points x, their segments, the
+    curve's slope at them, each (designs, grid), and per design the reason the
+    inversion or the interleave check failed, or None."""
     rows = tables.transpose(1, 0, 2)
     inner = curve_value(rows, rows[4])[:, :-1]
     # segment i takes the targets in [kv[i], kv[i+1]), the first and last
@@ -226,8 +235,8 @@ def _invert_grid(
             j = int(np.argmax(out_of_order[d]))
             a, b = points[d, j : j + 2].tolist()
             failures[d] = (
-                f"levels and thresholds do not interleave: grid point {j} maps to {a!r}, "
-                f"not below {b!r} for point {j + 1}"
+                f"levels and thresholds do not interleave: grid point {j} maps to {a:.6g}, "
+                f"not below {b:.6g} for point {j + 1}"
             )
     return x, seg, slope, failures
 
@@ -248,7 +257,7 @@ def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
     (failure,) = _curve_failures(tables, delta)
     if failure is None:
         (x,), (seg,), (slope,), (failure,) = _invert_grid(
-            tables, delta, config.granular_per_side, config.x_max
+            tables, _half_step_grid(config), config.x_max
         )
     if failure is not None:
         raise DesignError(failure)
@@ -294,8 +303,11 @@ def granular_distortion(q: CompandingQuantizer) -> float:
 def overload_distortion_exact(q: CompandingQuantizer) -> float:
     """Overload noise power: twice the integral of (x - overload_level)^2
     times the density over the tail beyond x_max, in closed form."""
-    cfg = q.config
-    return 2.0 * float(cell_second_moment(cfg.source, cfg.x_max, math.inf, q.overload_level))
+    return _overload_exact(q.config, q.overload_level)
+
+
+def _overload_exact(cfg: DesignConfig, level: float) -> float:
+    return 2.0 * float(cell_second_moment(cfg.source, cfg.x_max, math.inf, level))
 
 
 def overload_distortion_closed(x_max: float) -> float:
@@ -308,21 +320,30 @@ def overload_distortion_closed(x_max: float) -> float:
 
 def sqnr(q: CompandingQuantizer) -> DistortionReport:
     """Distortion report: granular model + closed-form overload drive the
-    headline SQNR; the exact overload term is recorded alongside."""
-    return _report(granular_distortion(q), overload_distortion_exact(q), q.config)
+    headline SQNR; the exact overload term, about the tail centroid that
+    ``build`` makes the overload level, is recorded alongside."""
+    (report,) = _model_reports([granular_distortion(q)], q.config)
+    return report
 
 
-def _report(granular: float, overload_exact: float, cfg: DesignConfig) -> DistortionReport:
+def _model_reports(granular: Sequence[float], cfg: DesignConfig) -> list[DistortionReport]:
+    """The companding model's report for each granular noise power, from
+    ``_granular``, of a design of ``cfg``: the closed-form overload term
+    drives total and SQNR, the exact overload term about the tail centroid is
+    recorded alongside; both depend on ``cfg`` alone and are computed once."""
     src = cfg.source
     overload = src.sigma**2 * overload_distortion_closed(cfg.x_max / src.sigma)
-    total = granular + overload
-    return DistortionReport(
-        granular=granular,
-        overload=overload,
-        total=total,
-        sqnr_db=10.0 * math.log10(src.sigma**2 / total),
-        overload_exact=overload_exact,
-    )
+    overload_exact = _overload_exact(cfg, tail_centroid(src, cfg.x_max))
+    return [
+        DistortionReport(
+            granular=g,
+            overload=overload,
+            total=g + overload,
+            sqnr_db=10.0 * math.log10(src.sigma**2 / (g + overload)),
+            overload_exact=overload_exact,
+        )
+        for g in granular
+    ]
 
 
 # score_batch inverts the grids of this many (design, grid point) pairs at a
@@ -343,26 +364,21 @@ def score_batch(
     checks run on all designs at once, the grid inversion and the granular
     term on blocks of the designs that pass them.
     """
-    delta, per_side, x_max = step_size(config), config.granular_per_side, config.x_max
-    failures = _curve_failures(tables, delta)
+    grid = _half_step_grid(config)
+    failures = _curve_failures(tables, step_size(config))
     granular = np.zeros(len(tables))
     survivors = np.array([d for d, f in enumerate(failures) if f is None], dtype=int)
-    block = max(1, _BLOCK_POINTS // (2 * per_side - 1))
+    block = max(1, _BLOCK_POINTS // grid.size)
     for first in range(0, survivors.size, block):
         rows = survivors[first : first + block]
-        x, _, slope, block_failures = _invert_grid(tables[rows], delta, per_side, x_max)
+        x, _, slope, block_failures = _invert_grid(tables[rows], grid, config.x_max)
         for d, failure in zip(rows.tolist(), block_failures):
             failures[d] = failure
         ok = np.array([f is None for f in block_failures])
         granular[rows[ok]] = _granular(x[ok, ::2], slope[ok, ::2], config)
-    src = config.source
-    tail = cell_second_moment(src, x_max, math.inf, tail_centroid(src, x_max))
-    overload_exact = 2.0 * float(tail)
-    reports = [
-        None if f is not None else _report(g, overload_exact, config)
-        for g, f in zip(granular.tolist(), failures)
-    ]
-    return reports, failures
+    valid = np.array([f is None for f in failures], dtype=bool)
+    reports = iter(_model_reports(granular[valid].tolist(), config))
+    return [None if f is not None else next(reports) for f in failures], failures
 
 
 def encode(q: CompandingQuantizer, x: float) -> int:

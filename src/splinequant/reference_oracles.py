@@ -1,16 +1,19 @@
-"""Independent validators for the analytic design pipeline.
+"""Validators and comparators for the analytic design pipeline.
 
-Four separate routes to distortion live here so the model numbers can be
-cross-checked without sharing code paths:
+Three routes to distortion stay independent of the companding model, so
+that its numbers can be cross-checked:
 
 * ``mc_distortion``     seeded Monte-Carlo through the realized encode/decode
                         tables;
 * ``true_distortion``   the realized quantizer's error, cell by cell, from the
                         closed-form Gaussian cell moment;
 * ``lloyd_max``         the MSE-optimal fixed-rate quantizer, which no design
-                        for the same source and level count may beat;
-* ``exact_compressor_sqnr``  the companding model evaluated on the closed-form
-                        optimal compressor instead of a fitted curve.
+                        for the same source and level count may beat; only
+                        its starting codebook is the exact compressor's.
+
+``exact_compressor_sqnr`` shares the model by design: it scores the
+closed-form optimal compressor with ``quantizer_design``'s own grid, granular
+kernel and report, so that it differs from a fitted design only by the fit.
 """
 
 from __future__ import annotations
@@ -21,19 +24,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .gauss_analytics import (
-    SourceModel,
-    cell_second_moment,
-    compressor_derivative,
-    erf,
-    pdf,
-    support_threshold,
-    tail_centroid,
-)
+from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative, erf, tail_centroid
 from .quantizer_design import (
     CompandingQuantizer,
+    DesignConfig,
     DistortionReport,
-    overload_distortion_closed,
+    _granular,
+    _half_step_grid,
+    _model_reports,
+    standard_config,
 )
 
 __all__ = [
@@ -121,16 +120,19 @@ def true_distortion(q: CompandingQuantizer) -> float:
 
 def _initial_levels(source: SourceModel, n_levels: int) -> list[float]:
     """Positive half of the starting codebook for an even ``n_levels``: the
-    companding design's levels, or the upper normal quartile for N = 2."""
+    exact compressor's levels and the overload level, or the upper normal
+    quartile for N = 2."""
     if n_levels == 2:
         return [NormalDist(0.0, source.sigma).inv_cdf(0.75)]
-    x_max = support_threshold(source, n_levels)
-    delta = 2.0 * x_max / (n_levels - 2)
-    positive = [
-        _invert_compressor(source, x_max, (k - 0.5) * delta)
-        for k in range(1, (n_levels - 2) // 2 + 1)
-    ]
-    return positive + [tail_centroid(source, x_max)]
+    cfg = standard_config(n_levels, (), source)
+    return _compressor_levels(cfg) + [tail_centroid(source, cfg.x_max)]
+
+
+def _compressor_levels(cfg: DesignConfig) -> list[float]:
+    """Positive granular levels of ``cfg`` under the optimal compressor: the
+    preimages of the half-step grid's level targets."""
+    targets = _half_step_grid(cfg)[::2].tolist()
+    return [_invert_compressor(cfg.source, cfg.x_max, v) for v in targets]
 
 
 def _invert_compressor(source: SourceModel, x_max: float, value: float) -> float:
@@ -212,42 +214,14 @@ def lloyd_max(
 def exact_compressor_sqnr(source: SourceModel, n_levels: int) -> DistortionReport:
     """Companding-model SQNR with the closed-form optimal compressor itself.
 
-    Same level grid and distortion formulas as the fitted designs, but levels
-    and slopes come straight from the ideal curve; serves as the no-fit-error
-    comparator.  N must be even and >= 4, as for every design.
+    The one-design case of the fitted designs' model with no fit: the
+    levels are the optimal compressor's preimages of the half-step grid, the
+    slopes its derivative there, and the report ``quantizer_design``'s own;
+    serves as the no-fit-error comparator.  N must be even and >= 4, as for
+    every design (``DesignConfig`` raises ``ValueError`` otherwise).
     """
-    if n_levels < 4 or n_levels % 2:
-        raise ValueError(f"n_levels must be even and >= 4, got {n_levels}")
-    x_max = support_threshold(source, n_levels)
-    return _companding_model_report(
-        source,
-        n_levels,
-        x_max,
-        lambda v: _invert_compressor(source, x_max, v),
-        lambda y: compressor_derivative(source, x_max, y),
-    )
-
-
-def _companding_model_report(
-    source: SourceModel,
-    n_levels: int,
-    x_max: float,
-    inverse,
-    slope,
-) -> DistortionReport:
-    delta = 2.0 * x_max / (n_levels - 2)
-    granular = 0.0
-    for k in range(1, (n_levels - 2) // 2 + 1):
-        y = inverse((k - 0.5) * delta)
-        granular += pdf(source, y) * (delta / slope(y)) ** 3
-    granular /= 6.0
-    overload = source.sigma**2 * overload_distortion_closed(x_max / source.sigma)
-    tail = cell_second_moment(source, x_max, math.inf, tail_centroid(source, x_max))
-    total = granular + overload
-    return DistortionReport(
-        granular=granular,
-        overload=overload,
-        total=total,
-        sqnr_db=10.0 * math.log10(source.sigma**2 / total),
-        overload_exact=2.0 * float(tail),
-    )
+    cfg = standard_config(n_levels, (), source)
+    levels = _compressor_levels(cfg)
+    slopes = [compressor_derivative(source, cfg.x_max, y) for y in levels]
+    (report,) = _model_reports([float(_granular(np.array(levels), np.array(slopes), cfg))], cfg)
+    return report

@@ -230,6 +230,30 @@ def mp_invert_compressor(x_max: float, value: float) -> float:
         return float(s * mpmath.erfinv(p))
 
 
+def mp_exact_compressor_report(n_levels: int) -> tuple[float, float, float]:
+    """The companding model on the unit-variance optimal compressor at 50
+    digits: the granular noise power, the sum over the positive levels y of
+    pdf(y) * (delta / slope(y))^3 / 6 with each level from
+    ``mp_invert_compressor`` and the compressor's slope there in mpmath; the
+    exact overload term, about the tail centroid; and the SQNR in dB of the
+    granular plus the closed-form overload term."""
+    import mpmath
+
+    x_max = support_threshold(SourceModel(), n_levels)
+    delta = 2.0 * x_max / (n_levels - 2)
+    levels = [mp_invert_compressor(x_max, (k - 0.5) * delta) for k in range(1, n_levels // 2)]
+    with mpmath.workdps(MP_DIGITS):
+        x, s = mpmath.mpf(x_max), mpmath.sqrt(6)
+        scale = 2 * x / (mpmath.sqrt(mpmath.pi) * s * mpmath.erf(x / s))
+        granular = mpmath.mpf(0)
+        for y in map(mpmath.mpf, levels):
+            density = mpmath.exp(-y * y / 2) / mpmath.sqrt(2 * mpmath.pi)
+            granular += density * (mpmath.mpf(delta) / (scale * mpmath.exp(-((y / s) ** 2)))) ** 3
+        granular /= 6
+        total = granular + mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-x * x / 2) / x**3
+        return float(granular), 2.0 * mp_tail_second_moment(x_max), float(-10 * mpmath.log10(total))
+
+
 def recursive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -349,7 +373,8 @@ def _assign_targets(
     delta = step_size(config)
     kv = spline.knot_values()
     if any(a >= b for a, b in zip(kv, kv[1:])):
-        raise DesignError(f"compressed knot values not increasing: {kv}")
+        values = ", ".join(f"{v:.6g}" for v in kv)
+        raise DesignError(f"compressed knot values not increasing: ({values})")
     if kv[0] >= 0.5 * delta:
         raise DesignError(
             f"fitted value at 0 ({kv[0]:.6f}) reaches the first target {0.5 * delta:.6f}"
@@ -414,8 +439,8 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
     for j, (a, b) in enumerate(zip(interleaved, interleaved[1:])):
         if a >= b:
             raise DesignError(
-                f"levels and thresholds do not interleave: grid point {j} maps to {a!r}, "
-                f"not below {b!r} for point {j + 1}"
+                f"levels and thresholds do not interleave: grid point {j} maps to {a:.6g}, "
+                f"not below {b:.6g} for point {j + 1}"
             )
 
     overload_level = tail_centroid(config.source, config.x_max)

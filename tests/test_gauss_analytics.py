@@ -92,7 +92,14 @@ class TestCompressor:
 
     def test_arrays_match_scalar_path_bit_for_bit(self):
         xs = [-self.X_MAX, -1.3, -0.0, 0.0, 1e-9, 0.7, 2.0, self.X_MAX]
-        scalar = [compressor(UNIT, self.X_MAX, x) for x in xs]
+        s = math.sqrt(6.0)
+        scalar = [
+            self.X_MAX * math.copysign(1.0, x) * math.erf(abs(x) / s) / math.erf(self.X_MAX / s)
+            for x in xs
+        ]
+        for x, expected in zip(xs, scalar):
+            got = compressor(UNIT, self.X_MAX, x)
+            assert type(got) is float and got == expected
         assert compressor(UNIT, self.X_MAX, np.array(xs)).tolist() == scalar
         for x, expected in zip(xs, scalar):
             got = compressor(UNIT, self.X_MAX, np.array(x))
@@ -177,6 +184,17 @@ class TestUpperTail:
 
     def test_far_tail_no_cancellation(self):
         assert 0.0 < upper_tail(UNIT, 30.0) < 1e-190
+
+    def test_math_erfc_bits_for_floats_and_arrays(self):
+        xs = [-3.0, -0.0, 0.0, 1e-9, 0.7, 2.5, 30.0, math.inf]
+        expected = [0.5 * math.erfc(x / math.sqrt(2.0)) for x in xs]
+        for x, want in zip(xs, expected):
+            got = upper_tail(UNIT, x)
+            assert type(got) is float and got == want
+            got = upper_tail(UNIT, np.array(x))
+            assert np.ndim(got) == 0 and float(got) == want
+        got = upper_tail(UNIT, np.array(xs))
+        assert isinstance(got, np.ndarray) and got.tolist() == expected
 
 
 class TestCellSecondMoment:

@@ -8,9 +8,10 @@ import pytest
 
 import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
-from splinequant.reference_oracles import ConvergenceError, _companding_model_report, _invert_compressor
+from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
+from splinequant.reference_oracles import ConvergenceError, _invert_compressor
 
-from _oracles import mp_cell_distortion, mp_invert_compressor, reference_lloyd_max
+from _oracles import mp_cell_distortion, mp_exact_compressor_report, mp_invert_compressor, reference_lloyd_max
 
 UNIT = SourceModel()
 
@@ -203,17 +204,31 @@ class TestExactCompressorModel:
         assert report.sqnr_db == pytest.approx(25.7916, abs=2e-3)
 
     def test_identity_compressor_reduces_to_uniform(self):
-        # with the identity map the companding model must equal the uniform
-        # midpoint quantizer's model numbers
+        # with the identity map (levels at the grid's level targets, unit
+        # slopes) the shared model kernel must give the uniform midpoint
+        # quantizer's model numbers
         n = 16
         x_max = 2.0
-        report = _companding_model_report(
-            UNIT, n, x_max, inverse=lambda v: v, slope=lambda y: 1.0
-        )
+        cfg = sq.DesignConfig(n, sq.KnotVector((0.0, x_max)), UNIT)
+        targets = _half_step_grid(cfg)[::2]
+        (report,) = _model_reports([float(_granular(targets, np.ones_like(targets), cfg))], cfg)
         step = 2.0 * x_max / (n - 2)
         levels = [(k - 0.5) * step for k in range(1, (n - 2) // 2 + 1)]
         expected = (step**2 / 12.0) * sum(2.0 * sq.pdf(UNIT, y) * step for y in levels)
         assert report.granular == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n_levels", [4, 6, 8, 10, 16, 32, 64, 100, 128, 256, 512, 1000, 1024])
+    def test_matches_mpmath(self, n_levels):
+        # the exact overload term is a difference of nearly equal terms whose
+        # relative error grows like x_max^6 * 1e-16 (``cell_second_moment``):
+        # 3.3e-12 at the N = 1024 edge, so it gets the 5e-12 bound documented
+        # up to 6 sigma
+        pytest.importorskip("mpmath")
+        granular, overload_exact, sqnr_db = mp_exact_compressor_report(n_levels)
+        report = exact_compressor_sqnr(UNIT, n_levels)
+        assert report.granular == pytest.approx(granular, rel=1e-12, abs=0.0)
+        assert report.sqnr_db == pytest.approx(sqnr_db, rel=1e-12, abs=0.0)
+        assert report.overload_exact == pytest.approx(overload_exact, rel=5e-12, abs=0.0)
 
     def test_model_value_sits_below_fitted_designs(self, sweep16, sweep32):
         # the fitted curves beat the ideal compressor under the companding
