@@ -19,6 +19,7 @@ kernel and report, so that it differs from a fitted design only by the fit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -78,8 +79,13 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
 
     Samples are generated in fixed-size shards whose generators are seeded
     from (seed, shard index), so the estimate depends only on the arguments,
-    never on how the shards are scheduled.
+    never on how the shards are scheduled.  Each shard is sorted in place and
+    cut into cells at the boundaries; a draw equal to a boundary falls in the
+    cell to its right, as in ``encode``.  ``n_samples`` and ``seed`` must be
+    integers (``operator.index``), checked before any draw.
     """
+    n_samples = operator.index(n_samples)
+    seed = operator.index(seed)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     boundaries = np.asarray(q.all_boundaries, dtype=float)
@@ -92,10 +98,14 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
     while remaining > 0:
         count = min(_SHARD_SIZE, remaining)
         rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
-        x = sigma * rng.standard_normal(count)
-        err_sq = (x - levels[np.searchsorted(boundaries, x, side="right")]) ** 2
-        total += float(err_sq.sum())
-        total_sq += float((err_sq**2).sum())
+        x = rng.standard_normal(count)
+        x *= sigma
+        x.sort()
+        cuts = np.searchsorted(x, boundaries, side="left")
+        x -= np.repeat(levels, np.diff(cuts, prepend=0, append=count))
+        x *= x
+        total += float(x.sum())
+        total_sq += float(np.dot(x, x))
         remaining -= count
         shard += 1
     mean = total / n_samples

@@ -13,6 +13,9 @@ closed-form Legendre projection in Python floats, ``per_level_build``,
 ``scalar_sqnr``), the reference for the library's one array pass over all
 candidates.  ``reference_lloyd_max`` iterates the whole Lloyd-Max codebook,
 both halves, the reference for the library's positive-half iteration.
+``unsorted_mc_distortion`` assigns each Monte-Carlo draw to its cell by
+searching the boundaries draw by draw, as ``encode`` does, the reference for
+the library's sort-and-cut of each shard.
 ``make_spline`` builds a spline from per-segment rows (c0, c1, c2, lo, hi);
 ``segment_rows``, ``scalar_value`` and ``scalar_slope`` read them back for
 the scalar references.  The ``mp_`` helpers evaluate closed forms, or solve
@@ -42,7 +45,13 @@ from splinequant.quantizer_design import (
     standard_config,
     step_size,
 )
-from splinequant.reference_oracles import ConvergenceError, LloydMaxResult, _invert_compressor
+from splinequant.reference_oracles import (
+    _SHARD_SIZE,
+    ConvergenceError,
+    LloydMaxResult,
+    McEstimate,
+    _invert_compressor,
+)
 from splinequant.spline_fit import (
     InversionError,
     KnotVector,
@@ -627,3 +636,30 @@ def reference_lloyd_max(
         sqnr_db=10.0 * math.log10(sigma**2 / distortion),
         iterations=iteration,
     )
+
+
+def unsorted_mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstimate:
+    """Monte-Carlo distortion with the same shards and draws as the library,
+    each draw's level looked up by ``searchsorted(boundaries, x, "right")``."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    boundaries = np.asarray(q.all_boundaries, dtype=float)
+    levels = np.asarray(q.all_levels, dtype=float)
+    sigma = q.config.source.sigma
+    total = 0.0
+    total_sq = 0.0
+    remaining = n_samples
+    shard = 0
+    while remaining > 0:
+        count = min(_SHARD_SIZE, remaining)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
+        x = sigma * rng.standard_normal(count)
+        err_sq = (x - levels[np.searchsorted(boundaries, x, side="right")]) ** 2
+        total += float(err_sq.sum())
+        total_sq += float((err_sq**2).sum())
+        remaining -= count
+        shard += 1
+    mean = total / n_samples
+    variance = max(total_sq / n_samples - mean * mean, 0.0)
+    std_error = math.sqrt(variance / n_samples)
+    return McEstimate(mean, std_error, n_samples, seed)

@@ -1,5 +1,6 @@
-"""The verdict rule of tools/paired_bench.py, one case per label, and the
-JSON table its last line prints."""
+"""The verdict rule of tools/paired_bench.py, one case per label, the JSON
+table its last line prints and the per-op latency medians it reads from each
+run's result record."""
 
 import importlib.util
 from pathlib import Path
@@ -93,3 +94,43 @@ def test_last_line_is_the_table_as_json(monkeypatch, capsys):
     # the human-readable table comes first and says the same
     assert any(line.startswith("  wall_s: 100 [100, 100] | 50 [50, 50] | 0.500 | 10/10 | gain")
                for line in out)
+
+
+def test_per_op_medians_of_typical_latency(monkeypatch, capsys):
+    # base runs time validate/16 at 70 + i ms and lloyd-max/16 at 5 ms; the
+    # change halves validate/16 only, so only that op's ratio moves
+    spec = paired_bench.json.loads((paired_bench.ROOT / "BENCHMARK.json").read_text())
+
+    def fake_run(tree, workload, seed, seconds):
+        change = tree == paired_bench.ROOT
+        ops = {"validate/16": (70.0 + seed) * (0.5 if change else 1.0), "lloyd-max/16": 5.0}
+        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+        return {"correct": True, "failed": 0, "metrics": metrics, "env": {}, "typical_op_ms": ops}
+
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    monkeypatch.setattr(paired_bench, "export", lambda commit, into: None)
+    monkeypatch.setattr(paired_bench, "git", lambda *args: "")
+    assert paired_bench.main(["--pairs", "10", "--seed", "0", "--workload", "oracle-validate"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    ops = paired_bench.json.loads(out[-1])["workloads"]["oracle-validate"]["typical_op_ms"]
+    assert ops == {"validate/16": {"base": 74.5, "change": 37.25, "ratio": 0.5},
+                   "lloyd-max/16": {"base": 5.0, "change": 5.0, "ratio": 1.0}}
+    # the printed table keeps the workload's op order
+    rows = out.index("  typical op ms, median: base | change | change/base")
+    assert out[rows + 1:rows + 3] == ["    validate/16: 74.5 | 37.25 | 0.500",
+                                      "    lloyd-max/16: 5 | 5 | 1.000"]
+
+
+def test_run_once_reads_the_ops_from_the_result_record(tmp_path, monkeypatch):
+    # the run's last stdout line and its result record, as perfbench/run.py
+    # writes them; no benchmark runs
+    out_dir = tmp_path / ".perfbench_out"
+    out_dir.mkdir()
+    record = {"typical_op_ms": [["validate/16", 43.0], ["oracles/16", 1.5]]}
+    (out_dir / "result-oracle-validate-seed3-trace0.json").write_text(paired_bench.json.dumps(record))
+    stdout = 'env {"nproc": 2}\n{"correct": true, "failed": 0, "metrics": {}}\n'
+    fake = lambda *args, **kwargs: paired_bench.subprocess.CompletedProcess(args, 0, stdout, "")
+    monkeypatch.setattr(paired_bench.subprocess, "run", fake)
+    result = paired_bench.run_once(tmp_path, "oracle-validate", 3, 25.0)
+    assert result["typical_op_ms"] == {"validate/16": 43.0, "oracles/16": 1.5}
+    assert result["env"] == {"nproc": 2} and result["correct"] is True

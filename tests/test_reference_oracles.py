@@ -9,9 +9,15 @@ import pytest
 import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
-from splinequant.reference_oracles import ConvergenceError, _invert_compressor
+from splinequant.reference_oracles import _SHARD_SIZE, ConvergenceError, _invert_compressor
 
-from _oracles import mp_cell_distortion, mp_exact_compressor_report, mp_invert_compressor, reference_lloyd_max
+from _oracles import (
+    mp_cell_distortion,
+    mp_exact_compressor_report,
+    mp_invert_compressor,
+    reference_lloyd_max,
+    unsorted_mc_distortion,
+)
 
 UNIT = SourceModel()
 
@@ -152,6 +158,77 @@ class TestMcDistortion:
     def test_rejects_empty_sample_budget(self, designs):
         with pytest.raises(ValueError):
             mc_distortion(designs[(16, "mid")].quantizer, 0, 42)
+
+    @pytest.mark.parametrize(
+        "n_samples, seed, error",
+        [
+            (1.5e6, 42, TypeError),
+            (1e6, 42, TypeError),
+            (1_000_000, 42.0, TypeError),
+            (np.float64(10.0), 42, TypeError),
+            (-3, 42, ValueError),
+            (10, -1, ValueError),
+        ],
+    )
+    def test_rejects_bad_counts_before_any_draw(self, designs, monkeypatch, n_samples, seed, error):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew samples before checking the arguments")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(error):
+            mc_distortion(designs[(16, "mid")].quantizer, n_samples, seed)
+
+    def test_accepts_integer_like_counts(self, designs):
+        q = designs[(16, "mid")].quantizer
+        est = mc_distortion(q, np.int64(1000), np.int32(5))
+        assert type(est.n_samples) is int and type(est.seed) is int
+        assert est == mc_distortion(q, 1000, 5)
+
+
+class TestMcDistortionSortedShards:
+    """Sorting each shard and cutting it at the boundaries reproduces the
+    draw-by-draw cell lookup; only the order of the sums differs."""
+
+    @pytest.fixture(scope="class")
+    def quantizers(self):
+        return {n: sq.evaluate_candidate(n, 0.6 * sq.support_threshold(UNIT, n)).quantizer for n in (16, 64, 256)}
+
+    @pytest.mark.parametrize("n_samples", [1, 999_999, 1_000_001, 2_500_000])
+    @pytest.mark.parametrize("n_levels", [16, 64, 256])
+    def test_matches_unsorted_assignment(self, quantizers, n_levels, n_samples):
+        q = quantizers[n_levels]
+        got = mc_distortion(q, n_samples, 42)
+        want = unsorted_mc_distortion(q, n_samples, 42)
+        assert got.mean_distortion == pytest.approx(want.mean_distortion, rel=1e-14, abs=0.0)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-14, abs=0.0)
+        assert (got.n_samples, got.seed) == (want.n_samples, want.seed)
+
+    def test_ties_go_to_the_right_cell(self):
+        # boundaries that are exact draws of shard (seed, 0): each such draw
+        # must take the level to its right, as encode assigns it
+        seed, n_samples = 11, 9
+        draws = np.random.default_rng(np.random.SeedSequence((seed, 0))).standard_normal(n_samples)
+        boundaries = tuple(np.sort(draws)[[2, 4, 6]])
+        levels = (-100.0, -10.0, 10.0, 100.0)
+        stub = SimpleNamespace(all_boundaries=boundaries, all_levels=levels, config=SimpleNamespace(source=UNIT))
+        right = np.asarray(levels)[np.searchsorted(boundaries, draws, side="right")]
+        left = np.asarray(levels)[np.searchsorted(boundaries, draws, side="left")]
+        est = mc_distortion(stub, n_samples, seed)
+        assert est.mean_distortion == pytest.approx(float(np.mean((draws - right) ** 2)), rel=1e-14, abs=0.0)
+        assert est.mean_distortion != pytest.approx(float(np.mean((draws - left) ** 2)), rel=1e-3)
+
+    def test_working_set(self, quantizers):
+        # one shard: its draws, sorted in place, plus the repeated levels
+        # (a level gather over unsorted draws peaks at about 24 MB)
+        q = quantizers[256]
+        mc_distortion(q, 10, 0)
+        tracemalloc.start()
+        try:
+            mc_distortion(q, _SHARD_SIZE, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17_000_000, peak
 
 
 class TestTrueDistortion:

@@ -22,11 +22,16 @@ verdict:
                  the metric's bound;
 * ``within``     otherwise.
 
+Under each workload it also prints, for every op key, each side's median of
+the op's typical latency (``typical_op_ms`` in the run's
+``.perfbench_out/result-<workload>-seed<n>-trace0.json``), so a change can be
+traced to the ops that moved.
+
 The last line of stdout is the same table as one JSON object: for every
 workload and metric both sides' medians and quartiles, the change/base ratio,
-the pairs won and the verdict, plus the seeds, the host details the runs
-reported, the base commit and the working tree's commit (and whether it had
-uncommitted changes).  Commit it as ``BENCH_<n>.json``.
+the pairs won and the verdict, the per-op medians, plus the seeds, the host
+details the runs reported, the base commit and the working tree's commit (and
+whether it had uncommitted changes).  Commit it as ``BENCH_<n>.json``.
 
 Standard library only.
 """
@@ -49,7 +54,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``tree``: the JSON object its last line prints,
-    with the host details of its ``env`` line under ``env``."""
+    with the host details of its ``env`` line under ``env`` and its result
+    record's typical latency per op key under ``typical_op_ms``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}", "--trace", "0"],
@@ -61,6 +67,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     env = [line[len("env "):] for line in lines if line.startswith("env ")]
     result["env"] = json.loads(env[0]) if env else {}
+    record = tree / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    result["typical_op_ms"] = dict(json.loads(record.read_text(encoding="utf-8"))["typical_op_ms"])
     return result
 
 
@@ -97,9 +105,23 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     return "within", wins
 
 
+def op_medians(sides: dict) -> dict:
+    """Per op key that every run timed: each side's median typical latency
+    (ms) and the change/base ratio, in the first run's op order."""
+    runs = [r.get("typical_op_ms", {}) for s in sides.values() for r in s]
+    out = {}
+    for key in runs[0]:
+        if all(key in r for r in runs):
+            base = statistics.median(r["typical_op_ms"][key] for r in sides["base"])
+            change = statistics.median(r["typical_op_ms"][key] for r in sides["change"])
+            out[key] = {"base": base, "change": change, "ratio": change / base if base else None}
+    return out
+
+
 def summarize(runs: dict, spec: dict) -> dict:
     """Per workload and end-to-end metric: both sides' median and quartiles,
-    the change/base ratio of the medians, the pairs won and the verdict."""
+    the change/base ratio of the medians, the pairs won and the verdict;
+    per workload also the op medians of ``op_medians``."""
     out = {}
     for workload, sides in runs.items():
         metrics = {}
@@ -117,7 +139,8 @@ def summarize(runs: dict, spec: dict) -> dict:
                 "wins": wins, "pairs": len(base), "verdict": label,
             }
         correct = all(r["correct"] and r["failed"] == 0 for s in sides.values() for r in s)
-        out[workload] = {"every_run_correct": correct, "metrics": metrics}
+        out[workload] = {"every_run_correct": correct, "metrics": metrics,
+                         "typical_op_ms": op_medians(sides)}
     return out
 
 
@@ -158,6 +181,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}: {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}] | "
                   f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] | "
                   f"{ratio:.3f} | {m['wins']}/{m['pairs']} | {m['verdict']}")
+        if row["typical_op_ms"]:
+            print("  typical op ms, median: base | change | change/base")
+        for key, op in row["typical_op_ms"].items():
+            ratio = float("nan") if op["ratio"] is None else op["ratio"]
+            print(f"    {key}: {op['base']:.6g} | {op['change']:.6g} | {ratio:.3f}")
     first = next(iter(runs.values()))["base"][0]
     print(json.dumps({
         "base": {"ref": args.base, "commit": git("rev-parse", "--verify", f"{args.base}^{{commit}}")},
