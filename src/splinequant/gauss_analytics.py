@@ -40,8 +40,6 @@ _ABSOLUTE_TOLERANCE = 1e-12
 _MAX_SUBDIVISIONS = 100_000
 _CHUNK = 32  # intervals integrate() refines together; bounds its working set
 _MAX_DEPTH = 60  # interval width shrinks by 2^-60; past that refinement is noise
-_ERF = np.frompyfunc(math.erf, 1, 1)
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,9 @@ def pdf(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
 
 def upper_tail(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
     """P(X > x) at a float or elementwise over an array; computed through
-    erfc so large x does not cancel, with the bits of ``math.erfc``."""
-    q = 0.5 * np.asarray(_ERFC(x / (model.sigma * math.sqrt(2.0))), dtype=float)
+    erfc so large x does not cancel, with ``math.erfc`` mapped over the floats
+    of x, so an array gets the scalar function's bits."""
+    q = 0.5 * _elementwise(math.erfc, x / (model.sigma * math.sqrt(2.0)))
     return q if isinstance(x, np.ndarray) else float(q)
 
 
@@ -105,8 +104,17 @@ def cell_second_moment(
 
 
 def erf(z: np.ndarray) -> np.ndarray:
-    """``math.erf`` applied elementwise: bit-identical to the scalar function."""
-    return np.asarray(_ERF(z), dtype=float)
+    """``math.erf`` applied elementwise: bit-identical to the scalar function.
+    A float or a 0-d array gives a 0-d array."""
+    return _elementwise(math.erf, z)
+
+
+def _elementwise(fn: Callable[[float], float], z: float | np.ndarray) -> np.ndarray:
+    """The scalar ``fn`` mapped over the floats of ``z``, in an array of its
+    shape: numpy has no erf, and a ``map`` over the Python floats is the
+    cheapest way to call ``math``'s."""
+    z = np.asarray(z, dtype=float)
+    return np.fromiter(map(fn, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -121,9 +129,9 @@ def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = model.sigma * _SQRT6
     size = np.abs(x)
-    if np.any(size > x_max * (1.0 + 1e-12)):
+    if (size > x_max * (1.0 + 1e-12)).any():
         raise ValueError(f"|x|={np.max(size)} outside compressor domain [0, {x_max}]")
-    y = x_max * np.copysign(1.0, x) * erf(size / s) / math.erf(x_max / s)
+    y = np.copysign(x_max, x) * erf(size / s) / math.erf(x_max / s)
     return y if isinstance(x, np.ndarray) else float(y)
 
 
@@ -177,17 +185,25 @@ def integrate(
     them; leading axes are components.  The result has the shape of ``f``'s
     value with the abscissa axis replaced by the shape of ``a`` and ``b``.
     Each (interval, component) pair gets the subdivision tree and value of a
-    scalar recursive adaptive Simpson: a piece is split until its Richardson
-    error estimate falls under its share of max(_ABSOLUTE_TOLERANCE,
-    _RELATIVE_TOLERANCE * |whole|), the share halving per level, down to
-    depth 60.  The trees of _CHUNK intervals are grown breadth first, with one
-    call of ``f`` for the ends and midpoints of all intervals and one per level
-    for all midpoints.  More than _MAX_SUBDIVISIONS splits of one pair raise
-    QuadratureError carrying the best estimates of all pairs.
+    scalar recursive adaptive Simpson, bit for bit: a piece is split until
+    its Richardson error estimate falls under its share of
+    max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * |whole|), the share
+    halving per level, down to depth 60, and a split piece's value is its
+    left half's plus its right half's.  The trees of _CHUNK intervals are
+    grown breadth first, with one call of ``f`` for the ends and midpoints of
+    all intervals and one per level for all new midpoints.  More than
+    _MAX_SUBDIVISIONS splits of one pair raise QuadratureError carrying the
+    best estimates of all pairs.  Bounds must be finite and in order; no
+    intervals give an empty result.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        raise ValueError(f"integration bounds not finite: a={a[~finite]}, b={b[~finite]}")
     if np.any(a > b):
         raise ValueError(f"integration bounds out of order: {a[a > b]} > {b[a > b]}")
+    if a.size == 0:
+        return np.zeros(np.shape(f(np.empty(0)))[:-1] + a.shape)
     values, exhausted = zip(*(
         _simpson_chunk(f, a.ravel()[i : i + _CHUNK], b.ravel()[i : i + _CHUNK])
         for i in range(0, a.size, _CHUNK)
@@ -202,54 +218,104 @@ def integrate(
 
 
 def _simpson_chunk(f, a, b):
-    """integrate() over the intervals [a[i], b[i]]: values, and whether a pair gave up."""
+    """integrate() over the intervals [a[i], b[i]]: values, and whether a pair gave up.
+
+    A level's nodes live in a point table (1 + components, 3, nodes): row 0
+    holds each node's abscissae (left end, midpoint, right end), the other
+    rows the integrand's values there, so one gather moves both.  Per
+    (component, node) the level also holds the Simpson value s, the
+    tolerance and whether the pair is still refined.  The children of the
+    nodes a level keeps are laid out all left halves, then all right halves;
+    a left child's points are its parent's (left end, left midpoint,
+    midpoint), a right child's (midpoint, right midpoint, right end), so each
+    level calls ``f`` only at the new midpoints.
+    """
     m = a.size
-
-    def evaluate(*xs):  # one call of f at the abscissae xs of the current nodes, split back
-        x = np.concatenate(xs)
-        v = np.asarray(f(x), dtype=float)
-        v = np.broadcast_to(v, v.shape[:-1] + x.shape)
-        return v.shape[:-1], np.split(v.reshape(-1, x.size), len(xs), axis=1)
-
-    node = np.arange(m)
-    x0, x2 = a, b
-    shape, (f0, f2, f1) = evaluate(a, b, 0.5 * (a + b))
-    if not all(np.isfinite(v).all() for v in (f0, f1, f2)):
+    x = np.stack((a, 0.5 * (a + b), b))
+    v = _values(f, x.ravel())
+    shape = v.shape[:-1]
+    pts = np.concatenate((x[None], v.reshape(-1, 3, m)))
+    if not np.isfinite(pts[1:]).all():
         raise ValueError("integrand not finite on the integration interval")
-    s = (b - a) * (f0 + 4.0 * f1 + f2) / 6.0
+    s = (b - a) * (pts[1:, 0] + 4.0 * pts[1:, 1] + pts[1:, 2]) / 6.0
     tol = np.maximum(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * np.abs(s))
     active = np.ones(s.shape, dtype=bool)
-    pair = np.arange(s.shape[0])[:, None] * m
-    used = np.zeros(s.size)
-    exhausted, tree = False, []
+    component = np.arange(s.shape[0])[:, None]
+    evaluated, exhausted, tree = 0, False, []
     for depth in range(_MAX_DEPTH + 1):
-        x1 = 0.5 * (x0 + x2)
-        _, (fl, fr) = evaluate(0.5 * (x0 + x1), 0.5 * (x1 + x2))
-        h = x2 - x0
-        s_left = h * (f0 + 4.0 * fl + f1) / 12.0
-        s_right = h * (f1 + 4.0 * fr + f2) / 12.0
-        err = (s_left + s_right - s) / 15.0
-        fail = active & ~(np.abs(err) <= tol)
-        # a pair whose splits at this depth would overrun its budget stops here
-        used += np.bincount((pair + node).ravel(), fail.ravel(), used.size)
-        split = fail & (used <= _MAX_SUBDIVISIONS)[pair + node] & (depth < _MAX_DEPTH)
-        exhausted |= bool((fail & ~split).any())
-        keep = np.flatnonzero(split.any(axis=0))
-        tree.append((s_left + s_right + err, split, keep))
+        n = pts.shape[-1]
+        mid = np.empty(pts.shape[:1] + (2, n))  # the halves' midpoints: left, right
+        np.add(pts[0, :2], pts[0, 1:], out=mid[0])
+        mid[0] *= 0.5
+        mid[1:] = _values(f, mid[0].ravel()).reshape(-1, 2, n)
+        # h (f0 + 4 fm + f1) / 12 on both halves, in place: + and * commute
+        # exactly, so these are the expression's bits
+        halves = 4.0 * mid[1:]
+        halves += pts[1:, :2]
+        halves += pts[1:, 1:]
+        halves *= pts[0, 2] - pts[0, 0]
+        halves /= 12.0
+        whole = halves[:, 0] + halves[:, 1]
+        err = (whole - s) / 15.0
+        split = ~(np.abs(err) <= tol)
+        split &= active
+        # a pair whose splits at this depth would overrun its budget stops
+        # here; a pair splits at most once per node of its interval, so none
+        # can while the chunk has evaluated no more nodes than the budget
+        evaluated += n
+        if depth == _MAX_DEPTH or evaluated > _MAX_SUBDIVISIONS:
+            fail = split
+            split = fail & (_splits(tree, fail, m) <= _MAX_SUBDIVISIONS) & (depth < _MAX_DEPTH)
+            exhausted |= bool((fail & ~split).any())
+        keep = np.nonzero(split.any(axis=0))[0]
+        flat = component * n + keep  # (component, kept node) in (components, n) arrays
+        split = split.take(flat)
+        tree.append((whole + err, split, flat))
         if keep.size == 0:
             break
-        # children: all left halves, then all right halves
-        node = np.tile(node[keep], 2)
-        x0, x2 = np.concatenate((x0[keep], x1[keep])), np.concatenate((x1[keep], x2[keep]))
-        halves = lambda left, right: np.concatenate((left[:, keep], right[:, keep]), axis=1)
-        f0, f1, f2, s = halves(f0, f1), halves(fl, fr), halves(f1, f2), halves(s_left, s_right)
-        tol = np.tile(0.5 * tol[:, keep], 2)
-        active = np.tile(split[:, keep], 2)
+        pts = _children(pts, mid, keep)
+        s = halves.take(keep, axis=-1).reshape(s.shape[0], -1)
+        tol = 0.5 * tol.take(flat)
+        tol = np.concatenate((tol, tol), axis=1)
+        active = np.concatenate((split, split), axis=1)
     # fold each split node's halves back into it, deepest level first, as the
     # recursive rule sums them: left + right
     result = tree[-1][0]
-    for value, split, keep in reversed(tree[:-1]):
-        k = keep.size
-        value[:, keep] = np.where(split[:, keep], result[:, :k] + result[:, k:], value[:, keep])
+    for value, split, flat in reversed(tree[:-1]):
+        k = flat.shape[1]
+        value.put(flat, np.where(split, result[:, :k] + result[:, k:], value.take(flat)))
         result = value
     return result.reshape(shape + (m,)), exhausted
+
+
+def _children(pts, mid, keep):
+    """The point table of the kept nodes' children, from the nodes' own
+    ``pts`` (rows, 3, nodes) and their halves' midpoints ``mid`` (rows, 2,
+    nodes)."""
+    pts, mid = pts.take(keep, axis=-1), mid.take(keep, axis=-1)
+    out = np.empty((pts.shape[0], 3, 2, keep.size))
+    out[:, 0] = pts[:, :2]
+    out[:, 1] = mid
+    out[:, 2] = pts[:, 1:]
+    return out.reshape(pts.shape[0], 3, -1)
+
+
+def _values(f, x):
+    """``f`` at the abscissae ``x``: a float array whose last axis runs over them."""
+    v = np.asarray(f(x), dtype=float)
+    return v if v.shape[-1:] == x.shape else np.broadcast_to(v, v.shape[:-1] + x.shape)
+
+
+def _splits(tree, fail, m):
+    """For each (component, node) of the current level, how often the pair
+    (component, the node's interval) has split: at every level in ``tree``,
+    plus ``fail`` at this one.  Each level's intervals are rebuilt from the
+    nodes the levels before it kept."""
+    pair = np.arange(fail.shape[0])[:, None] * m
+    node, used = np.arange(m), np.zeros(fail.shape[0] * m)
+    for _, split, flat in tree:
+        node = node[flat[0]]
+        used += np.bincount((pair + node).ravel(), split.ravel(), used.size)
+        node = np.concatenate((node, node))
+    used += np.bincount((pair + node).ravel(), fail.ravel(), used.size)
+    return used[pair + node]

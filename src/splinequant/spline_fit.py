@@ -146,9 +146,18 @@ def target_moments(
     quadrature pass: a (rows, n_segments, 3) array.  ``target`` must map an
     array of abscissae elementwise."""
     knots = np.asarray(knots, dtype=float)
-    weighted = lambda x: target(x) * np.stack((np.ones_like(x), x, x**2))
+
+    def weighted(x):  # rows target, target * x, target * x^2
+        t = target(x)
+        out = np.empty((3,) + x.shape)
+        out[0] = t
+        np.multiply(t, x, out=out[1])
+        np.multiply(x, x, out=out[2])
+        out[2] *= t
+        return out
+
     rows = integrate(weighted, knots[:, :-1].ravel(), knots[:, 1:].ravel()).T
-    return rows.reshape(len(knots), -1, 3)
+    return rows.reshape(knots.shape[0], knots.shape[1] - 1, 3)
 
 
 def fit_batch(knots: Sequence[Sequence[float]], moments: np.ndarray) -> np.ndarray:

@@ -1,0 +1,32 @@
+"""Smoke test of ``tools/layer_times.py`` with one timed call per layer."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "layer_times.py"
+_SPEC = importlib.util.spec_from_file_location("layer_times", _TOOL)
+layer_times = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(layer_times)
+
+
+def test_prints_every_layer_with_median_and_iqr(capsys):
+    assert layer_times.main(["--repeat", "2", "--levels", "16", "1024"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    table = json.loads(lines[-1])
+    got = [(row["layer"], row["size"]) for row in table["layers"]]
+    assert got == [
+        ("erf", 65), ("erf", 40_000),
+        ("target_moments", 16), ("sweep", 16), ("evaluate_candidate", 16), ("refine", 16),
+        # no candidate builds at N = 1024: only the sweep itself is timed
+        ("sweep", 1024),
+    ]
+    for row in table["layers"]:
+        assert row["median"] > 0.0 and row["iqr"] >= 0.0
+    # a header plus one line per layer before the JSON
+    assert len(lines) == len(got) + 2
+
+
+def test_spread_of_one_call_has_no_iqr():
+    cost = layer_times.spread(lambda: None, 1)
+    assert cost["iqr"] == 0.0 and cost["median"] >= 0.0

@@ -397,6 +397,23 @@ class TestTargetMoments:
                 want = recursive_simpson(lambda x, k=k: target(x) * x**k, x1, x_max)
                 assert rows[1, k] == pytest.approx(want, rel=1e-13)
 
+    def test_sweep_knot_rows_match_recursive_reference_bit_for_bit(self, sweep16):
+        # every segment of every sweep(16) knot row, 248 intervals in 8 chunks:
+        # each moment has the bits of the scalar recursive rule on target * x^k
+        x_max = sweep16.x_max
+        target = lambda x: compressor(UNIT, x_max, x)
+        knots = [(0.0, c.x1, x_max) for c in sweep16.candidates]
+        moments = target_moments(target, knots)
+        assert moments.shape == (len(knots), 2, 3)
+        weights = (lambda t, x: t, lambda t, x: t * x, lambda t, x: t * (x * x))
+        for row, rows in zip(knots, moments.tolist()):
+            for segment, (lo, hi) in enumerate(zip(row, row[1:])):
+                want = [recursive_simpson(lambda x, w=w: w(target(x), x), lo, hi) for w in weights]
+                assert rows[segment] == want
+
+    def test_no_knot_rows_give_an_empty_array(self):
+        assert target_moments(gauss_target, np.zeros((0, 3))).shape == (0, 2, 3)
+
     def test_fit_from_batched_moments_equals_fit(self, gauss_spline):
         knots = [GAUSS_KNOTS.knots, (0.0, 1.2, X_MAX_16), GAUSS_KNOTS.knots]
         tables = fit_batch(knots, target_moments(gauss_target, knots))

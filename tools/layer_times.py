@@ -1,0 +1,106 @@
+"""Time the layers under the threshold sweep, in process.
+
+    python3 tools/layer_times.py [--repeat 15] [--levels 16 64 ...] [--src DIR]
+
+For each layer it prints the median and the interquartile range (IQR) of
+``--repeat`` timed calls, in microseconds per element for ``erf`` and in
+milliseconds for the rest:
+
+* ``erf``: ``gauss_analytics.erf`` at 65 and at 40,000 elements;
+* ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
+  one quadrature pass the sweep makes;
+* ``evaluate_candidate``: one design at the threshold ``sweep(N)`` picks;
+* ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result.
+
+N runs over 16, 32, ..., 1024 unless ``--levels`` names others.  ``sweep``
+fails for N >= 1024 (no candidate builds); it is then timed up to the
+``SweepError``, and the layers that need its candidates are skipped.  ``--src``
+imports the package from another checkout's ``src``, so that two commits can
+be compared on one machine: run the tool once per checkout, alternating.  The
+last line of stdout is the table as one JSON object.
+
+Standard library and numpy only, besides the package under test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LEVELS = tuple(2**e for e in range(4, 11))  # 16 ... 1024
+
+
+def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
+    """Median and IQR of ``repeat`` timed calls of ``fn``, in seconds times ``scale``."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - start) * scale)
+    q1, _, q3 = statistics.quantiles(times, n=4) if repeat > 1 else times * 3
+    return {"median": statistics.median(times), "iqr": q3 - q1}
+
+
+def layers(levels, repeat: int) -> list[dict]:
+    """One row per (layer, size): its name, size, unit and ``spread``."""
+    import numpy as np
+
+    from splinequant import gauss_analytics, threshold_optimizer as opt
+    from splinequant.spline_fit import target_moments
+
+    rows = []
+    for size in (65, 40_000):
+        z = np.linspace(0.0, 3.0, size)
+        cost = spread(lambda: gauss_analytics.erf(z), repeat, 1e6 / size)
+        rows.append({"layer": "erf", "size": size, "unit": "us/element", **cost})
+    for n in levels:
+
+        def sweep():
+            try:
+                return opt.sweep(n)
+            except opt.SweepError:
+                return None
+
+        result = sweep()
+        timed = [("sweep", sweep)]
+        if result is not None:
+            x_max, source = result.x_max, result.source
+            target = lambda x: gauss_analytics.compressor(source, x_max, x)
+            knots = [(0.0, c.x1, x_max) for c in result.candidates]
+            timed = [
+                ("target_moments", lambda: target_moments(target, knots)),
+                *timed,
+                ("evaluate_candidate", lambda: opt.evaluate_candidate(n, result.best_x1, source)),
+                ("refine", lambda: opt.refine(result)),
+            ]
+        for layer, fn in timed:
+            rows.append({"layer": layer, "size": n, "unit": "ms", **spread(fn, repeat)})
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=15, help="timed calls per layer (default 15)")
+    parser.add_argument("--levels", type=int, nargs="+", default=list(LEVELS), help="N values")
+    parser.add_argument(
+        "--src", type=Path, default=ROOT / "src", help="src directory to import the package from"
+    )
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    sys.path.insert(0, str(args.src.resolve()))
+    rows = layers(args.levels, args.repeat)
+    print(f"{'layer':<20}{'size':>8}{'median':>12}{'IQR':>10}  unit")
+    for r in rows:
+        print(f"{r['layer']:<20}{r['size']:>8}{r['median']:>12.4g}{r['iqr']:>10.3g}  {r['unit']}")
+    print(json.dumps({"repeat": args.repeat, "src": str(args.src), "layers": rows}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
