@@ -10,7 +10,8 @@ Design conventions
   odd j give the granular reproduction levels, even j the decision
   thresholds; cells are half-open [threshold, next_threshold).
 * A fitted curve is a ``spline_fit`` coefficient table; that module owns its
-  row layout and evaluates it here (``curve_value``, ``curve_slope``, ``segment_roots``).
+  row layout and evaluates it here (``curve_value``, ``curve_slope``,
+  ``segment_inverse``).
 * The checks on a fitted curve, the grid inversion and the granular term are
   array kernels over a stack of designs.  ``build`` and ``sqnr`` run them on
   one design; ``score_batch`` runs them on every candidate of a threshold
@@ -41,8 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .gauss_analytics import SourceModel, cell_second_moment, pdf, support_threshold, tail_centroid
-from .spline_fit import KnotVector, QuadraticSpline, inversion_error, segment_roots
-from .spline_fit import curve_slope, curve_value
+from .spline_fit import KnotVector, QuadraticSpline, curve_slope, curve_value, segment_inverse
 
 __all__ = [
     "DesignConfig",
@@ -169,22 +169,33 @@ def _half_step_grid(config: DesignConfig) -> np.ndarray:
     return np.arange(1, 2 * config.granular_per_side) * (0.5 * step_size(config))
 
 
-def _curve_failures(tables: np.ndarray, delta: float) -> list[str | None]:
+def _curve_failures(tables: np.ndarray, grid: np.ndarray) -> list[str | None]:
     """The checks on the fitted curves alone, for a (designs, 5, segments)
-    stack of coefficient tables: per design the reason of the first failing
-    one, or None.  In order: increasing on every segment (slope positive at
-    both ends, segment by segment, left end first), knot values increasing,
-    value at 0 below the first target delta/2."""
+    stack of coefficient tables and the half-step grid: per design the reason
+    of the first failing one, or None.  In order: value and slope finite at
+    both ends of every segment; increasing on every segment (slope positive
+    at both ends, segment by segment, left end first); knot values
+    increasing; value at 0 below the first target; value at x_max above the
+    last target.  Every check fails on NaN.  A curve that passes them all has
+    a preimage in [0, x_max] for every grid point, so the interleave check
+    of ``_invert_grid`` is the only later failure."""
     rows = tables.transpose(1, 0, 2)
     ends = np.stack((rows[3], rows[4]), axis=-1)
-    # a quadratic's slope is linear, so its minimum sits at an end
-    slopes = curve_slope(rows[..., None], ends)
-    kv = np.concatenate((curve_value(rows, rows[3])[:, :1], curve_value(rows, rows[4])), axis=1)
-    flat = (slopes <= 0.0).reshape(len(tables), -1)
-    bad_kv = (kv[:, :-1] >= kv[:, 1:]).any(axis=1)
+    with np.errstate(invalid="ignore"):  # an infinite c2 at x = 0 gives NaN
+        # a quadratic's slope is linear, so its minimum sits at an end
+        values, slopes = curve_value(rows[..., None], ends), curve_slope(rows[..., None], ends)
+    kv = np.concatenate((values[:, :1, 0], values[..., 1]), axis=1)
+    broken = ~(np.isfinite(values) & np.isfinite(slopes)).all(axis=-1)
+    flat = ~(slopes > 0.0).reshape(len(tables), -1)
+    bad_kv = ~(kv[:, :-1] < kv[:, 1:]).all(axis=1)
+    high_start, low_end = ~(kv[:, 0] < grid[0]), ~(kv[:, -1] > grid[-1])
     failures: list[str | None] = [None] * len(tables)
-    for d in np.flatnonzero(flat.any(axis=1) | bad_kv | (kv[:, 0] >= 0.5 * delta)).tolist():
-        if flat[d].any():
+    for d in np.flatnonzero(
+        broken.any(axis=1) | flat.any(axis=1) | bad_kv | high_start | low_end
+    ).tolist():
+        if broken[d].any():
+            failures[d] = f"fitted curve not finite on segment {int(np.argmax(broken[d]))}"
+        elif flat[d].any():
             i, end = divmod(int(np.argmax(flat[d])), 2)
             x, slope = ends[d, i, end].item(), slopes[d, i, end].item()
             failures[d] = (
@@ -192,11 +203,16 @@ def _curve_failures(tables: np.ndarray, delta: float) -> list[str | None]:
                 f"(slope {slope:.3e} at its {('left', 'right')[end]} end x={x:.6f})"
             )
         elif bad_kv[d]:
-            values = ", ".join(f"{v:.6g}" for v in kv[d].tolist())
-            failures[d] = f"compressed knot values not increasing: ({values})"
+            listed = ", ".join(f"{v:.6g}" for v in kv[d].tolist())
+            failures[d] = f"compressed knot values not increasing: ({listed})"
+        elif high_start[d]:
+            failures[d] = (
+                f"fitted value at 0 ({kv[d, 0]:.6f}) reaches the first target {grid[0]:.6f}"
+            )
         else:
             failures[d] = (
-                f"fitted value at 0 ({kv[d, 0]:.6f}) reaches the first target {0.5 * delta:.6f}"
+                f"fitted value at x_max ({kv[d, -1]:.6f}) "
+                f"does not exceed the last target {grid[-1]:.6f}"
             )
     return failures
 
@@ -207,37 +223,28 @@ def _invert_grid(
     """Preimages of the half-step grid under each fitted curve of a stack of
     tables that passed ``_curve_failures``: the points x, their segments, the
     curve's slope at them, each (designs, grid), and per design the reason the
-    inversion or the interleave check failed, or None."""
+    interleave check failed, or None."""
     rows = tables.transpose(1, 0, 2)
     inner = curve_value(rows, rows[4])[:, :-1]
     # segment i takes the targets in [kv[i], kv[i+1]), the first and last
     # open outwards: the count of interior knot values at or below the target
     seg = np.count_nonzero(inner[:, :, None] <= grid, axis=1)
     at = np.take_along_axis(tables, seg[:, None, :], axis=2).transpose(1, 0, 2)
-    # a target below its segment's own value at the left knot sits in an
-    # upward fit discontinuity there; the generalized inverse of the jump is
-    # the knot itself
-    start = curve_value(at, at[3])
-    target = np.maximum(grid, start)
-    x, failed = segment_roots(at, target)
-    x = np.where(grid < start, at[3], x)
+    # a target inside an upward fit discontinuity at its segment's left knot
+    # maps to the knot itself
+    x = segment_inverse(at, grid)
     slope = curve_slope(at, x)
 
     points = np.concatenate((np.zeros((len(x), 1)), x, np.full((len(x), 1), x_max)), axis=1)
-    out_of_order = points[:, :-1] >= points[:, 1:]
+    out_of_order = ~(points[:, :-1] < points[:, 1:])
     failures: list[str | None] = [None] * len(x)
-    for d in np.flatnonzero(failed.any(axis=1) | out_of_order.any(axis=1)).tolist():
-        if failed[d].any():
-            k = int(np.argmax(failed[d]))
-            exc = inversion_error(at[:, d, k], seg[d, k].item(), target[d, k].item())
-            failures[d] = f"grid inversion failed: {exc}"
-        else:
-            j = int(np.argmax(out_of_order[d]))
-            a, b = points[d, j : j + 2].tolist()
-            failures[d] = (
-                f"levels and thresholds do not interleave: grid point {j} maps to {a:.6g}, "
-                f"not below {b:.6g} for point {j + 1}"
-            )
+    for d in np.flatnonzero(out_of_order.any(axis=1)).tolist():
+        j = int(np.argmax(out_of_order[d]))
+        a, b = points[d, j : j + 2].tolist()
+        failures[d] = (
+            f"levels and thresholds do not interleave: grid point {j} maps to {a:.6g}, "
+            f"not below {b:.6g} for point {j + 1}"
+        )
     return x, seg, slope, failures
 
 
@@ -245,20 +252,18 @@ def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
     """Assemble the quantizer: levels, thresholds, counts, overload level.
 
     The one-design case of the checks and grid inversion that ``score_batch``
-    runs for a whole sweep.  Raises DesignError when the spline is not
-    strictly increasing per segment, a target cannot be inverted, or the
-    resulting levels/thresholds fail to interleave.
+    runs for a whole sweep.  Raises DesignError when the fitted curve fails
+    one of its checks (finite, increasing per segment, spanning the half-step
+    grid) or the resulting levels/thresholds fail to interleave.
     """
     if spline.knots != config.knots.knots:
         raise DesignError(
             f"spline knots {spline.knots} do not match config knots {config.knots.knots}"
         )
-    tables, delta = spline.coefficients[None], step_size(config)
-    (failure,) = _curve_failures(tables, delta)
+    tables, delta, grid = spline.coefficients[None], step_size(config), _half_step_grid(config)
+    (failure,) = _curve_failures(tables, grid)
     if failure is None:
-        (x,), (seg,), (slope,), (failure,) = _invert_grid(
-            tables, _half_step_grid(config), config.x_max
-        )
+        (x,), (seg,), (slope,), (failure,) = _invert_grid(tables, grid, config.x_max)
     if failure is not None:
         raise DesignError(failure)
 
@@ -365,7 +370,7 @@ def score_batch(
     term on blocks of the designs that pass them.
     """
     grid = _half_step_grid(config)
-    failures = _curve_failures(tables, step_size(config))
+    failures = _curve_failures(tables, grid)
     granular = np.zeros(len(tables))
     survivors = np.array([d for d, f in enumerate(failures) if f is None], dtype=int)
     block = max(1, _BLOCK_POINTS // grid.size)

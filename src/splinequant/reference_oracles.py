@@ -25,7 +25,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative, erf, tail_centroid
+from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative, erf
+from .gauss_analytics import pdf, tail_centroid
 from .quantizer_design import (
     CompandingQuantizer,
     DesignConfig,
@@ -181,7 +182,6 @@ def lloyd_max(
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     sigma = source.sigma
-    norm = sigma * math.sqrt(2.0 * math.pi)
     levels = np.asarray(_initial_levels(source, n_levels), dtype=float)
     edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
     nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -189,14 +189,14 @@ def lloyd_max(
     distortion = math.inf
     for iteration in range(1, max_iterations + 1):
         # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
-        dens = np.exp(-0.5 * (edges / sigma) ** 2) / norm
+        dens = pdf(source, edges)
         cdf = erf(edges / (sigma * math.sqrt(2.0)))
         levels = sigma**2 * (dens[:-1] - dens[1:]) / (0.5 * (cdf[1:] - cdf[:-1]))
         edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
         lo, hi = edges[:-1], edges[1:]
         x = 0.5 * (hi - lo)[:, None] * nodes[None, :] + 0.5 * (hi + lo)[:, None]
         w = 0.5 * (hi - lo)[:, None] * weights[None, :]
-        half = w * (x - levels[:, None]) ** 2 * (np.exp(-0.5 * (x / sigma) ** 2) / norm)
+        half = w * (x - levels[:, None]) ** 2 * pdf(source, x)
         # full-codebook sum order: the benchmark pins iteration counts until a Newton solve
         distortion = float(np.sum(np.concatenate((half[::-1, ::-1], half))))
         if distortion > prev * (1.0 + 1e-12):

@@ -10,7 +10,8 @@ the jump sizes are available as a diagnostic through
 
 A fitted curve is its coefficient table, one column per segment, rows c0, c1,
 c2, lo, hi.  This module owns that layout: other modules evaluate a table only
-through ``curve_value``, ``curve_slope`` and ``segment_roots``.
+through ``curve_value``, ``curve_slope`` and ``segment_inverse``, which
+inverts a segment on its increasing branch, the only one a valid design uses.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ __all__ = [
     "fit_batch",
     "target_moments",
     "invert_segment",
-    "segment_roots",
-    "inversion_error",
+    "segment_inverse",
 ]
-
-_DOMAIN_SLACK = 1e-9
 
 
 class InversionError(ValueError):
-    """Raised when a segment polynomial has no usable root for a target value."""
+    """Raised when a segment does not increase or does not reach a target value."""
 
 
 @dataclass(frozen=True)
@@ -105,30 +103,6 @@ class QuadraticSpline:
     @property
     def knots(self) -> tuple[float, ...]:
         return tuple(self.coefficients[3].tolist()) + (self.coefficients[4, -1].item(),)
-
-    def _at(self, f, x):
-        """``f`` at x on the owning segment; an interior knot belongs to its left."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.knots[0], self.knots[-1]
-        outside = (x < lo) | (x > hi)
-        if outside.any():
-            raise ValueError(f"x={x.flat[np.argmax(outside)]} outside spline domain [{lo}, {hi}]")
-        y = f(self.coefficients.take(np.searchsorted(self.coefficients[4, :-1], x), axis=1), x)
-        return float(y) if y.ndim == 0 else y
-
-    def value(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Curve value at ``x``, a float or an array."""
-        return self._at(curve_value, x)
-
-    def derivative(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Curve slope at ``x``, a float or an array."""
-        return self._at(curve_slope, x)
-
-    def knot_values(self) -> tuple[float, ...]:
-        """Values at all knots under the left-segment tie-break; the first entry
-        is the leading segment's value at its own left edge."""
-        table = self.coefficients
-        return tuple(curve_value(table, table[3])[:1].tolist() + curve_value(table, table[4]).tolist())
 
     def knot_jumps(self) -> tuple[float, ...]:
         """Discontinuity magnitude at each interior knot (fit diagnostic)."""
@@ -204,71 +178,47 @@ def fit(target: Callable[[np.ndarray], np.ndarray], knots: KnotVector) -> Quadra
     return QuadraticSpline(table)
 
 
+def segment_inverse(rows, target):
+    """The preimage of ``target`` on the increasing branch of each segment of
+    ``rows`` (c0, c1, c2, lo, hi, any common shape after the first axis; the
+    targets broadcast with them).
+
+    With s = v'(lo) > 0 and d = max(target - v(lo), 0), the root of
+    c2*u^2 + s*u = d is u = 2d/(s + sqrt(s^2 + 4*c2*d)), free of cancellation;
+    the result is min(lo + u, hi).  A target below v(lo), inside an upward
+    jump at the left knot, maps to lo, the generalized inverse of the jump.
+    The caller guarantees a positive slope at both ends and a target below
+    v(hi); ``invert_segment`` checks both.
+    """
+    _, _, c2, lo, hi = rows
+    s = curve_slope(rows, lo)
+    d = np.maximum(target - curve_value(rows, lo), 0.0)
+    return np.minimum(lo + 2.0 * d / (s + np.sqrt(np.maximum(s * s + 4.0 * c2 * d, 0.0))), hi)
+
+
 def invert_segment(
     spline: QuadraticSpline, segment_index: int | np.ndarray, target: float | np.ndarray
 ) -> float | np.ndarray:
-    """Solve segment polynomial == target inside that segment's interval.
+    """Solve segment polynomial == target inside that segment's interval by
+    ``segment_inverse``.
 
     ``segment_index`` and ``target`` may be arrays that broadcast together;
     the result has their broadcast shape, and is a float for scalar inputs.
-    Uses the cancellation-free quadratic formula; falls back to the linear
-    solve when the quadratic coefficient is negligible.  Exactly one root may
-    lie in [lo, hi] (widened by 1e-9): none raises InversionError, two signal
-    a non-monotonic segment and also raise.  Array inputs raise for their
-    first failing element, with that element's message.
+    Raises InversionError when the segment's slope is not positive at both
+    ends, or the target lies outside the segment's values [v(lo), v(hi)];
+    array inputs raise for their first failing element.
     """
     idx, t = np.asarray(segment_index), np.asarray(target, dtype=float)
-    root, failed = segment_roots(spline.coefficients.take(idx, axis=1), t)
-    if np.count_nonzero(failed):
+    rows = spline.coefficients.take(idx, axis=1)
+    slopes, values = curve_slope(rows, rows[3:]), curve_value(rows, rows[3:])
+    failed = ~((slopes > 0.0).all(axis=0) & (values[0] <= t) & (t <= values[1]))
+    if failed.any():
         k = int(np.argmax(failed.ravel()))
         i, tk = (np.broadcast_to(v, failed.shape).flat[k].item() for v in (idx, t))
-        raise inversion_error(spline.coefficients[:, i], i, tk)
-    return float(root) if root.ndim == 0 else root
-
-
-def _roots(table: np.ndarray, t: np.ndarray):
-    """Both roots of c0 + c1*x + c2*x^2 == t for the rows c0, c1, c2, lo, hi
-    of ``table``, elementwise: (r_lo, r_hi, in_lo, in_hi, linear, disc), where
-    ``in_`` marks a root inside [lo, hi] widened by the slack."""
-    c0, c1, c2, lo, hi = table
-    a, b, c = c2, c1, c0 - t
-    linear = np.abs(a) < 1e-12 * np.abs(b)
-    disc = b * b - 4.0 * a * c
-    # a negative discriminant or a constant segment gives NaN or infinite
-    # roots, which lie in no segment; the double root at q == 0 gives
-    # c/q = NaN, which fmin and fmax drop
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
-        r1 = np.where(linear, -c / b, q / a)
-        r2 = np.where(linear, r1, c / q)
-    r_lo, r_hi = np.fmin(r1, r2), np.fmax(r1, r2)
-    lo_slack, hi_slack = lo - _DOMAIN_SLACK, hi + _DOMAIN_SLACK
-    in_lo = (lo_slack <= r_lo) & (r_lo <= hi_slack)
-    in_hi = (lo_slack <= r_hi) & (r_hi <= hi_slack)
-    return r_lo, r_hi, in_lo, in_hi, linear, disc
-
-
-def segment_roots(table: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The root logic of ``invert_segment`` on coefficient rows c0, c1, c2,
-    lo, hi (``table``, any common shape after the first axis) and targets
-    that broadcast with them: the roots clamped to [lo, hi], and a mask of
-    the elements that have no usable root (``inversion_error`` gives why)."""
-    r_lo, r_hi, in_lo, in_hi, _, _ = _roots(table, target)
-    failed = ~(in_lo | in_hi) | (in_lo & in_hi & (r_hi - r_lo > _DOMAIN_SLACK))
-    _, _, _, lo, hi = table
-    return np.minimum(np.maximum(np.where(in_lo, r_lo, r_hi), lo), hi), failed
-
-
-def inversion_error(row: np.ndarray, segment: int, target: float) -> InversionError:
-    """Why segment ``segment``, with coefficient column ``row`` (c0, c1, c2,
-    lo, hi), has no usable root for ``target``."""
-    r_lo, r_hi, in_lo, in_hi, linear, disc = _roots(row, target)
-    _, b, a, lo, hi = row.tolist()
-    if a == 0.0 and b == 0.0:
-        return InversionError("degenerate segment polynomial (constant)")
-    if not linear and disc < 0.0:
-        return InversionError(f"no real root for target {target} on segment {segment}")
-    if not (in_lo or in_hi):
-        return InversionError(f"no root in [{lo}, {hi}] for target {target} on segment {segment}")
-    roots = [float(r_lo), float(r_hi)]
-    return InversionError(f"both roots {roots} inside segment {segment}: non-monotonic segment")
+        col = spline.coefficients[:, i]
+        (s_lo, s_hi), (v_lo, v_hi) = curve_slope(col, col[3:]), curve_value(col, col[3:])
+        if not (s_lo > 0.0 and s_hi > 0.0):
+            raise InversionError(f"segment {i} not increasing (end slopes {s_lo:.3e}, {s_hi:.3e})")
+        raise InversionError(f"target {tk} outside the values [{v_lo}, {v_hi}] of segment {i}")
+    x = segment_inverse(rows, t)
+    return float(x) if x.ndim == 0 else x

@@ -6,8 +6,11 @@ form, so these helpers provide a structurally different route to the same
 integrals; ``weighted_objective`` is the fit's length-weighted squared error.
 ``recursive_simpson`` is the scalar adaptive Simpson the batched library
 routine must reproduce, and ``per_level_build`` the per-level quantizer
-construction, with its scalar ``scalar_invert_segment``, that the single-pass
-``build`` must reproduce.  ``per_candidate_sweep`` is the threshold sweep that
+construction that the single-pass ``build`` must reproduce: the same failures
+and texts, and to 1e-13 relative the same points, since its scalar
+``scalar_invert_segment`` solves for both roots of the quadratic with the
+general cancellation-free formula, a route independent of the library's
+one-branch inverse.  ``per_candidate_sweep`` is the threshold sweep that
 fits, builds and scores one candidate at a time (``scalar_fit``, the
 closed-form Legendre projection in Python floats, ``per_level_build``,
 ``scalar_sqnr``), the reference for the library's one array pass over all
@@ -17,10 +20,11 @@ both halves, the reference for the library's positive-half iteration.
 searching the boundaries draw by draw, as ``encode`` does, the reference for
 the library's sort-and-cut of each shard.
 ``make_spline`` builds a spline from per-segment rows (c0, c1, c2, lo, hi);
-``segment_rows``, ``scalar_value`` and ``scalar_slope`` read them back for
-the scalar references.  The ``mp_`` helpers evaluate closed forms, or solve
-the fit's normal equations, in 50-digit mpmath arithmetic; they import
-mpmath when called, so tests that use them skip where it is not installed.
+``segment_rows``, ``scalar_value``, ``scalar_slope`` and ``knot_values`` read
+them back for the scalar references.  The ``mp_`` helpers evaluate closed
+forms, solve the fit's normal equations, or invert a segment, in 50-digit
+mpmath arithmetic; they import mpmath when called, so tests that use them
+skip where it is not installed.
 """
 
 from __future__ import annotations
@@ -102,6 +106,14 @@ def scalar_slope(segment, x: float) -> float:
     """Segment slope c1 + 2*c2*x at ``x`` in Python floats."""
     _, c1, c2, _, _ = segment
     return c1 + 2.0 * c2 * x
+
+
+def knot_values(spline: QuadraticSpline) -> tuple[float, ...]:
+    """The curve's values at all knots, an interior knot taking its left
+    segment's value, in Python floats; the first entry is the leading
+    segment's value at its own left edge."""
+    rows = segment_rows(spline)
+    return (scalar_value(rows[0], rows[0][3]),) + tuple(scalar_value(r, r[4]) for r in rows)
 
 
 def residual_moments(target, segment, order: int = 80) -> list[float]:
@@ -226,6 +238,23 @@ def mp_overload_closed(x_max: float) -> float:
     with mpmath.workdps(MP_DIGITS):
         x = mpmath.mpf(x_max)
         return float(mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-x * x / 2) / x**3)
+
+
+def mp_segment_root(segment, target: float) -> float:
+    """The root on the increasing branch of a segment row (c0, c1, c2, lo, hi)
+    for ``target`` at 50 digits: (-c1 + sqrt(c1^2 - 4*c2*(c0 - target)))/(2*c2),
+    where the slope c1 + 2*c2*x is the positive square root, or
+    (target - c0)/c1 when c2 is 0.  A target below the value at lo gives lo."""
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        c0, c1, c2, lo, _ = (mpmath.mpf(v) for v in segment)
+        t = mpmath.mpf(target)
+        if t <= c0 + lo * (c1 + c2 * lo):
+            return float(lo)
+        if c2 == 0:
+            return float((t - c0) / c1)
+        return float((-c1 + mpmath.sqrt(c1 * c1 - 4 * c2 * (c0 - t))) / (2 * c2))
 
 
 def mp_invert_compressor(x_max: float, value: float) -> float:
@@ -377,10 +406,10 @@ def _assign_targets(
     spline: QuadraticSpline, config: DesignConfig
 ) -> tuple[list[list[float]], float]:
     """Partition the half-step target grid (k - 1/2)*delta among segments:
-    segment i takes the targets in [value(knot_i), value(knot_{i+1})), the
-    last interval closed on the right."""
+    segment i takes the targets in [value(knot_i), value(knot_{i+1})), after
+    checking that the knot values increase and enclose every target."""
     delta = step_size(config)
-    kv = spline.knot_values()
+    kv = knot_values(spline)
     if any(a >= b for a, b in zip(kv, kv[1:])):
         values = ", ".join(f"{v:.6g}" for v in kv)
         raise DesignError(f"compressed knot values not increasing: ({values})")
@@ -388,14 +417,16 @@ def _assign_targets(
         raise DesignError(
             f"fitted value at 0 ({kv[0]:.6f}) reaches the first target {0.5 * delta:.6f}"
         )
+    last_target = (config.granular_per_side - 0.5) * delta
+    if not kv[-1] > last_target:
+        raise DesignError(
+            f"fitted value at x_max ({kv[-1]:.6f}) "
+            f"does not exceed the last target {last_target:.6f}"
+        )
     per_segment: list[list[float]] = [[] for _ in segment_rows(spline)]
     last = len(per_segment) - 1
     for k in range(1, config.granular_per_side + 1):
         t = (k - 0.5) * delta
-        if t < kv[0] or t > kv[-1]:
-            raise DesignError(
-                f"target {t:.6f} outside fitted compressed range [{kv[0]:.6f}, {kv[-1]:.6f}]"
-            )
         i = min(max(bisect.bisect_right(kv, t) - 1, 0), last)
         per_segment[i].append(t)
     return per_segment, delta
@@ -431,7 +462,7 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
         raise DesignError(f"level inversion failed: {exc}") from exc
 
     m = config.granular_per_side
-    kv = spline.knot_values()
+    kv = knot_values(spline)
     thresholds: list[float] = []
     try:
         for k in range(1, m):

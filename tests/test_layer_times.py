@@ -17,7 +17,8 @@ def test_prints_every_layer_with_median_and_iqr(capsys):
     got = [(row["layer"], row["size"]) for row in table["layers"]]
     assert got == [
         ("erf", 65), ("erf", 40_000),
-        ("target_moments", 16), ("sweep", 16), ("evaluate_candidate", 16), ("refine", 16),
+        ("target_moments", 16), ("sweep", 16), ("evaluate_candidate", 16), ("build", 16),
+        ("refine", 16),
         # no candidate builds at N = 1024: only the sweep itself is timed
         ("sweep", 1024),
     ]

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 
@@ -25,13 +26,18 @@ from splinequant import (
     tail_centroid,
 )
 
+from splinequant.quantizer_design import score_batch
 from splinequant.spline_fit import fit_batch, target_moments
+from splinequant.threshold_optimizer import sweep
 
 from _oracles import (
     gaussian_cell_distortion,
+    knot_values,
     make_spline,
+    mp_segment_root,
     per_level_build,
     scalar_slope,
+    scalar_value,
     segment_rows,
     splines,
     uniform_midpoint_quantizer,
@@ -121,7 +127,7 @@ class TestAllocateLevels:
     def test_matches_real_valued_ratio_within_one(self, fitted16):
         config, spline, q = fitted16
         counts = q.counts
-        kv = spline.knot_values()
+        kv = knot_values(spline)
         m = config.granular_per_side
         for i, count in enumerate(counts):
             ratio = m * (kv[i + 1] - kv[i]) / (kv[-1] - kv[0])
@@ -200,11 +206,12 @@ class TestBuild:
 
     @pytest.mark.parametrize("n_levels", [8 * 2**k for k in range(9)])
     def test_equals_per_level_build_over_sweep_grid(self, n_levels):
-        # the single pass over the half-step grid gives the per-level
-        # construction's quantizer bit for bit, and fails on the same
-        # candidates with the same text (no candidate has a target beyond
-        # the fitted range, whose text differs: see
-        # test_target_beyond_fitted_range_rejected)
+        # the single pass over the half-step grid fails on the same candidates
+        # as the per-level construction, with the same text, and otherwise
+        # gives the same segments and counts; its one-branch inverse puts
+        # levels and thresholds within 1e-13 relative of the reference's
+        # general two-root solve (measured: 2.6e-15), and the cell lengths,
+        # a slope or a difference of them, within 1e-12 (measured: 3.3e-14)
         x_max = support_threshold(UNIT, n_levels)
         configs = [
             standard_config(n_levels, (0.5 * x_max + k * 0.05,))
@@ -222,16 +229,58 @@ class TestBuild:
                 assert str(info.value) == str(exc)
                 continue
             got = build(spline, config)
-            assert got == want
+            for field in ("config", "spline", "step", "counts", "level_segments", "overload_level"):
+                assert getattr(got, field) == getattr(want, field), field
+            for field, rel in (
+                ("levels", 1e-13),
+                ("thresholds", 1e-13),
+                ("cell_lengths_asymptotic", 1e-12),
+                ("cell_lengths_exact", 1e-12),
+            ):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel, abs=0.0)
             for table in (got.levels, got.thresholds, got.cell_lengths_asymptotic):
                 assert all(type(v) is float for v in table)
             assert all(type(c) is int for c in got.counts + got.level_segments)
 
+    @pytest.mark.parametrize("n_levels", [16, 32, 64, 128, 256, 512])
+    def test_preimages_match_mpmath_roots(self, n_levels):
+        # every level and inner threshold of sampled valid sweep candidates
+        # is within 1e-14 relative of the 50-digit root, on the increasing
+        # branch of its segment, of the stored coefficients (measured: 5.8e-15)
+        pytest.importorskip("mpmath")
+        valid = [c.x1 for c in sweep(n_levels).candidates if c.valid]
+        for x1 in valid[:: max(1, len(valid) // 4)]:
+            q = sq.evaluate_candidate(n_levels, x1).quantizer
+            rows = segment_rows(q.spline)
+            grid = (np.arange(1, 2 * q.config.granular_per_side) * (0.5 * q.step)).tolist()
+            inner = [scalar_value(r, r[4]) for r in rows[:-1]]
+            points = [p for pair in zip(q.levels, q.thresholds) for p in pair][: len(grid)]
+            for t, x in zip(grid, points):
+                want = mp_segment_root(rows[bisect.bisect_right(inner, t)], t)
+                assert x == pytest.approx(want, rel=1e-14, abs=0.0), (x1, t)
+
     def test_target_beyond_fitted_range_rejected(self):
-        # 0.8x reaches 2.4 at x_max = 3, below the top level target 2.5
+        # 0.8x reaches 2.4 at x_max = 3, below the top level target 2.5: a
+        # curve check, the mirror of the check on the value at 0
         spline = make_spline((0.0, 0.8, 0.0, 0.0, 3.0))
-        with pytest.raises(DesignError, match="target 2.5"):
+        with pytest.raises(DesignError, match=r"at x_max \(2.400000\) .* last target 2.500000"):
             build(spline, DesignConfig(8, KnotVector((0.0, 3.0)), UNIT))
+
+    @pytest.mark.parametrize("segment", [0, 1])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_fails_a_curve_check(self, fitted16, segment, row, bad):
+        # build raises, and score_batch marks the candidate invalid, with the
+        # same curve-check reason, before any grid point is inverted
+        config, spline, _ = fitted16
+        table = np.array(spline.coefficients)
+        table[row, segment] = bad
+        with pytest.raises(DesignError) as info:
+            build(QuadraticSpline(table), config)
+        assert str(info.value) == f"fitted curve not finite on segment {segment}"
+        reports, failures = score_batch(np.stack((spline.coefficients, table)), config)
+        assert reports[0] is not None and reports[1] is None
+        assert failures == [None, str(info.value)]
 
     @staticmethod
     def jump_build(value_at_knot: float) -> sq.CompandingQuantizer:

@@ -15,7 +15,7 @@ from splinequant import (
     support_threshold,
 )
 
-from splinequant.spline_fit import curve_value, fit_batch, target_moments
+from splinequant.spline_fit import curve_slope, curve_value, fit_batch, target_moments
 from splinequant.threshold_optimizer import sweep
 
 from _oracles import (
@@ -53,6 +53,13 @@ def fitted_splines(n_levels: int) -> list[QuadraticSpline]:
     knots = [(0.0, x1, x_max) for x1 in np.arange(0.5 * x_max, x_max, 0.1).tolist()]
     target = lambda x: compressor(UNIT, x_max, x)
     return splines(fit_batch(knots, target_moments(target, knots)))
+
+
+def owning_segment_value(spline: QuadraticSpline, x: float) -> float:
+    """The curve's value at ``x`` on the segment that owns it, an interior
+    knot taking its left segment."""
+    rows = segment_rows(spline)
+    return scalar_value(rows[max(0, bisect.bisect_left(spline.knots, x) - 1)], x)
 
 
 @pytest.fixture(scope="module")
@@ -99,51 +106,25 @@ class TestQuadraticSpline:
         table = np.array([[0.0], [1.0], [0.0], [0.0], [1.0]])
         sp = QuadraticSpline(table)
         table[1, 0] = 5.0
-        assert sp.derivative(0.5) == 1.0
+        assert sp.coefficients[1, 0] == 1.0
         with pytest.raises(ValueError):
             sp.coefficients[1, 0] = 5.0
 
-    def test_domain_errors(self):
-        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            sp.value(-0.1)
-        with pytest.raises(ValueError):
-            sp.value(1.1)
-        with pytest.raises(ValueError, match="x=1.1 outside"):
-            sp.derivative(np.array([0.5, 1.1, -0.1]))
-
-    def test_knot_ties_break_left(self):
-        # deliberately discontinuous: left piece is x, right piece is x + 1
-        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0, 2.0))
-        assert sp.value(1.0) == 1.0  # left polynomial, not 2.0
-        assert sp.value(1.0 + 1e-12) > 2.0 - 1e-9
-        assert sp.knot_jumps() == (1.0,)
-
-    def test_knot_ties_break_left_for_arrays_and_slopes(self):
-        # left piece x, right piece 1 + 2x: value and slope both jump at 1
-        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0, 2.0))
-        assert sp.derivative(1.0) == 1.0  # left slope, not 2.0
-        assert sp.value(np.array([0.0, 1.0, 2.0])).tolist() == [0.0, 1.0, 5.0]
-        assert sp.derivative(np.array([[1.0, 1.5]])).tolist() == [[1.0, 2.0]]
-
-    def test_knot_values_use_left_convention(self):
-        sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 0.0, 1.0, 2.0))
-        assert sp.knot_values() == (0.0, 1.0, 3.0)
-
     @pytest.mark.parametrize("n_levels", [16, 64, 256])
     def test_array_evaluation_equals_scalar_calls(self, n_levels):
-        # every element equals the scalar call and the per-segment scalar
-        # formula bit for bit, the knots included (left segment), in any shape
+        # curve_value and curve_slope on the owning segments' columns equal
+        # the per-segment scalar formula bit for bit, the knots included
+        # (left segment), in any shape
         for sp in fitted_splines(n_levels):
             rows = segment_rows(sp)
             xs = np.concatenate((np.linspace(0.0, sp.knots[-1], 23), sp.knots))
             owner = [max(0, bisect.bisect_left(sp.knots, x) - 1) for x in xs.tolist()]
-            for method, formula in ((sp.value, scalar_value), (sp.derivative, scalar_slope)):
-                got = method(xs)
-                assert got.tolist() == [method(x) for x in xs.tolist()]
+            columns = sp.coefficients.take(owner, axis=1)
+            for kernel, formula in ((curve_value, scalar_value), (curve_slope, scalar_slope)):
+                got = kernel(columns, xs)
                 assert got.tolist() == [formula(rows[i], x) for i, x in zip(owner, xs.tolist())]
-                assert method(xs.reshape(-1, 1)).tolist() == got.reshape(-1, 1).tolist()
-                assert all(type(method(x)) is float for x in xs.tolist())
+                grid = kernel(columns[:, :, None], xs.reshape(-1, 1))
+                assert grid.tolist() == got.reshape(-1, 1).tolist()
 
     @pytest.mark.parametrize("n_levels", [16, 64, 256])
     def test_knot_jumps_and_values_equal_scalar_formula(self, n_levels):
@@ -153,9 +134,10 @@ class TestQuadraticSpline:
                 abs(scalar_value(right, right[3]) - scalar_value(left, left[4]))
                 for left, right in zip(rows, rows[1:])
             )
-            assert sp.knot_values() == (scalar_value(rows[0], rows[0][3]),) + tuple(
-                scalar_value(seg, seg[4]) for seg in rows
-            )
+            table = sp.coefficients
+            for end in (3, 4):  # the rows lo and hi
+                want = [scalar_value(seg, seg[end]) for seg in rows]
+                assert curve_value(table, table[end]).tolist() == want
 
 
 class TestFitExactRecovery:
@@ -242,29 +224,31 @@ class TestFitObjective:
 class TestEvalAndDeriv:
     def test_identity_fit_midpoint(self):
         sp = fit(lambda x: x, KnotVector((0.0, 1.0)))
-        assert sp.value(0.5) == pytest.approx(0.5, abs=1e-13)
+        assert curve_value(sp.coefficients, 0.5)[0] == pytest.approx(0.5, abs=1e-13)
 
     def test_fitted_offset_at_zero(self, gauss_spline):
         c0 = segment_rows(gauss_spline)[0][0]
-        assert gauss_spline.value(0.0) == c0
+        assert curve_value(gauss_spline.coefficients[:, 0], 0.0) == c0
         assert c0 != 0.0
 
     def test_identity_derivative(self):
         sp = fit(lambda x: x, KnotVector((0.0, 2.0)))
         for x in (0.0, 0.5, 1.7, 2.0):
-            assert sp.derivative(x) == pytest.approx(1.0, abs=1e-12)
+            assert curve_slope(sp.coefficients, x)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_square_derivative(self):
         sp = make_spline((0.0, 0.0, 1.0, 0.0, 3.0))
-        assert sp.derivative(2.0) == pytest.approx(4.0, rel=1e-15)
+        assert curve_slope(sp.coefficients, 2.0)[0] == pytest.approx(4.0, rel=1e-15)
 
     def test_derivative_matches_finite_difference(self, gauss_spline):
         h = 1e-6
-        for x in np.linspace(0.05, X_MAX_16 - 0.05, 40):
+        for x in np.linspace(0.05, X_MAX_16 - 0.05, 40).tolist():
             if min(abs(x - k) for k in GAUSS_KNOTS.knots) < 2 * h:
                 continue
-            fd = (gauss_spline.value(x + h) - gauss_spline.value(x - h)) / (2 * h)
-            assert gauss_spline.derivative(x) == pytest.approx(fd, rel=1e-6)
+            up, down = (owning_segment_value(gauss_spline, x + e) for e in (h, -h))
+            fd = (up - down) / (2 * h)
+            seg = segment_rows(gauss_spline)[bisect.bisect_left(GAUSS_KNOTS.knots, x) - 1]
+            assert curve_slope(seg, x) == pytest.approx(fd, rel=1e-6)
 
 
 class TestInvertSegment:
@@ -272,27 +256,35 @@ class TestInvertSegment:
         sp = make_spline((0.0, 1.0, 0.0, 0.0, 1.0))
         assert invert_segment(sp, 0, 0.7) == pytest.approx(0.7, abs=1e-14)
 
-    def test_out_of_domain_root_rejected(self):
-        sp = make_spline((0.0, 0.0, 1.0, 0.0, 3.0))
+    def test_increasing_branch_root(self):
+        # x^2 = 4 on [1, 3]: the root 2 of the increasing branch
+        sp = make_spline((0.0, 0.0, 1.0, 1.0, 3.0))
         assert invert_segment(sp, 0, 4.0) == pytest.approx(2.0, rel=1e-14)
 
-    def test_no_real_root(self):
+    def test_out_of_domain_root_rejected(self):
+        # x^2 on [0, 3] has slope 0 at its left end: not increasing there
         sp = make_spline((0.0, 0.0, 1.0, 0.0, 3.0))
-        with pytest.raises(InversionError):
+        with pytest.raises(InversionError, match="segment 0 not increasing"):
+            invert_segment(sp, 0, 4.0)
+
+    def test_no_real_root(self):
+        sp = make_spline((0.0, 0.0, 1.0, 1.0, 3.0))
+        with pytest.raises(InversionError, match=r"target -1.0 outside the values \[1.0, 9.0\]"):
             invert_segment(sp, 0, -1.0)
 
     def test_no_root_in_domain(self):
-        sp = make_spline((0.0, 0.0, 1.0, 0.0, 1.0))
-        with pytest.raises(InversionError):
+        sp = make_spline((0.0, 0.0, 1.0, 0.5, 1.0))
+        with pytest.raises(InversionError, match="target 4.0 outside"):
             invert_segment(sp, 0, 4.0)
 
     def test_two_roots_in_domain_signal_non_monotonic(self):
         sp = make_spline((0.0, -3.0, 1.0, 0.0, 4.0))
         # vertex at 1.5: values 0 at x=0 and x=3, both inside [0, 4]
-        with pytest.raises(InversionError):
+        with pytest.raises(InversionError, match="not increasing"):
             invert_segment(sp, 0, 0.0)
 
     def test_linear_fallback(self):
+        # c2 = 0: the one-branch formula reduces to the linear solve
         sp = make_spline((1.0, 2.0, 0.0, 0.0, 5.0))
         assert invert_segment(sp, 0, 7.0) == pytest.approx(3.0, rel=1e-14)
 
@@ -304,9 +296,16 @@ class TestInvertSegment:
                 y = invert_segment(gauss_spline, i, t)
                 assert scalar_value(seg, y) == pytest.approx(t, abs=1e-10)
 
+    def test_ends_map_to_ends(self, gauss_spline):
+        for i, seg in enumerate(segment_rows(gauss_spline)):
+            assert invert_segment(gauss_spline, i, scalar_value(seg, seg[3])) == seg[3]
+            assert invert_segment(gauss_spline, i, scalar_value(seg, seg[4])) == pytest.approx(
+                seg[4], rel=1e-14
+            )
+
     def test_constant_segment_rejected(self):
         sp = make_spline((1.0, 0.0, 0.0, 0.0, 1.0))
-        with pytest.raises(InversionError, match="constant"):
+        with pytest.raises(InversionError, match="not increasing"):
             invert_segment(sp, 0, 1.0)
 
 
@@ -319,31 +318,35 @@ class TestInvertSegmentArrays:
     }
 
     @staticmethod
-    def scalar_outcome(invert, spline, i, t):
+    def scalar_outcome(spline, i, t):
         try:
-            return invert(spline, i, t)
+            return invert_segment(spline, i, t)
         except InversionError as exc:
             return str(exc)
 
     @pytest.mark.parametrize("name", sorted(SPLINES))
     def test_elementwise_equal_to_scalar_calls(self, name):
-        # every element equals the library's scalar call and the per-point
-        # reference solve bit for bit; an array raises exactly when one of
-        # its elements does, with the message of the first such element
+        # every element equals the library's scalar call bit for bit; a point
+        # fails exactly when its segment's slope is not positive at both ends
+        # or the target lies outside the segment's values, and otherwise lies
+        # within 1e-13 relative of the reference's general two-root solve; an
+        # array raises exactly when one of its elements does, with the
+        # message of the first such element
         spline = self.SPLINES[name]
         rng = np.random.default_rng(5)
-        values = [spline.value(x) for x in np.linspace(spline.knots[0], spline.knots[-1], 7)]
+        values = [owning_segment_value(spline, x) for x in np.linspace(0.0, spline.knots[-1], 7)]
         lo, hi = min(values), max(values)
         targets = np.concatenate((values, rng.uniform(lo - 1.0, hi + 1.0, 40)))
-        for i in range(len(spline.knots) - 1):
-            outcomes, reference = (
-                [self.scalar_outcome(invert, spline, i, float(t)) for t in targets]
-                for invert in (invert_segment, scalar_invert_segment)
-            )
-            assert outcomes == reference
-            solvable = np.array([not isinstance(o, str) for o in outcomes])
+        for i, seg in enumerate(segment_rows(spline)):
+            outcomes = [self.scalar_outcome(spline, i, float(t)) for t in targets]
+            rising = scalar_slope(seg, seg[3]) > 0.0 and scalar_slope(seg, seg[4]) > 0.0
+            reach = (scalar_value(seg, seg[3]), scalar_value(seg, seg[4]))
+            solvable = np.array([rising and reach[0] <= t <= reach[1] for t in targets.tolist()])
+            assert [not isinstance(o, str) for o in outcomes] == solvable.tolist()
             got = invert_segment(spline, np.full(solvable.sum(), i), targets[solvable])
             assert got.tolist() == [o for o in outcomes if not isinstance(o, str)]
+            want = [scalar_invert_segment(spline, i, t) for t in targets[solvable].tolist()]
+            assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
             if not solvable.all():
                 with pytest.raises(InversionError) as info:
                     invert_segment(spline, i, targets)

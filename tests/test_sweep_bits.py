@@ -4,8 +4,10 @@
 fit moments, of every candidate's (x1, sqnr_db, valid, failure) and of
 ``refine(sweep(N))``; ``tools/sweep_bits.py`` wrote it and computes the same
 digests here.  A speedup of the quadrature or of any layer after it must
-leave them unchanged.  Computing the fit moments in closed form instead of by
-adaptive quadrature (ROADMAP item 2) moves them on purpose; that change
+leave them unchanged.  A change that alters the arithmetic on purpose moves
+them: computing the fit moments in closed form instead of by adaptive
+quadrature (ROADMAP item 2) does, and so did inverting the grid with the
+one-branch root of ``spline_fit.segment_inverse``.  Such a change
 regenerates the file with the tool and commits it alongside.
 """
 

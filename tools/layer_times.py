@@ -10,6 +10,8 @@ milliseconds for the rest:
 * ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
   one quadrature pass the sweep makes;
 * ``evaluate_candidate``: one design at the threshold ``sweep(N)`` picks;
+* ``build``: one ``build`` of the spline fitted at that threshold, the fit
+  made before the timer starts;
 * ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result.
 
 N runs over 16, 32, ..., 1024 unless ``--levels`` names others.  ``sweep``
@@ -51,7 +53,8 @@ def layers(levels, repeat: int) -> list[dict]:
     import numpy as np
 
     from splinequant import gauss_analytics, threshold_optimizer as opt
-    from splinequant.spline_fit import target_moments
+    from splinequant.quantizer_design import build, standard_config
+    from splinequant.spline_fit import fit, target_moments
 
     rows = []
     for size in (65, 40_000):
@@ -72,10 +75,13 @@ def layers(levels, repeat: int) -> list[dict]:
             x_max, source = result.x_max, result.source
             target = lambda x: gauss_analytics.compressor(source, x_max, x)
             knots = [(0.0, c.x1, x_max) for c in result.candidates]
+            config = standard_config(n, (result.best_x1,), source)
+            spline = fit(target, config.knots)
             timed = [
                 ("target_moments", lambda: target_moments(target, knots)),
                 *timed,
                 ("evaluate_candidate", lambda: opt.evaluate_candidate(n, result.best_x1, source)),
+                ("build", lambda: build(spline, config)),
                 ("refine", lambda: opt.refine(result)),
             ]
         for layer, fn in timed:

@@ -15,8 +15,9 @@ adaptive quadrature and everything downstream of it bit for bit, so a speedup
 of those layers has to leave every bit where it was.
 
 Run it only when a change alters the sweep's bits on purpose -- computing the
-fit moments in closed form instead of by quadrature is such a change -- and
-commit the result with that change, so that review sees what moved::
+fit moments in closed form instead of by quadrature, or a new root formula for
+the grid inversion, is such a change -- and commit the result with that
+change, so that review sees what moved::
 
     python3 tools/sweep_bits.py
 
