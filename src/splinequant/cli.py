@@ -15,7 +15,7 @@ the ``<out>.manifest.json`` sidecar lists the path.  An --out that is a
 directory, or whose directory is missing or not writable, is a usage error,
 found before any work.  Tabular CSV (sweep, table1) has the JSON row keys as
 columns, in order; the other commands flatten to field,index,value rows.
---samples is an integer from 1 to 10^9.
+--levels is at most 65,536 and --samples an integer from 1 to 10^9.
 Exit codes: 0 success, 1 failed validation verdict, 2 usage error, 3 design or
 numerical failure.
 """
@@ -47,6 +47,11 @@ TABLE1_LEVELS = (16, 32)
 
 # --samples ceiling: about 0.05 s of Monte-Carlo work per 10^6 samples
 MAX_SAMPLES = 10**9
+
+# --levels ceiling: work and memory grow with N (the half-step grid alone
+# holds N-3 floats, 8 GiB at N = 2^30, and lloyd-max inverts the compressor
+# N/2 times before its first iteration)
+MAX_LEVELS = 65_536
 
 # the options a manifest records, in document order; each command has a subset
 MANIFEST_PARAMETERS = ("levels", "x1", "grid_step", "samples", "seed", "format")
@@ -199,20 +204,21 @@ def _table1_rows(grid_step: float) -> list[dict]:
     out = []
     for n in TABLE1_LEVELS:
         source = SourceModel()
-        x_max = support_threshold(source, n)
-        midpoint = 0.5 * x_max
-        equ = evaluate_candidate(n, midpoint, source).report
         swept = sweep(n, grid_step, source)
+        # the sweep's first candidate is the midpoint design x1 = x_max/2
+        equ = swept.candidates[0]
+        if not equ.valid:
+            raise DesignError(equ.failure)
         opt = lloyd_max(source, n)
         out.append(
             {
                 "n_levels": n,
                 "bits": math.log2(n),
-                "x_max": x_max,
+                "x_max": swept.x_max,
                 "sqnr_equ_db": equ.sqnr_db,
                 "sqnr_num_db": swept.best_sqnr_db,
                 "sqnr_opt_db": opt.sqnr_db,
-                "x1_equ": midpoint,
+                "x1_equ": equ.x1,
                 "x1_num": swept.best_x1,
             }
         )
@@ -266,6 +272,8 @@ def _even_levels(value: str) -> int:
     n = int(value)
     if n < 4 or n % 2:
         raise argparse.ArgumentTypeError(f"levels must be even and >= 4, got {n}")
+    if n > MAX_LEVELS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_LEVELS:,} levels, got {n}")
     return n
 
 

@@ -27,8 +27,9 @@ Design conventions
   headline SQNR combines it with the asymptotic overload term; the exact
   overload term, from the closed-form tail moment, is reported alongside.
   This module owns the model: one half-step grid, one granular kernel and
-  one report function serve ``sqnr``, ``score_batch`` and the exact-compressor
-  comparator ``reference_oracles.exact_compressor_sqnr``.
+  one report function serve ``sqnr`` and ``score_batch``; the kernel and the
+  report also serve the exact-compressor comparator
+  ``reference_oracles.exact_compressor_sqnr``.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ that its numbers can be cross-checked:
                         its starting codebook is the exact compressor's.
 
 ``exact_compressor_sqnr`` shares the model by design: it scores the
-closed-form optimal compressor with ``quantizer_design``'s own grid, granular
-kernel and report, so that it differs from a fitted design only by the fit.
+closed-form optimal compressor with ``quantizer_design``'s own granular kernel
+and report, so that it differs from a fitted design only by the fit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivat
 from .gauss_analytics import pdf, tail_centroid
 from .quantizer_design import (
     CompandingQuantizer,
-    DesignConfig,
     DistortionReport,
     _granular,
     _half_step_grid,
@@ -131,19 +130,13 @@ def true_distortion(q: CompandingQuantizer) -> float:
 
 def _initial_levels(source: SourceModel, n_levels: int) -> list[float]:
     """Positive half of the starting codebook for an even ``n_levels``: the
-    exact compressor's levels and the overload level, or the upper normal
-    quartile for N = 2."""
+    exact compressor's levels, the preimages of the half-step grid's level
+    targets, and the overload level, or the upper normal quartile for N = 2."""
     if n_levels == 2:
         return [NormalDist(0.0, source.sigma).inv_cdf(0.75)]
     cfg = standard_config(n_levels, (), source)
-    return _compressor_levels(cfg) + [tail_centroid(source, cfg.x_max)]
-
-
-def _compressor_levels(cfg: DesignConfig) -> list[float]:
-    """Positive granular levels of ``cfg`` under the optimal compressor: the
-    preimages of the half-step grid's level targets."""
-    targets = _half_step_grid(cfg)[::2].tolist()
-    return [_invert_compressor(cfg.source, cfg.x_max, v) for v in targets]
+    levels = [_invert_compressor(source, cfg.x_max, v) for v in _half_step_grid(cfg)[::2].tolist()]
+    return levels + [tail_centroid(source, cfg.x_max)]
 
 
 def _invert_compressor(source: SourceModel, x_max: float, value: float) -> float:
@@ -224,14 +217,16 @@ def lloyd_max(
 def exact_compressor_sqnr(source: SourceModel, n_levels: int) -> DistortionReport:
     """Companding-model SQNR with the closed-form optimal compressor itself.
 
-    The one-design case of the fitted designs' model with no fit: the
-    levels are the optimal compressor's preimages of the half-step grid, the
-    slopes its derivative there, and the report ``quantizer_design``'s own;
-    serves as the no-fit-error comparator.  N must be even and >= 4, as for
-    every design (``DesignConfig`` raises ``ValueError`` otherwise).
+    The one-design case of the fitted designs' model with no fit, scored with
+    ``quantizer_design``'s own granular kernel and report; serves as the
+    no-fit-error comparator.  Under the optimal compressor pdf/c'^3 is the
+    same at every level (Panter & Dite 1951), so the granular term is
+    (N-2)/2 copies of the kernel's term at 0: (N-2)/2 * delta^3/6 *
+    pdf(0)/c'(0)^3, with no compressor inversion.  N must be even and >= 4,
+    as for every design (``DesignConfig`` raises ``ValueError`` otherwise).
     """
     cfg = standard_config(n_levels, (), source)
-    levels = _compressor_levels(cfg)
-    slopes = [compressor_derivative(source, cfg.x_max, y) for y in levels]
-    (report,) = _model_reports([float(_granular(np.array(levels), np.array(slopes), cfg))], cfg)
+    slope = np.array([compressor_derivative(source, cfg.x_max, 0.0)])
+    granular = cfg.granular_per_side * float(_granular(np.zeros(1), slope, cfg))
+    (report,) = _model_reports([granular], cfg)
     return report

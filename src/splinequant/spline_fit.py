@@ -16,6 +16,7 @@ inverts a segment on its increasing branch, the only one a valid design uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,7 +44,8 @@ class InversionError(ValueError):
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Strictly increasing breakpoints starting at 0; the last one is the design edge."""
+    """Strictly increasing finite breakpoints starting at 0; the last one is
+    the design edge."""
 
     knots: tuple[float, ...]
 
@@ -51,6 +53,10 @@ class KnotVector:
         object.__setattr__(self, "knots", tuple(float(k) for k in knots))
         if len(self.knots) < 2:
             raise ValueError("need at least two knots (one segment)")
+        # NaN fails every comparison, so the ordering check below cannot catch it
+        bad = [k for k in self.knots if not math.isfinite(k)]
+        if bad:
+            raise ValueError(f"knots must be finite, got {bad} in {self.knots}")
         if self.knots[0] != 0.0:
             raise ValueError(f"first knot must be 0, got {self.knots[0]}")
         if any(a >= b for a, b in zip(self.knots, self.knots[1:])):

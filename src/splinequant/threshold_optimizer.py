@@ -3,15 +3,14 @@ threshold, and optional golden-section refinement of the SQNR maximum."""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .gauss_analytics import SourceModel, compressor, support_threshold
 from .quantizer_design import (
     CompandingQuantizer,
-    DesignError,
+    DesignConfig,
     DistortionReport,
     build,
     score_batch,
@@ -29,10 +28,7 @@ __all__ = [
     "evaluate_candidate",
     "sweep",
     "refine",
-    "unimodality_violations",
 ]
-
-log = logging.getLogger(__name__)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -69,7 +65,6 @@ class SweepResult:
     candidates: tuple[SweepCandidate, ...]
     best_x1: float
     best_sqnr_db: float
-    best_report: DistortionReport
     n_levels: int
     x_max: float
     grid_step: float
@@ -92,6 +87,18 @@ def evaluate_candidate(n_levels: int, x1: float, source: SourceModel = SourceMod
     return Design(quantizer, sqnr(quantizer))
 
 
+def _score_knots(
+    config: DesignConfig, knots: Sequence[Sequence[float]]
+) -> tuple[list[DistortionReport | None], list[str | None]]:
+    """``score_batch`` of the compressor fitted on each row of a (designs, K+1)
+    knot matrix: one quadrature pass for the fit moments, then ``fit_batch``.
+    Every row shares the level count, support edge and source of ``config``.
+    The one place where the threshold search names its fit target."""
+    source, x_max = config.source, config.x_max
+    moments = target_moments(lambda x: compressor(source, x_max, x), knots)
+    return score_batch(fit_batch(knots, moments), config)
+
+
 def sweep(
     n_levels: int,
     grid_step: float = 0.01,
@@ -99,11 +106,12 @@ def sweep(
 ) -> SweepResult:
     """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max.
 
-    All candidates go through one array pass, with no per-candidate design
-    object: one quadrature pass gives their fit moments, ``fit_batch`` their
-    fitted curves and ``score_batch`` their checks, grid inversions and SQNRs,
-    in blocks of about 2,048 grid points.  Each candidate scores exactly as
-    ``evaluate_candidate`` at its threshold would.  Candidates whose fit
+    All candidates go through one array pass of ``_score_knots``, with no
+    per-candidate design object: one quadrature pass gives their fit moments,
+    ``fit_batch`` their fitted curves and ``score_batch`` their checks, grid
+    inversions and SQNRs, in blocks of about 2,048 grid points.  The first
+    candidate is the midpoint x_max/2 exactly.  Each candidate scores exactly
+    as ``evaluate_candidate`` at its threshold would.  Candidates whose fit
     cannot produce a monotone quantizer are kept in the curve but marked
     invalid, with the reason ``build`` gives, and skipped by the argmax.  Ties
     break toward the smaller threshold.  A ``grid_step`` that would give more
@@ -123,9 +131,7 @@ def sweep(
         grid.append(x1)
     # one config checks the level budget and carries what all candidates share
     config = standard_config(n_levels, (grid[0],), source)
-    knots = [(0.0, x1, x_max) for x1 in grid]
-    moments = target_moments(lambda x: compressor(source, x_max, x), knots)
-    reports, failures = score_batch(fit_batch(knots, moments), config)
+    reports, failures = _score_knots(config, [(0.0, x1, x_max) for x1 in grid])
 
     candidates: list[SweepCandidate] = []
     best: SweepCandidate | None = None
@@ -140,39 +146,15 @@ def sweep(
     if best is None:
         raise SweepError(f"all {len(candidates)} sweep candidates failed to build")
 
-    result = SweepResult(
+    return SweepResult(
         candidates=tuple(candidates),
         best_x1=best.x1,
         best_sqnr_db=best.sqnr_db,
-        best_report=best.report,
         n_levels=n_levels,
         x_max=x_max,
         grid_step=grid_step,
         source=source,
     )
-    bumps = unimodality_violations(result)
-    if bumps:
-        log.warning(
-            "sweep curve for N=%d is not unimodal within 0.05 dB at x1=%s",
-            n_levels,
-            [round(b, 4) for b in bumps],
-        )
-    return result
-
-
-def unimodality_violations(result: SweepResult, tolerance_db: float = 0.05) -> list[float]:
-    """Thresholds that poke more than ``tolerance_db`` above both neighbours
-    while staying below the maximum; empty for a single-peak curve."""
-    valid = [c for c in result.candidates if c.valid]
-    out = []
-    for prev, cur, nxt in zip(valid, valid[1:], valid[2:]):
-        if (
-            cur.sqnr_db < result.best_sqnr_db
-            and cur.sqnr_db > prev.sqnr_db + tolerance_db
-            and cur.sqnr_db > nxt.sqnr_db + tolerance_db
-        ):
-            out.append(cur.x1)
-    return out
 
 
 def refine(
@@ -184,8 +166,11 @@ def refine(
 
     Requires the grid maximum to be interior; a boundary maximum is returned
     unchanged with ``interior=False``.  The refined SQNR never falls below the
-    grid best.  ``objective`` overrides the default full-design evaluation
-    (useful for testing against a known curve).
+    grid best.  By default each point is scored as the sweep scores its
+    candidates, through ``_score_knots`` on one knot row, exactly as
+    ``evaluate_candidate`` would score it; a point that fails to build scores
+    -inf.  ``objective`` overrides that (useful for testing against a known
+    curve).
     """
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -195,12 +180,11 @@ def refine(
         return RefineResult(result.best_x1, result.best_sqnr_db, interior=False)
 
     if objective is None:
+        config = standard_config(result.n_levels, (result.best_x1,), result.source)
 
         def objective(x1: float) -> float:
-            try:
-                return evaluate_candidate(result.n_levels, x1, result.source).report.sqnr_db
-            except DesignError:
-                return -math.inf
+            (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
+            return -math.inf if report is None else report.sqnr_db
 
     lo = result.best_x1 - result.grid_step
     hi = result.best_x1 + result.grid_step

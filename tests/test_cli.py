@@ -1,7 +1,9 @@
+import argparse
 import csv
 import importlib.util
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -117,6 +119,22 @@ class TestTable1Command:
             assert rows[n]["sqnr_equ_db"] <= rows[n]["sqnr_num_db"] <= rows[n]["sqnr_opt_db"]
         assert rows[16]["sqnr_opt_db"] == pytest.approx(20.2223, abs=5e-3)
         assert rows[32]["sqnr_opt_db"] == pytest.approx(26.0125, abs=5e-3)
+
+    def test_invalid_midpoint_exits_3(self, capsys, monkeypatch):
+        # the midpoint row is the sweep's first candidate; if it failed to
+        # build, table1 fails as a design would
+        real_sweep = cli.sweep
+
+        def invalid_midpoint(*args):
+            result = real_sweep(*args)
+            first = replace(result.candidates[0], sqnr_db=None, report=None, valid=False,
+                            failure="synthetic failure")
+            return replace(result, candidates=(first,) + result.candidates[1:])
+
+        monkeypatch.setattr(cli, "sweep", invalid_midpoint)
+        code, out, err = run_cli(["table1", "--grid-step", "0.1"], capsys)
+        assert code == 3
+        assert out == "" and "synthetic failure" in err
 
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(["table1", "--grid-step", "0.1", "--format", "csv"], capsys)
@@ -239,6 +257,23 @@ class TestUsageErrors:
     def test_samples_maximum_parses(self, value):
         args = cli._build_parser().parse_args(["validate", "--samples", value])
         assert args.samples == cli.MAX_SAMPLES == 10**9
+
+    def test_levels_maximum_parses(self):
+        assert cli._even_levels(str(cli.MAX_LEVELS)) == cli.MAX_LEVELS == 65_536
+        with pytest.raises(argparse.ArgumentTypeError, match="at most 65,536 levels"):
+            cli._even_levels(str(cli.MAX_LEVELS + 2))
+
+    @pytest.mark.parametrize("command", ["design", "sweep", "validate", "lloyd-max"])
+    def test_levels_above_maximum_rejected_before_any_work(self, command, capsys, monkeypatch):
+        def forbidden(args):
+            raise AssertionError("the command ran")
+
+        for name in ("_cmd_design", "_cmd_sweep", "_cmd_validate", "_cmd_lloyd_max"):
+            monkeypatch.setattr(cli, name, forbidden)
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--levels", str(cli.MAX_LEVELS + 2)])
+        assert info.value.code == 2
+        assert "at most 65,536 levels" in capsys.readouterr().err
 
     def test_negative_seed_rejected_before_any_work(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "evaluate_candidate", None)

@@ -80,6 +80,15 @@ class TestKnotVector:
         with pytest.raises(ValueError):
             KnotVector((0.0,))
 
+    @pytest.mark.parametrize(
+        "knots, named",
+        [((0.0, math.nan, 3.0), "nan"), ((0.0, 1.0, math.inf), "inf"), ((0.0, math.nan), "nan")],
+    )
+    def test_requires_finite(self, knots, named):
+        # NaN fails every ordering comparison, so it needs its own check
+        with pytest.raises(ValueError, match=rf"knots must be finite, got \[{named}\]"):
+            KnotVector(knots)
+
     def test_properties(self):
         kv = KnotVector((0.0, 1.0, 2.5))
         assert kv.n_segments == 2

@@ -13,10 +13,29 @@ from splinequant.threshold_optimizer import (
     SweepResult,
     refine,
     sweep,
-    unimodality_violations,
 )
 
 from _oracles import per_candidate_sweep
+
+
+def spikes(result: SweepResult, tolerance_db: float = 0.05) -> list[float]:
+    """Thresholds of valid candidates more than ``tolerance_db`` above both
+    valid neighbours while below the maximum: local peaks of the curve."""
+    valid = [c for c in result.candidates if c.valid]
+    return [
+        cur.x1
+        for prev, cur, nxt in zip(valid, valid[1:], valid[2:])
+        if result.best_sqnr_db > cur.sqnr_db > max(prev.sqnr_db, nxt.sqnr_db) + tolerance_db
+    ]
+
+
+# the coarse and default grid steps for N = 6 ... 512, the fine step where it
+# is affordable
+_CURVES = [
+    (n, step)
+    for n in (6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+    for step in (0.05, 0.01)
+] + [(16, 0.002), (32, 0.002)]
 
 
 class TestSweep:
@@ -95,9 +114,24 @@ class TestSweep:
             best_x1 = max(powers, key=lambda p: p[1] * scale)[0]
             assert best_x1 == sweep16.best_x1
 
-    def test_single_peak_within_noise(self, sweep16, sweep32):
-        assert unimodality_violations(sweep16) == []
-        assert unimodality_violations(sweep32) == []
+    def test_single_peak_within_noise(self):
+        # every sweep that builds has one peak: no valid candidate pokes more
+        # than 0.05 dB above both valid neighbours below the maximum
+        peaks = {}
+        for n_levels, grid_step in _CURVES:
+            try:
+                peaks[n_levels, grid_step] = spikes(sweep(n_levels, grid_step))
+            except sq.SweepError:
+                continue
+        # only N = 512 at step 0.05 has no valid candidate
+        assert len(peaks) == len(_CURVES) - 1
+        assert {curve: x1s for curve, x1s in peaks.items() if x1s} == {}
+
+    def test_spike_check_finds_a_local_peak(self):
+        xs = [1.0 + 0.01 * k for k in range(6)]
+        result = synthetic_result(xs, [1.0, 1.1, 1.3, 1.2, 1.5, 1.4], 4)
+        assert spikes(result) == [xs[2]]
+        assert spikes(result, tolerance_db=0.2) == []
 
     def test_bad_grid_step(self):
         with pytest.raises(ValueError):
@@ -121,6 +155,13 @@ class TestSweep:
         assert [c.x1 for c in result.candidates] == [
             0.5 * result.x_max + k * grid_step for k in range(count)
         ]
+
+    def test_first_candidate_is_the_midpoint_design(self, sweep16, sweep32):
+        # table1 reports this candidate as the midpoint design
+        for result in (sweep16, sweep32):
+            first = result.candidates[0]
+            assert first.x1 == 0.5 * result.x_max
+            assert first.report == sq.evaluate_candidate(result.n_levels, first.x1).report
 
     def test_interleave_failures_are_short(self):
         # each failure names one out-of-order pair, not every level
@@ -209,7 +250,6 @@ def synthetic_result(xs, values, best_index, grid_step=0.01):
         candidates=candidates,
         best_x1=xs[best_index],
         best_sqnr_db=values[best_index],
-        best_report=None,
         n_levels=16,
         x_max=xs[-1] + grid_step,
         grid_step=grid_step,
@@ -242,6 +282,37 @@ class TestRefine:
         assert refined.interior
         assert refined.sqnr_db >= sweep16.best_sqnr_db
         assert abs(refined.x1 - sweep16.best_x1) <= sweep16.grid_step
+
+    @pytest.mark.parametrize("n_levels", [16, 128])
+    def test_default_objective_scores_as_evaluate_candidate(self, n_levels):
+        # the array pass on one knot row gives evaluate_candidate's SQNR bit
+        # for bit, so both objectives take the same golden-section path
+        result = sweep(n_levels)
+
+        def one_design(x1):
+            try:
+                return sq.evaluate_candidate(n_levels, x1).report.sqnr_db
+            except sq.DesignError:
+                return -math.inf
+
+        assert refine(result) == refine(result, objective=one_design)
+
+    def test_builds_no_design_per_point(self, sweep16, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("refine called a one-design step")
+
+        for name in ("evaluate_candidate", "fit", "build", "sqnr"):
+            monkeypatch.setattr(threshold_optimizer, name, forbidden)
+        assert refine(sweep16).interior
+
+    def test_invalid_point_scores_minus_inf(self, sweep16, monkeypatch):
+        # a point that fails to build is not raised but loses every comparison
+        def all_invalid(tables, config):
+            return [None] * len(tables), ["synthetic failure"] * len(tables)
+
+        monkeypatch.setattr(threshold_optimizer, "score_batch", all_invalid)
+        refined = refine(sweep16)
+        assert refined == RefineResult(sweep16.best_x1, sweep16.best_sqnr_db, interior=True)
 
     def test_tolerance_at_grid_step_keeps_grid_best(self, sweep16):
         refined = refine(sweep16, tolerance=sweep16.grid_step)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -49,25 +48,15 @@ CASES = {
 
 
 def run(argv) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process CLI call.  Package
-    warnings go to the captured stderr as the bare message, as an
-    unconfigured ``logging`` prints them, with or without a host that
-    installs its own handlers (pytest does)."""
+    """Exit code, stdout and stderr of one in-process CLI call."""
     from splinequant import cli
 
     out, err = io.StringIO(), io.StringIO()
-    handler = logging.StreamHandler(err)
-    handler.setLevel(logging.WARNING)
-    logger = logging.getLogger("splinequant")
-    logger.addHandler(handler)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-    finally:
-        logger.removeHandler(handler)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 

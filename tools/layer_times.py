@@ -12,7 +12,8 @@ milliseconds for the rest:
 * ``evaluate_candidate``: one design at the threshold ``sweep(N)`` picks;
 * ``build``: one ``build`` of the spline fitted at that threshold, the fit
   made before the timer starts;
-* ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result.
+* ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result;
+* ``exact_compressor_sqnr``: the exact-compressor comparator at N.
 
 N runs over 16, 32, ..., 1024 unless ``--levels`` names others.  ``sweep``
 fails for N >= 1024 (no candidate builds); it is then timed up to the
@@ -54,6 +55,7 @@ def layers(levels, repeat: int) -> list[dict]:
 
     from splinequant import gauss_analytics, threshold_optimizer as opt
     from splinequant.quantizer_design import build, standard_config
+    from splinequant.reference_oracles import exact_compressor_sqnr
     from splinequant.spline_fit import fit, target_moments
 
     rows = []
@@ -84,6 +86,8 @@ def layers(levels, repeat: int) -> list[dict]:
                 ("build", lambda: build(spline, config)),
                 ("refine", lambda: opt.refine(result)),
             ]
+        comparator = lambda: exact_compressor_sqnr(gauss_analytics.SourceModel(), n)
+        timed.append(("exact_compressor_sqnr", comparator))
         for layer, fn in timed:
             rows.append({"layer": layer, "size": n, "unit": "ms", **spread(fn, repeat)})
     return rows
@@ -101,9 +105,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeat must be at least 1")
     sys.path.insert(0, str(args.src.resolve()))
     rows = layers(args.levels, args.repeat)
-    print(f"{'layer':<20}{'size':>8}{'median':>12}{'IQR':>10}  unit")
+    print(f"{'layer':<24}{'size':>8}{'median':>12}{'IQR':>10}  unit")
     for r in rows:
-        print(f"{r['layer']:<20}{r['size']:>8}{r['median']:>12.4g}{r['iqr']:>10.3g}  {r['unit']}")
+        print(f"{r['layer']:<24}{r['size']:>8}{r['median']:>12.4g}{r['iqr']:>10.3g}  {r['unit']}")
     print(json.dumps({"repeat": args.repeat, "src": str(args.src), "layers": rows}))
     return 0
 

@@ -58,11 +58,12 @@ def fingerprint(n_levels: int) -> dict[str, str | None]:
         try:
             result = opt.sweep(n_levels)
         except opt.SweepError as exc:
-            candidates, refined = repr(exc), None
+            result, candidates = None, repr(exc)
         else:
             candidates = repr([(c.x1, c.sqnr_db, c.valid, c.failure) for c in result.candidates])
-            refined = _digest(repr(opt.refine(result)))
     (moments,) = seen
+    # refine fits through the same pass, one point at a time: not recorded
+    refined = None if result is None else _digest(repr(opt.refine(result)))
     return {
         "moments": _digest(moments.tobytes()),
         "candidates": _digest(candidates),
