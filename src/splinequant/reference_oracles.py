@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
 
 from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative, erf
-from .gauss_analytics import pdf, tail_centroid
+from .gauss_analytics import _SQRT_2PI, pdf, tail_centroid
 from .quantizer_design import (
     CompandingQuantizer,
     DistortionReport,
@@ -49,6 +50,11 @@ __all__ = [
 _SHARD_SIZE = 1_000_000
 _LLOYD_MAX_ITERATIONS = 10_000
 _GL_ORDER = 24
+# Lloyd-Max scores k iterates in one (k, N/2, _GL_ORDER) array pass of at most
+# this many elements, so its four block buffers of that shape (two of them the
+# mirrored halves) hold at most 192 KB; N = 256, at 6,144 elements for two
+# iterates, runs one iterate per block
+_BLOCK_ELEMENTS = 6000
 
 
 class ConvergenceError(RuntimeError):
@@ -150,6 +156,17 @@ def _invert_compressor(source: SourceModel, x_max: float, value: float) -> float
     return x - (math.erf(x / s) - p) * 0.5 * math.sqrt(math.pi) * s * math.exp((x / s) ** 2)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_GL_ORDER``-point Gauss-Legendre rule on
+    [-1, 1], read-only; computed once, since ``leggauss`` solves an
+    eigenproblem on every call."""
+    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def lloyd_max(
     source: SourceModel,
     n_levels: int,
@@ -163,55 +180,112 @@ def lloyd_max(
     Gauss-Legendre rule), so only the positive half is iterated, on the cell
     edges ``[0, midpoints..., last + 12 sigma]``.  Centroids use the
     closed-form Gaussian tail moments.  The distortion deciding convergence is
-    re-evaluated every iteration by per-cell Gauss-Legendre quadrature and
+    re-evaluated for every iterate by per-cell Gauss-Legendre quadrature and
     must never increase; it is summed over both mirrored halves in the whole
     codebook's order, so it rounds exactly as a whole-codebook sum.  Stops
-    when its relative change drops below ``tolerance``.
+    at the first iterate whose relative change drops below ``tolerance``.
+
+    The iterates run in blocks: k centroid steps back to back, each kept in a
+    row of a preallocated history, then the k distortions in one
+    (k, N/2, 24) array pass into reused buffers, then the checks in iteration
+    order.  k doubles from 1 up to ``_BLOCK_ELEMENTS / (12 N)`` iterates, so a
+    short run computes at most twice the steps it uses.  Every figure,
+    including ``iterations`` and the error at the cap, is the same bits as
+    one iterate at a time.  ``n_levels`` and ``max_iterations`` must be
+    integers (``operator.index``) and ``tolerance`` finite and positive,
+    checked before any work.
     """
+    n_levels = operator.index(n_levels)
+    max_iterations = operator.index(max_iterations)
     if n_levels < 2 or n_levels % 2:
         raise ValueError(f"n_levels must be even and >= 2, got {n_levels}")
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     sigma = source.sigma
+    cells = n_levels // 2
     levels = np.asarray(_initial_levels(source, n_levels), dtype=float)
     edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    nodes, weights = _gauss_legendre()
+    most = max(1, _BLOCK_ELEMENTS // (cells * _GL_ORDER))
+    level_rows = np.empty((most, cells))
+    edge_rows = np.zeros((most, cells + 1))
+    half_width = np.empty((most, cells, 1))
+    center = np.empty((most, cells, 1))
+    x = np.empty((most, cells, _GL_ORDER))
+    term = np.empty((most, cells, _GL_ORDER))
+    node_rows = np.tile(nodes, (cells, 1))
+    weight_rows = np.tile(weights, (cells, 1))
+    # both halves per iterate, the negative one mirrored first: each row sums
+    # in the whole codebook's order
+    whole = np.empty((most, n_levels, _GL_ORDER))
+    mass = np.empty(cells)
+    erf_scale = sigma * math.sqrt(2.0)
     prev = math.inf
-    distortion = math.inf
-    for iteration in range(1, max_iterations + 1):
-        # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
-        dens = pdf(source, edges)
-        cdf = erf(edges / (sigma * math.sqrt(2.0)))
-        levels = sigma**2 * (dens[:-1] - dens[1:]) / (0.5 * (cdf[1:] - cdf[:-1]))
-        edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
-        lo, hi = edges[:-1], edges[1:]
-        x = 0.5 * (hi - lo)[:, None] * nodes[None, :] + 0.5 * (hi + lo)[:, None]
-        w = 0.5 * (hi - lo)[:, None] * weights[None, :]
-        half = w * (x - levels[:, None]) ** 2 * pdf(source, x)
-        # full-codebook sum order: the benchmark pins iteration counts until a Newton solve
-        distortion = float(np.sum(np.concatenate((half[::-1, ::-1], half))))
-        if distortion > prev * (1.0 + 1e-12):
-            raise ArithmeticError(
-                f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
-            )
-        if prev - distortion < tolerance * distortion:
-            break
-        prev = distortion
-    else:
-        raise ConvergenceError(
-            f"no convergence to {tolerance} within {max_iterations} iterations"
-        )
-    levels = np.concatenate((-levels[::-1], levels))
-    thresholds = tuple(0.5 * (levels[:-1] + levels[1:]))
-    return LloydMaxResult(
-        levels=tuple(levels),
-        thresholds=thresholds,
-        distortion=distortion,
-        sqnr_db=10.0 * math.log10(sigma**2 / distortion),
-        iterations=iteration,
-    )
+    iteration = 0
+    size = 1
+    while iteration < max_iterations:
+        k = min(size, most, max_iterations - iteration)
+        for j in range(k):
+            # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
+            dens = pdf(source, edges)
+            cdf = erf(edges / erf_scale)
+            levels = level_rows[j]
+            np.subtract(dens[:-1], dens[1:], out=levels)
+            levels *= sigma**2
+            np.subtract(cdf[1:], cdf[:-1], out=mass)
+            mass *= 0.5
+            levels /= mass
+            edges = edge_rows[j]
+            np.add(levels[:-1], levels[1:], out=edges[1:-1])
+            edges[1:-1] *= 0.5
+            edges[-1] = levels[-1] + 12.0 * sigma
+        # the expressions of one iterate's distortion, k iterates at a time:
+        # x = half-width * node + center, w = half-width * weight, then
+        # w * (x - level)^2 * pdf(x), pdf(x) = exp(-0.5 z z) / (sigma sqrt(2 pi));
+        # per-cell values reach the nodes by copies into (k, N/2, 24) buffers,
+        # since a ufunc that broadcasts them costs several same-shape ones
+        lo, hi = edge_rows[:k, :-1, None], edge_rows[:k, 1:, None]
+        w, c, xk, t, half = half_width[:k], center[:k], x[:k], term[:k], whole[:k, cells:]
+        np.subtract(hi, lo, out=w)
+        w *= 0.5
+        np.add(hi, lo, out=c)
+        c *= 0.5
+        half[...] = w
+        np.multiply(half, node_rows, out=xk)
+        t[...] = c
+        xk += t
+        t[...] = level_rows[:k, :, None]
+        np.subtract(xk, t, out=t)
+        t *= t
+        half *= weight_rows
+        half *= t
+        xk /= sigma
+        np.multiply(xk, -0.5, out=t)
+        t *= xk
+        np.exp(t, out=t)
+        t /= sigma * _SQRT_2PI
+        half *= t
+        whole[:k, :cells] = half[:, ::-1, ::-1]
+        for j, distortion in enumerate(whole[:k].reshape(k, -1).sum(axis=1).tolist()):
+            iteration += 1
+            if distortion > prev * (1.0 + 1e-12):
+                raise ArithmeticError(
+                    f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
+                )
+            if prev - distortion < tolerance * distortion:
+                levels = np.concatenate((-level_rows[j, ::-1], level_rows[j]))
+                return LloydMaxResult(
+                    levels=tuple(levels),
+                    thresholds=tuple(0.5 * (levels[:-1] + levels[1:])),
+                    distortion=distortion,
+                    sqnr_db=10.0 * math.log10(sigma**2 / distortion),
+                    iterations=iteration,
+                )
+            prev = distortion
+        size *= 2
+    raise ConvergenceError(f"no convergence to {tolerance} within {max_iterations} iterations")
 
 
 def exact_compressor_sqnr(source: SourceModel, n_levels: int) -> DistortionReport:

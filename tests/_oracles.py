@@ -15,7 +15,9 @@ fits, builds and scores one candidate at a time (``scalar_fit``, the
 closed-form Legendre projection in Python floats, ``per_level_build``,
 ``scalar_sqnr``), the reference for the library's one array pass over all
 candidates.  ``reference_lloyd_max`` iterates the whole Lloyd-Max codebook,
-both halves, the reference for the library's positive-half iteration.
+both halves, one iterate at a time, the reference for the library's
+positive-half iteration in blocks of iterates; ``reference_lloyd_iterates``
+yields its iterates one by one.
 ``unsorted_mc_distortion`` assigns each Monte-Carlo draw to its cell by
 searching the boundaries draw by draw, as ``encode`` does, the reference for
 the library's sort-and-cut of each shard.
@@ -30,10 +32,11 @@ skip where it is not installed.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -614,25 +617,15 @@ def _full_companding_levels(source: SourceModel, n_levels: int) -> list[float] |
     return [-y for y in reversed(positive)] + positive
 
 
-def reference_lloyd_max(
-    source: SourceModel,
-    n_levels: int,
-    tolerance: float = 1e-12,
-    max_iterations: int = 10_000,
-) -> LloydMaxResult:
-    """Lloyd-Max over the whole codebook: centroids and midpoints of all
-    ``n_levels`` cells, and the distortion by 24-point Gauss-Legendre
-    quadrature on every cell (end cells truncated 12 sigma out)."""
-    if n_levels < 2:
-        raise ValueError(f"n_levels must be >= 2, got {n_levels}")
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+def reference_lloyd_iterates(source: SourceModel, n_levels: int) -> Iterator[tuple[np.ndarray, float]]:
+    """The whole-codebook Lloyd-Max iterates, without end: after each step of
+    centroids and midpoints of all ``n_levels`` cells, the levels and the
+    distortion by 24-point Gauss-Legendre quadrature on every cell (end cells
+    truncated 12 sigma out)."""
     sigma = source.sigma
     levels = np.asarray(_full_initial_levels(source, n_levels), dtype=float)
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    prev = math.inf
-    distortion = math.inf
-    for iteration in range(1, max_iterations + 1):
+    while True:
         mids = 0.5 * (levels[:-1] + levels[1:])
         lo = np.concatenate(([levels[0] - 12.0 * sigma], mids))
         hi = np.concatenate((mids, [levels[-1] + 12.0 * sigma]))
@@ -647,7 +640,25 @@ def reference_lloyd_max(
         x = 0.5 * (hi - lo)[:, None] * nodes[None, :] + 0.5 * (hi + lo)[:, None]
         w = 0.5 * (hi - lo)[:, None] * weights[None, :]
         dens = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        distortion = float(np.sum(w * (x - levels[:, None]) ** 2 * dens))
+        yield levels, float(np.sum(w * (x - levels[:, None]) ** 2 * dens))
+
+
+def reference_lloyd_max(
+    source: SourceModel,
+    n_levels: int,
+    tolerance: float = 1e-12,
+    max_iterations: int = 10_000,
+) -> LloydMaxResult:
+    """Lloyd-Max over the whole codebook, one iterate at a time: stops at the
+    first of ``reference_lloyd_iterates`` whose distortion fell by less than
+    ``tolerance`` relative."""
+    if n_levels < 2:
+        raise ValueError(f"n_levels must be >= 2, got {n_levels}")
+    if tolerance <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    prev = math.inf
+    iterates = itertools.islice(reference_lloyd_iterates(source, n_levels), max_iterations)
+    for iteration, (levels, distortion) in enumerate(iterates, 1):
         if distortion > prev * (1.0 + 1e-12):
             raise ArithmeticError(
                 f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
@@ -664,7 +675,7 @@ def reference_lloyd_max(
         levels=tuple(levels),
         thresholds=thresholds,
         distortion=distortion,
-        sqnr_db=10.0 * math.log10(sigma**2 / distortion),
+        sqnr_db=10.0 * math.log10(source.sigma**2 / distortion),
         iterations=iteration,
     )
 

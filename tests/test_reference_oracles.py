@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -9,12 +10,19 @@ import pytest
 import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
-from splinequant.reference_oracles import _SHARD_SIZE, ConvergenceError, _invert_compressor
+from splinequant import reference_oracles
+from splinequant.reference_oracles import (
+    _BLOCK_ELEMENTS,
+    _SHARD_SIZE,
+    ConvergenceError,
+    _invert_compressor,
+)
 
 from _oracles import (
     mp_cell_distortion,
     mp_exact_compressor_report,
     mp_invert_compressor,
+    reference_lloyd_iterates,
     reference_lloyd_max,
     unsorted_mc_distortion,
 )
@@ -70,7 +78,9 @@ class TestLloydMax:
         with pytest.raises(ValueError, match="even"):
             lloyd_max(UNIT, n_levels)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-12])
+    # every change is below an infinite tolerance: it used to "converge" after
+    # two iterations
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-12, math.inf])
     def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             lloyd_max(UNIT, 16, tolerance=tolerance)
@@ -80,13 +90,39 @@ class TestLloydMax:
         with pytest.raises(ValueError, match="max_iterations"):
             lloyd_max(UNIT, 16, max_iterations=max_iterations)
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def start(*args):
+            raise AssertionError("started iterating before checking the arguments")
+
+        monkeypatch.setattr(reference_oracles, "_initial_levels", start)
+
+    def test_rejects_float_level_count_before_any_work(self, no_work):
+        with pytest.raises(TypeError):
+            lloyd_max(UNIT, 16.0)
+
+    def test_rejects_float_iteration_cap_before_any_work(self, no_work):
+        with pytest.raises(TypeError):
+            lloyd_max(UNIT, 16, max_iterations=2.5)
+
+    def test_boolean_iteration_cap_counts_as_one(self):
+        # operator.index(True) is 1: the cap is reported as a number
+        with pytest.raises(ConvergenceError) as got:
+            lloyd_max(UNIT, 16, max_iterations=True)
+        assert str(got.value) == "no convergence to 1e-12 within 1 iterations"
+
+    def test_accepts_integer_like_counts(self):
+        assert lloyd_max(UNIT, np.int64(8), max_iterations=np.int32(100)) == lloyd_max(UNIT, 8)
+
 
 class TestLloydMaxHalfCodebook:
     """The positive-half iteration reproduces the whole-codebook iteration bit
     for bit: levels, thresholds, distortion and iteration count."""
 
-    @pytest.mark.parametrize("sigma", [1e-3, 0.37, 2.0, 1e3])
-    @pytest.mark.parametrize("n_levels", [2, 4, 6, 8, 16, 32, 64])
+    @pytest.mark.parametrize(
+        "n_levels, sigma",
+        [(n, s) for n in (2, 4, 6, 8, 16, 32, 64) for s in (1e-3, 0.37, 1.0, 2.0, 1e3)] + [(128, 1.0)],
+    )
     def test_equals_whole_codebook_iteration(self, n_levels, sigma):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -118,6 +154,68 @@ class TestLloydMaxHalfCodebook:
         finally:
             tracemalloc.stop()
         assert peak <= 256 * 1024, peak
+
+
+def _largest_block(n_levels):
+    return max(1, _BLOCK_ELEMENTS // (n_levels // 2 * 24))
+
+
+def _blocks(n_levels, count):
+    """(first, last) iteration of each of the first ``count`` blocks: sizes
+    1, 2, 4, ... up to the largest block."""
+    bounds, first = [], 1
+    for doublings in range(count):
+        last = first + min(2**doublings, _largest_block(n_levels)) - 1
+        bounds.append((first, last))
+        first = last + 1
+    return bounds
+
+
+def _tolerance_stopping_at(n_levels, iteration):
+    """A tolerance at which the one-iterate-at-a-time iteration stops exactly
+    at ``iteration``: between its relative change there and the smallest one
+    before, which must be larger."""
+    iterates = itertools.islice(reference_lloyd_iterates(UNIT, n_levels), iteration)
+    d = [distortion for _, distortion in iterates]
+    changes = [(a - b) / b for a, b in zip(d, d[1:])]
+    last, earlier = changes[-1], min(changes[:-1], default=math.inf)
+    assert last < earlier, (iteration, last, earlier)
+    return 2.0 * last if earlier == math.inf else math.sqrt(last * earlier)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+class TestLloydMaxBlocks:
+    """Blocks of iterates stop and fail at the iterate where one iterate at a
+    time does, on either side of every block boundary."""
+
+    @pytest.mark.parametrize("n_levels", [2, 16, 64])
+    def test_same_cap_failure_around_block_ends(self, n_levels):
+        k = _largest_block(n_levels)
+        caps = sorted({1, 2, 3, k - 1, k, k + 1} - {0})
+        for cap in caps:
+            got = _outcome(lloyd_max, UNIT, n_levels, max_iterations=cap)
+            want = _outcome(reference_lloyd_max, UNIT, n_levels, max_iterations=cap)
+            assert got == want, cap
+            # N = 2 converges at its second iterate; the others fail every cap
+            assert isinstance(got, str) == (n_levels > 2 or cap == 1), cap
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "last"])
+    @pytest.mark.parametrize("n_levels", [16, 64])
+    def test_stops_on_first_and_last_iterate_of_a_block(self, n_levels, position):
+        # blocks 2...7: the doubling ones and, past the largest size, full ones
+        for bounds in _blocks(n_levels, 7)[1:]:
+            iteration = bounds[position]
+            tolerance = _tolerance_stopping_at(n_levels, iteration)
+            got = lloyd_max(UNIT, n_levels, tolerance=tolerance)
+            want = reference_lloyd_max(UNIT, n_levels, tolerance=tolerance)
+            assert want.iterations == iteration
+            assert got == want, iteration
 
 
 class TestMcDistortion:

@@ -3,8 +3,8 @@
     python3 tools/layer_times.py [--repeat 15] [--levels 16 64 ...] [--src DIR]
 
 For each layer it prints the median and the interquartile range (IQR) of
-``--repeat`` timed calls, in microseconds per element for ``erf`` and in
-milliseconds for the rest:
+``--repeat`` timed calls, in microseconds per element for ``erf``, per
+iteration for ``lloyd_max`` and in milliseconds for the rest:
 
 * ``erf``: ``gauss_analytics.erf`` at 65 and at 40,000 elements;
 * ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
@@ -13,7 +13,10 @@ milliseconds for the rest:
 * ``build``: one ``build`` of the spline fitted at that threshold, the fit
   made before the timer starts;
 * ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result;
-* ``exact_compressor_sqnr``: the exact-compressor comparator at N.
+* ``exact_compressor_sqnr``: the exact-compressor comparator at N;
+* ``lloyd_max``: microseconds per iteration of ``lloyd_max`` at N, capped at
+  200 iterations (every N from 16 up reaches the cap, so N = 1024 stays
+  cheap).
 
 N runs over 16, 32, ..., 1024 unless ``--levels`` names others.  ``sweep``
 fails for N >= 1024 (no candidate builds); it is then timed up to the
@@ -36,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LEVELS = tuple(2**e for e in range(4, 11))  # 16 ... 1024
+LLOYD_CAP = 200  # lloyd_max iterations per timed call
 
 
 def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
@@ -55,7 +59,7 @@ def layers(levels, repeat: int) -> list[dict]:
 
     from splinequant import gauss_analytics, threshold_optimizer as opt
     from splinequant.quantizer_design import build, standard_config
-    from splinequant.reference_oracles import exact_compressor_sqnr
+    from splinequant.reference_oracles import ConvergenceError, exact_compressor_sqnr, lloyd_max
     from splinequant.spline_fit import fit, target_moments
 
     rows = []
@@ -90,6 +94,15 @@ def layers(levels, repeat: int) -> list[dict]:
         timed.append(("exact_compressor_sqnr", comparator))
         for layer, fn in timed:
             rows.append({"layer": layer, "size": n, "unit": "ms", **spread(fn, repeat)})
+
+        def lloyd():
+            try:
+                return lloyd_max(gauss_analytics.SourceModel(), n, max_iterations=LLOYD_CAP).iterations
+            except ConvergenceError:
+                return LLOYD_CAP
+
+        cost = spread(lloyd, repeat, 1e6 / lloyd())
+        rows.append({"layer": "lloyd_max", "size": n, "unit": "us/iteration", **cost})
     return rows
 
 
