@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -68,13 +69,15 @@ class DesignError(ValueError):
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Level budget, segment knots, and source for one quantizer design."""
+    """Level budget, segment knots, and source for one quantizer design;
+    ``n_levels`` is taken through ``operator.index`` and stored as an int."""
 
     n_levels: int
     knots: KnotVector
     source: SourceModel
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_levels", operator.index(self.n_levels))
         if self.n_levels < 4 or self.n_levels % 2:
             raise ValueError(f"n_levels must be even and >= 4, got {self.n_levels}")
         if self.n_levels - 2 < 2 * self.knots.n_segments:

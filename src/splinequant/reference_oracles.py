@@ -49,6 +49,8 @@ __all__ = [
 
 _SHARD_SIZE = 1_000_000
 _LLOYD_MAX_ITERATIONS = 10_000
+# Lloyd-Max stops once its distortion changes by less than this, relative
+_LLOYD_MAX_TOLERANCE = 1e-12
 _GL_ORDER = 24
 # Lloyd-Max scores k iterates in one (k, N/2, _GL_ORDER) array pass of at most
 # this many elements, so its four block buffers of that shape (two of them the
@@ -170,7 +172,6 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def lloyd_max(
     source: SourceModel,
     n_levels: int,
-    tolerance: float = 1e-12,
     max_iterations: int = _LLOYD_MAX_ITERATIONS,
 ) -> LloydMaxResult:
     """MSE-optimal scalar quantizer by alternating centroids and midpoints.
@@ -183,7 +184,7 @@ def lloyd_max(
     re-evaluated for every iterate by per-cell Gauss-Legendre quadrature and
     must never increase; it is summed over both mirrored halves in the whole
     codebook's order, so it rounds exactly as a whole-codebook sum.  Stops
-    at the first iterate whose relative change drops below ``tolerance``.
+    at the first iterate whose relative change drops below 1e-12.
 
     The iterates run in blocks: k centroid steps back to back, each kept in a
     row of a preallocated history, then the k distortions in one
@@ -192,15 +193,12 @@ def lloyd_max(
     short run computes at most twice the steps it uses.  Every figure,
     including ``iterations`` and the error at the cap, is the same bits as
     one iterate at a time.  ``n_levels`` and ``max_iterations`` must be
-    integers (``operator.index``) and ``tolerance`` finite and positive,
-    checked before any work.
+    integers (``operator.index``), checked before any work.
     """
     n_levels = operator.index(n_levels)
     max_iterations = operator.index(max_iterations)
     if n_levels < 2 or n_levels % 2:
         raise ValueError(f"n_levels must be even and >= 2, got {n_levels}")
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     sigma = source.sigma
@@ -274,7 +272,7 @@ def lloyd_max(
                 raise ArithmeticError(
                     f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
                 )
-            if prev - distortion < tolerance * distortion:
+            if prev - distortion < _LLOYD_MAX_TOLERANCE * distortion:
                 levels = np.concatenate((-level_rows[j, ::-1], level_rows[j]))
                 return LloydMaxResult(
                     levels=tuple(levels),
@@ -285,7 +283,9 @@ def lloyd_max(
                 )
             prev = distortion
         size *= 2
-    raise ConvergenceError(f"no convergence to {tolerance} within {max_iterations} iterations")
+    raise ConvergenceError(
+        f"no convergence to {_LLOYD_MAX_TOLERANCE} within {max_iterations} iterations"
+    )
 
 
 def exact_compressor_sqnr(source: SourceModel, n_levels: int) -> DistortionReport:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .gauss_analytics import SourceModel, compressor, support_threshold
 from .quantizer_design import (
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# refine's golden-section bracket closes at this width in x1
+_REFINE_X1_TOLERANCE = 1e-4
 
 # sweep refuses finer grids: each candidate is fitted, checked and scored
 _MAX_CANDIDATES = 100_000
@@ -150,41 +152,33 @@ def sweep(
         candidates=tuple(candidates),
         best_x1=best.x1,
         best_sqnr_db=best.sqnr_db,
-        n_levels=n_levels,
+        n_levels=config.n_levels,
         x_max=x_max,
         grid_step=grid_step,
         source=source,
     )
 
 
-def refine(
-    result: SweepResult,
-    tolerance: float = 1e-4,
-    objective: Callable[[float], float] | None = None,
-) -> RefineResult:
+def refine(result: SweepResult) -> RefineResult:
     """Golden-section polish of the sweep maximum within one grid step.
 
     Requires the grid maximum to be interior; a boundary maximum is returned
-    unchanged with ``interior=False``.  The refined SQNR never falls below the
-    grid best.  By default each point is scored as the sweep scores its
-    candidates, through ``_score_knots`` on one knot row, exactly as
-    ``evaluate_candidate`` would score it; a point that fails to build scores
-    -inf.  ``objective`` overrides that (useful for testing against a known
-    curve).
+    unchanged with ``interior=False``.  The bracket closes at 1e-4 in x1.  The
+    refined SQNR never falls below the grid best.  Each point is scored as the
+    sweep scores its candidates, through ``_score_knots`` on one knot row,
+    exactly as ``evaluate_candidate`` would score it; a point that fails to
+    build scores -inf.
     """
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
     valid = [c for c in result.candidates if c.valid]
     first, last = valid[0], valid[-1]
     if result.best_x1 in (first.x1, last.x1):
         return RefineResult(result.best_x1, result.best_sqnr_db, interior=False)
 
-    if objective is None:
-        config = standard_config(result.n_levels, (result.best_x1,), result.source)
+    config = standard_config(result.n_levels, (result.best_x1,), result.source)
 
-        def objective(x1: float) -> float:
-            (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
-            return -math.inf if report is None else report.sqnr_db
+    def objective(x1: float) -> float:
+        (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
+        return -math.inf if report is None else report.sqnr_db
 
     lo = result.best_x1 - result.grid_step
     hi = result.best_x1 + result.grid_step
@@ -192,7 +186,7 @@ def refine(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tolerance:
+    while b - a > _REFINE_X1_TOLERANCE:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

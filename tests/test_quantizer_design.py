@@ -26,6 +26,7 @@ from splinequant import (
     tail_centroid,
 )
 
+from splinequant import reference_oracles, threshold_optimizer
 from splinequant.quantizer_design import score_batch
 from splinequant.spline_fit import fit_batch, target_moments
 from splinequant.threshold_optimizer import sweep
@@ -84,6 +85,41 @@ class TestDesignConfig:
     def test_standard_config_rejects_outside_knot(self):
         with pytest.raises(ValueError):
             standard_config(16, (3.0,))
+
+    def test_stores_integer_level_count(self):
+        config = DesignConfig(np.int64(16), KnotVector((0.0, 1.0, 2.0)), UNIT)
+        assert type(config.n_levels) is int and config.n_levels == 16
+
+
+# every design entry point takes its level count through DesignConfig
+LEVEL_COUNT_ENTRIES = {
+    "sweep": lambda n: sq.sweep(n),
+    "evaluate_candidate": lambda n: sq.evaluate_candidate(n, 2.0).report,
+    "exact_compressor_sqnr": lambda n: sq.exact_compressor_sqnr(UNIT, n),
+}
+
+
+class TestIntegerLevelCount:
+    @pytest.fixture
+    def no_scoring(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scored a design before checking the level count")
+
+        monkeypatch.setattr(threshold_optimizer, "_score_knots", forbidden)
+        monkeypatch.setattr(threshold_optimizer, "fit", forbidden)
+        monkeypatch.setattr(reference_oracles, "_granular", forbidden)
+
+    @pytest.mark.parametrize("entry", sorted(LEVEL_COUNT_ENTRIES))
+    def test_rejects_float_level_count_before_scoring(self, entry, no_scoring):
+        with pytest.raises(TypeError):
+            LEVEL_COUNT_ENTRIES[entry](16.0)
+
+    @pytest.mark.parametrize("entry", sorted(LEVEL_COUNT_ENTRIES))
+    def test_integer_like_level_count_gives_the_same_result(self, entry):
+        assert LEVEL_COUNT_ENTRIES[entry](np.int64(16)) == LEVEL_COUNT_ENTRIES[entry](16)
+
+    def test_sweep_reports_an_int(self):
+        assert type(sq.sweep(np.int64(16), 0.05).n_levels) is int
 
 
 class TestStepSize:

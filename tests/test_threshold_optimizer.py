@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,37 +258,50 @@ def synthetic_result(xs, values, best_index, grid_step=0.01):
     )
 
 
+def score_as(monkeypatch, curve):
+    """Make every point that ``refine`` scores read ``curve(x1)``."""
+
+    def scores(config, knots):
+        return [SimpleNamespace(sqnr_db=curve(row[1])) for row in knots], [None] * len(knots)
+
+    monkeypatch.setattr(threshold_optimizer, "_score_knots", scores)
+
+
 class TestRefine:
-    def test_synthetic_peak_located(self):
+    def test_synthetic_peak_located(self, monkeypatch):
         peak = 1.7
         f = lambda x: 5.0 - (x - peak) ** 2
+        score_as(monkeypatch, f)
         xs = [1.5 + 0.05 * k for k in range(11)]
         vals = [f(x) for x in xs]
         best = max(range(len(xs)), key=lambda i: vals[i])
         result = synthetic_result(xs, vals, best, grid_step=0.05)
-        refined = refine(result, tolerance=1e-6, objective=f)
+        refined = refine(result)
         assert refined.interior
-        assert refined.x1 == pytest.approx(peak, abs=1e-5)
+        # the peak and both final points lie in the last bracket
+        assert refined.x1 == pytest.approx(peak, abs=threshold_optimizer._REFINE_X1_TOLERANCE)
         assert refined.sqnr_db >= result.best_sqnr_db
 
-    def test_boundary_maximum_flagged(self):
+    def test_boundary_maximum_flagged(self, monkeypatch):
+        score_as(monkeypatch, lambda x: 4.0 - x)
         xs = [1.0, 1.1, 1.2]
         vals = [3.0, 2.0, 1.0]
         result = synthetic_result(xs, vals, 0, grid_step=0.1)
-        refined = refine(result, tolerance=1e-6, objective=lambda x: 4.0 - x)
+        refined = refine(result)
         assert refined == RefineResult(1.0, 3.0, interior=False)
 
     def test_real_sweep_improves_on_grid(self, sweep16):
-        refined = refine(sweep16, tolerance=1e-4)
+        refined = refine(sweep16)
         assert refined.interior
         assert refined.sqnr_db >= sweep16.best_sqnr_db
         assert abs(refined.x1 - sweep16.best_x1) <= sweep16.grid_step
 
     @pytest.mark.parametrize("n_levels", [16, 128])
-    def test_default_objective_scores_as_evaluate_candidate(self, n_levels):
+    def test_default_objective_scores_as_evaluate_candidate(self, n_levels, monkeypatch):
         # the array pass on one knot row gives evaluate_candidate's SQNR bit
-        # for bit, so both objectives take the same golden-section path
+        # for bit, so both scorings take the same golden-section path
         result = sweep(n_levels)
+        refined = refine(result)
 
         def one_design(x1):
             try:
@@ -295,7 +309,8 @@ class TestRefine:
             except sq.DesignError:
                 return -math.inf
 
-        assert refine(result) == refine(result, objective=one_design)
+        score_as(monkeypatch, one_design)
+        assert refine(result) == refined
 
     def test_builds_no_design_per_point(self, sweep16, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -313,17 +328,6 @@ class TestRefine:
         monkeypatch.setattr(threshold_optimizer, "score_batch", all_invalid)
         refined = refine(sweep16)
         assert refined == RefineResult(sweep16.best_x1, sweep16.best_sqnr_db, interior=True)
-
-    def test_tolerance_at_grid_step_keeps_grid_best(self, sweep16):
-        refined = refine(sweep16, tolerance=sweep16.grid_step)
-        assert refined.sqnr_db >= sweep16.best_sqnr_db
-        assert abs(refined.x1 - sweep16.best_x1) <= sweep16.grid_step
-
-    def test_rejects_bad_tolerance(self, sweep16):
-        with pytest.raises(ValueError):
-            refine(sweep16, tolerance=0.0)
-        with pytest.raises(ValueError):
-            refine(sweep16, tolerance=math.nan)
 
 
 class TestEvaluateCandidate:
