@@ -118,10 +118,6 @@ class DistortionReport:
     sqnr_db: float
     overload_exact: float
 
-    def __post_init__(self) -> None:
-        if not (self.granular > 0.0 and self.overload > 0.0 and self.total > 0.0):
-            raise ValueError("distortion powers must be positive")
-
 
 @dataclass(frozen=True)
 class CompandingQuantizer:

@@ -157,17 +157,19 @@ def fit_batch(knots: Sequence[Sequence[float]], moments: np.ndarray) -> np.ndarr
         raise ValueError(f"knots must be strictly increasing, got {knots[np.argmin(rising)].tolist()}")
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     m0, m1, m2 = np.moveaxis(np.asarray(moments, dtype=float), -1, 0)
-    # integrals of target * u and target * u^2
-    a1 = (m1 - m * m0) / h
-    a2 = (m2 - m * (2.0 * m1 - m * m0)) / (h * h)
-    # Legendre coefficients: b_k = (2k + 1)/(2h) * integral of target * P_k(u)
-    b0 = m0 / (2.0 * h)
-    b1 = 3.0 * a1 / (2.0 * h)
-    b2 = 5.0 * (3.0 * a2 - m0) / (4.0 * h)
-    # b0 + b1*u + b2*(3u^2 - 1)/2 = (b0 - b2/2) + (b1/h)(x - m) + (1.5*b2/h^2)(x - m)^2
-    s1, c2 = b1 / h, 1.5 * b2 / (h * h)
-    c1 = s1 - 2.0 * m * c2
-    c0 = b0 - 0.5 * b2 - m * (s1 - m * c2)
+    # h or h*h underflowing to 0 gives a non-finite table; the curve checks report it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # integrals of target * u and target * u^2
+        a1 = (m1 - m * m0) / h
+        a2 = (m2 - m * (2.0 * m1 - m * m0)) / (h * h)
+        # Legendre coefficients: b_k = (2k + 1)/(2h) * integral of target * P_k(u)
+        b0 = m0 / (2.0 * h)
+        b1 = 3.0 * a1 / (2.0 * h)
+        b2 = 5.0 * (3.0 * a2 - m0) / (4.0 * h)
+        # b0 + b1*u + b2*(3u^2 - 1)/2 = (b0 - b2/2) + (b1/h)(x - m) + (1.5*b2/h^2)(x - m)^2
+        s1, c2 = b1 / h, 1.5 * b2 / (h * h)
+        c1 = s1 - 2.0 * m * c2
+        c0 = b0 - 0.5 * b2 - m * (s1 - m * c2)
     return np.stack((c0, c1, c2, lo, hi), axis=1)
 
 

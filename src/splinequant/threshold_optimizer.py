@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .gauss_analytics import SourceModel, compressor, support_threshold
 from .quantizer_design import (
     CompandingQuantizer,
@@ -14,10 +16,9 @@ from .quantizer_design import (
     DistortionReport,
     build,
     score_batch,
-    sqnr,
     standard_config,
 )
-from .spline_fit import fit, fit_batch, target_moments
+from .spline_fit import QuadraticSpline, fit_batch, target_moments
 
 __all__ = [
     "Design",
@@ -81,24 +82,25 @@ class RefineResult:
 
 
 def evaluate_candidate(n_levels: int, x1: float, source: SourceModel = SourceModel()) -> Design:
-    """Fit the compressor on knots (0, x1, x_max), build, and score one design:
-    the one-design case of the batched kernels that ``sweep`` runs."""
+    """The design on knots (0, x1, x_max): the one-row case of ``_score_knots``
+    plus ``build``, which raises the DesignError text the scorer records."""
     config = standard_config(n_levels, (x1,), source)
-    spline = fit(lambda x: compressor(source, config.x_max, x), config.knots)
-    quantizer = build(spline, config)
-    return Design(quantizer, sqnr(quantizer))
+    (table,), (report,), _ = _score_knots(config, [config.knots.knots])
+    return Design(build(QuadraticSpline(table), config), report)
 
 
 def _score_knots(
     config: DesignConfig, knots: Sequence[Sequence[float]]
-) -> tuple[list[DistortionReport | None], list[str | None]]:
-    """``score_batch`` of the compressor fitted on each row of a (designs, K+1)
-    knot matrix: one quadrature pass for the fit moments, then ``fit_batch``.
-    Every row shares the level count, support edge and source of ``config``.
-    The one place where the threshold search names its fit target."""
+) -> tuple[np.ndarray, list[DistortionReport | None], list[str | None]]:
+    """The fitted tables, and the ``score_batch`` reports and failures, of the
+    compressor fitted on each row of a (designs, K+1) knot matrix: one
+    quadrature pass for the fit moments, then ``fit_batch``.  Every row shares
+    the level count, support edge and source of ``config``.  The one place
+    where the design path names its fit target."""
     source, x_max = config.source, config.x_max
     moments = target_moments(lambda x: compressor(source, x_max, x), knots)
-    return score_batch(fit_batch(knots, moments), config)
+    tables = fit_batch(knots, moments)
+    return (tables, *score_batch(tables, config))
 
 
 def sweep(
@@ -109,15 +111,14 @@ def sweep(
     """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max.
 
     All candidates go through one array pass of ``_score_knots``, with no
-    per-candidate design object: one quadrature pass gives their fit moments,
-    ``fit_batch`` their fitted curves and ``score_batch`` their checks, grid
-    inversions and SQNRs, in blocks of about 2,048 grid points.  The first
-    candidate is the midpoint x_max/2 exactly.  Each candidate scores exactly
-    as ``evaluate_candidate`` at its threshold would.  Candidates whose fit
-    cannot produce a monotone quantizer are kept in the curve but marked
-    invalid, with the reason ``build`` gives, and skipped by the argmax.  Ties
-    break toward the smaller threshold.  A ``grid_step`` that would give more
-    than 100,000 candidates raises ValueError before any work.
+    per-candidate design object; ``score_batch`` inverts their grids in blocks
+    of about 2,048 grid points.  The first candidate is the midpoint x_max/2
+    exactly.  Each candidate scores as ``evaluate_candidate`` at its threshold
+    does, by the same code on one row.  Candidates whose fit cannot produce a
+    monotone quantizer are kept in the curve but marked invalid, with the
+    reason ``build`` gives, and skipped by the argmax.  Ties break toward the
+    smaller threshold.  A ``grid_step`` that would give more than 100,000
+    candidates raises ValueError before any work.
     """
     x_max = support_threshold(source, n_levels)
     if not 0.0 < grid_step < 0.5 * x_max:
@@ -133,7 +134,7 @@ def sweep(
         grid.append(x1)
     # one config checks the level budget and carries what all candidates share
     config = standard_config(n_levels, (grid[0],), source)
-    reports, failures = _score_knots(config, [(0.0, x1, x_max) for x1 in grid])
+    _, reports, failures = _score_knots(config, [(0.0, x1, x_max) for x1 in grid])
 
     candidates: list[SweepCandidate] = []
     best: SweepCandidate | None = None
@@ -164,10 +165,9 @@ def refine(result: SweepResult) -> RefineResult:
 
     Requires the grid maximum to be interior; a boundary maximum is returned
     unchanged with ``interior=False``.  The bracket closes at 1e-4 in x1.  The
-    refined SQNR never falls below the grid best.  Each point is scored as the
-    sweep scores its candidates, through ``_score_knots`` on one knot row,
-    exactly as ``evaluate_candidate`` would score it; a point that fails to
-    build scores -inf.
+    refined SQNR never falls below the grid best.  Each point is scored by
+    ``_score_knots`` on one knot row, as ``evaluate_candidate`` scores it; a
+    point that fails to build scores -inf.
     """
     valid = [c for c in result.candidates if c.valid]
     first, last = valid[0], valid[-1]
@@ -177,7 +177,7 @@ def refine(result: SweepResult) -> RefineResult:
     config = standard_config(result.n_levels, (result.best_x1,), result.source)
 
     def objective(x1: float) -> float:
-        (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
+        _, (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
         return -math.inf if report is None else report.sqnr_db
 
     lo = result.best_x1 - result.grid_step

@@ -3,6 +3,9 @@ import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,6 +336,20 @@ class TestFailureExitCode:
         code, _, err = run_cli(["design", "--levels", "16", "--x1", "1.68"], capsys)
         assert code == 3
         assert "synthetic failure" in err
+
+    @pytest.mark.parametrize("x1", ["1e-200", "5e-324"])
+    def test_degenerate_segment_prints_only_the_error(self, x1):
+        # run as a process: numpy warnings would reach its stderr
+        paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "splinequant.cli", "design", "--levels", "6", "--x1", x1],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: fitted curve not finite on segment 0\n"
 
     def test_overflow_exits_3(self, capsys, monkeypatch):
         # an OverflowError is a numerical failure, not a usage error

@@ -106,7 +106,6 @@ class TestIntegerLevelCount:
             raise AssertionError("scored a design before checking the level count")
 
         monkeypatch.setattr(threshold_optimizer, "_score_knots", forbidden)
-        monkeypatch.setattr(threshold_optimizer, "fit", forbidden)
         monkeypatch.setattr(reference_oracles, "_granular", forbidden)
 
     @pytest.mark.parametrize("entry", sorted(LEVEL_COUNT_ENTRIES))
@@ -447,6 +446,29 @@ class TestSqnr:
     def test_fitted_value_regression(self, fitted16):
         _, _, q = fitted16
         assert sqnr(q).sqnr_db == pytest.approx(19.763802, abs=1e-4)
+
+
+def assert_positive_powers(report):
+    assert report.granular > 0.0 and report.overload > 0.0 and report.total > 0.0
+    assert math.isfinite(report.sqnr_db)
+
+
+class TestReportPowers:
+    """Every report's powers are positive by construction: pdf > 0, slopes
+    checked > 0, and the overload term underflows only past about 38 sigma,
+    while the support edge is 7.1 sigma at N = 65,536."""
+
+    @pytest.mark.parametrize("n_levels", [8 * 2**k for k in range(7)])
+    def test_every_valid_sweep_report_and_the_chosen_design(self, n_levels):
+        result = sweep(n_levels)
+        reports = [c.report for c in result.candidates if c.valid]
+        assert reports
+        for report in reports + [sq.evaluate_candidate(n_levels, result.best_x1).report]:
+            assert_positive_powers(report)
+
+    @pytest.mark.parametrize("n_levels", [4 * 2**k for k in range(15)])
+    def test_exact_compressor(self, n_levels):
+        assert_positive_powers(sq.exact_compressor_sqnr(UNIT, n_levels))
 
 
 class TestEncodeDecode:

@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from splinequant import (
     compressor,
     fit,
     invert_segment,
+    standard_config,
     support_threshold,
 )
 
+from splinequant.quantizer_design import score_batch
 from splinequant.spline_fit import curve_slope, curve_value, fit_batch, target_moments
 from splinequant.threshold_optimizer import sweep
 
@@ -388,6 +391,18 @@ class TestFitPrecision:
                 want = mp_normal_equation_values(lo, hi, m, xs)
                 got = [curve_value(column, x) for x in xs]
                 assert got == pytest.approx(want, rel=1e-8, abs=0.0), (lo, hi)
+
+    @pytest.mark.parametrize("x1", [1e-200, 5e-324])
+    def test_degenerate_segment_fails_the_curve_check_without_warning(self, x1):
+        # h*h (and for 5e-324 h itself) underflows to 0: the table is not
+        # finite, which score_batch reports, and no numpy warning leaks
+        config = standard_config(6, (x1,))
+        knots = [config.knots.knots]
+        moments = target_moments(lambda x: compressor(UNIT, config.x_max, x), knots)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = fit_batch(knots, moments)
+        assert score_batch(tables, config) == ([None], ["fitted curve not finite on segment 0"])
 
     def test_knot_rows_must_increase(self):
         knots = [GAUSS_KNOTS.knots, (0.0, 0.0, X_MAX_16)]

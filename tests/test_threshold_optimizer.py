@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import splinequant as sq
-from splinequant import threshold_optimizer
+from splinequant import quantizer_design, spline_fit, threshold_optimizer
 from splinequant.spline_fit import fit_batch, target_moments
 from splinequant.threshold_optimizer import (
     RefineResult,
@@ -218,7 +218,7 @@ class TestOneArrayPass:
         def forbidden(*args, **kwargs):
             raise AssertionError("sweep called a one-design step")
 
-        for name in ("evaluate_candidate", "fit", "build", "sqnr"):
+        for name in ("evaluate_candidate", "build"):
             monkeypatch.setattr(threshold_optimizer, name, forbidden)
         configs = []
         real_config = threshold_optimizer.standard_config
@@ -258,11 +258,21 @@ def synthetic_result(xs, values, best_index, grid_step=0.01):
     )
 
 
+def public_chain(n_levels, x1, source=sq.SourceModel()):
+    """The design at ``x1`` through the public one-design steps: ``fit`` of
+    the compressor on the standard knots, ``build``, then ``sqnr``."""
+    config = sq.standard_config(n_levels, (x1,), source)
+    spline = sq.fit(lambda x: sq.compressor(source, config.x_max, x), config.knots)
+    quantizer = sq.build(spline, config)
+    return quantizer, sq.sqnr(quantizer)
+
+
 def score_as(monkeypatch, curve):
     """Make every point that ``refine`` scores read ``curve(x1)``."""
 
     def scores(config, knots):
-        return [SimpleNamespace(sqnr_db=curve(row[1])) for row in knots], [None] * len(knots)
+        reports = [SimpleNamespace(sqnr_db=curve(row[1])) for row in knots]
+        return None, reports, [None] * len(knots)
 
     monkeypatch.setattr(threshold_optimizer, "_score_knots", scores)
 
@@ -298,14 +308,14 @@ class TestRefine:
 
     @pytest.mark.parametrize("n_levels", [16, 128])
     def test_default_objective_scores_as_evaluate_candidate(self, n_levels, monkeypatch):
-        # the array pass on one knot row gives evaluate_candidate's SQNR bit
-        # for bit, so both scorings take the same golden-section path
+        # the array pass on one knot row gives the public one-design chain's
+        # SQNR bit for bit, so both scorings take the same golden-section path
         result = sweep(n_levels)
         refined = refine(result)
 
         def one_design(x1):
             try:
-                return sq.evaluate_candidate(n_levels, x1).report.sqnr_db
+                return public_chain(n_levels, x1)[1].sqnr_db
             except sq.DesignError:
                 return -math.inf
 
@@ -316,7 +326,7 @@ class TestRefine:
         def forbidden(*args, **kwargs):
             raise AssertionError("refine called a one-design step")
 
-        for name in ("evaluate_candidate", "fit", "build", "sqnr"):
+        for name in ("evaluate_candidate", "build"):
             monkeypatch.setattr(threshold_optimizer, name, forbidden)
         assert refine(sweep16).interior
 
@@ -339,3 +349,44 @@ class TestEvaluateCandidate:
     def test_regression_at_literature_thresholds(self):
         assert sq.evaluate_candidate(16, 1.68).report.sqnr_db == pytest.approx(19.7638, abs=1e-3)
         assert sq.evaluate_candidate(32, 2.25).report.sqnr_db == pytest.approx(25.9188, abs=1e-3)
+
+
+class TestOnePath:
+    """``evaluate_candidate`` is the one-row case of the sweep's scorer plus
+    ``build``; it gives what the public one-design chain gives."""
+
+    @pytest.mark.parametrize("n_levels", [8 * 2**k for k in range(7)])
+    def test_every_candidate_matches_the_public_chain(self, n_levels):
+        result = sweep(n_levels)
+        for cand in result.candidates:
+            try:
+                expected, report = public_chain(n_levels, cand.x1)
+            except sq.DesignError as exc:
+                assert not cand.valid and cand.failure == str(exc)
+                with pytest.raises(sq.DesignError) as info:
+                    sq.evaluate_candidate(n_levels, cand.x1)
+                assert str(info.value) == str(exc)
+                continue
+            design = sq.evaluate_candidate(n_levels, cand.x1)
+            assert cand.valid and repr(design.report) == repr(report) == repr(cand.report)
+            q = design.quantizer
+            assert q.spline.coefficients.tobytes() == expected.spline.coefficients.tobytes()
+            for field in (
+                "config", "step", "levels", "thresholds", "counts", "level_segments",
+                "overload_level", "cell_lengths_asymptotic", "cell_lengths_exact",
+            ):
+                assert repr(getattr(q, field)) == repr(getattr(expected, field)), field
+
+    def test_needs_neither_fit_nor_sqnr(self, monkeypatch):
+        quantizer, report = public_chain(16, 2.0)
+        assert not hasattr(threshold_optimizer, "fit")
+        assert not hasattr(threshold_optimizer, "sqnr")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluate_candidate left the scorer's path")
+
+        for module, name in ((spline_fit, "fit"), (quantizer_design, "sqnr"), (sq, "fit"), (sq, "sqnr")):
+            monkeypatch.setattr(module, name, forbidden)
+        design = sq.evaluate_candidate(16, 2.0)
+        assert design.report == report
+        assert design.quantizer.levels == quantizer.levels
