@@ -41,7 +41,6 @@ from .quantizer_design import (
     step_size,
 )
 from .threshold_optimizer import (
-    Design,
     RefineResult,
     SweepCandidate,
     SweepError,
@@ -89,7 +88,6 @@ __all__ = [
     "sqnr",
     "standard_config",
     "step_size",
-    "Design",
     "RefineResult",
     "SweepCandidate",
     "SweepError",

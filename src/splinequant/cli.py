@@ -32,9 +32,9 @@ import sys
 
 from . import __version__
 from .gauss_analytics import SourceModel, support_threshold
-from .quantizer_design import DesignError
+from .quantizer_design import CompandingQuantizer, DesignError
 from .reference_oracles import ConvergenceError, lloyd_max, mc_distortion, true_distortion
-from .threshold_optimizer import Design, SweepError, evaluate_candidate, sweep
+from .threshold_optimizer import SweepError, evaluate_candidate, sweep
 
 __all__ = ["main"]
 
@@ -129,9 +129,9 @@ def _emit(args, results: dict, table: list[dict] | None = None) -> None:
     print(f"wrote {args.out}", file=sys.stderr)
 
 
-def _design(args) -> Design:
-    """The design at --x1, or at the best threshold of a --grid-step sweep for
-    ``--x1 auto``."""
+def _design(args) -> CompandingQuantizer:
+    """The quantizer at --x1, or at the best threshold of a --grid-step sweep
+    for ``--x1 auto``."""
     if args.x1 == "auto":
         x1 = sweep(args.levels, args.grid_step).best_x1
     else:
@@ -139,9 +139,8 @@ def _design(args) -> Design:
     return evaluate_candidate(args.levels, x1)
 
 
-def _design_document(design: Design, auto: bool) -> dict:
-    quantizer, report = design.quantizer, design.report
-    config = quantizer.config
+def _design_document(quantizer: CompandingQuantizer, auto: bool) -> dict:
+    config, report = quantizer.config, quantizer.report
     return {
         "n_levels": config.n_levels,
         "x1": config.knots[1],
@@ -232,17 +231,17 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    design = _design(args)
-    analytic = true_distortion(design.quantizer)
-    mc = mc_distortion(design.quantizer, args.samples, args.seed)
+    quantizer = _design(args)
+    analytic = true_distortion(quantizer)
+    mc = mc_distortion(quantizer, args.samples, args.seed)
     # no z-score without spread (one sample): the verdict is FAIL
     z = (mc.mean_distortion - analytic) / mc.std_error if mc.std_error > 0 else None
     passed = z is not None and abs(z) <= 3.0
     results = {
         "n_levels": args.levels,
-        "x1": design.quantizer.config.knots[1],
+        "x1": quantizer.config.knots[1],
         "analytic_distortion": analytic,
-        "model_distortion": design.report.total,
+        "model_distortion": quantizer.report.total,
         "mc_distortion": mc.mean_distortion,
         "mc_std_error": mc.std_error,
         "n_samples": mc.n_samples,

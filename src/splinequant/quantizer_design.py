@@ -12,11 +12,11 @@ Design conventions
 * A fitted curve is a ``spline_fit`` coefficient table; that module owns its
   row layout and evaluates it here (``curve_value``, ``curve_slope``,
   ``segment_inverse``).
-* The checks on a fitted curve, the grid inversion and the granular term are
-  array kernels over a stack of designs.  ``build`` and ``sqnr`` run them on
-  one design; ``score_batch`` runs them on every candidate of a threshold
-  sweep, without building quantizers, inverting the grids in blocks of about
-  2,048 (design, grid point) pairs so that its working set stays bounded.
+* The checks on a fitted curve, the grid inversion, the granular term and the
+  report are array kernels over a stack of designs.  ``build`` runs them on
+  one design and keeps the report in the quantizer; ``score_batch`` runs them
+  on every candidate of a sweep, building no quantizer, and inverts the grids
+  in blocks of about 2,048 (design, grid point) pairs to bound its memory.
 * The grid is split among segments by the fitted curve's knot values, so
   a segment may receive no level (the N=16 optimum has counts (7, 0)); the
   paper's per-segment level-count rule is not in the repository.
@@ -27,7 +27,7 @@ Design conventions
   headline SQNR combines it with the asymptotic overload term; the exact
   overload term, from the closed-form tail moment, is reported alongside.
   This module owns the model: one half-step grid, one granular kernel and
-  one report function serve ``sqnr`` and ``score_batch``; the kernel and the
+  one report function serve ``build`` and ``score_batch``; the kernel and the
   report also serve the exact-compressor comparator
   ``reference_oracles.exact_compressor_sqnr``.
 """
@@ -121,7 +121,8 @@ class DistortionReport:
 
 @dataclass(frozen=True)
 class CompandingQuantizer:
-    """Immutable symmetric quantizer; negative half mirrors the stored positive half."""
+    """Immutable symmetric quantizer; negative half mirrors the stored positive
+    half.  ``report`` is its companding-model report, computed by ``build``."""
 
     config: DesignConfig
     spline: QuadraticSpline
@@ -133,6 +134,7 @@ class CompandingQuantizer:
     overload_level: float
     cell_lengths_asymptotic: tuple[float, ...]
     cell_lengths_exact: tuple[float, ...]
+    report: DistortionReport
 
     @cached_property
     def all_boundaries(self) -> tuple[float, ...]:
@@ -249,12 +251,12 @@ def _invert_grid(
 
 
 def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
-    """Assemble the quantizer: levels, thresholds, counts, overload level.
-
-    The one-design case of the checks and grid inversion that ``score_batch``
-    runs for a whole sweep.  Raises DesignError when the fitted curve fails
-    one of its checks (finite, increasing per segment, spanning the half-step
-    grid) or the resulting levels/thresholds fail to interleave.
+    """Assemble the quantizer: levels, thresholds, counts, overload level and
+    model report, by the checks, grid inversion, granular term and report
+    that ``score_batch`` runs for a whole sweep, with its bits.  Raises
+    DesignError when the fitted curve fails one of its checks (finite,
+    increasing per segment, spanning the half-step grid) or the resulting
+    levels/thresholds fail to interleave.
     """
     if spline.knots != config.knots.knots:
         raise DesignError(
@@ -270,6 +272,7 @@ def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
     # x[j - 1] is the preimage of grid point j: odd j are levels, even j thresholds
     points = np.concatenate(([0.0], x, [config.x_max]))
     levels, level_segments = x[::2], seg[::2]
+    (report,) = _model_reports([float(_granular(levels, slope[::2], config))], config)
     return CompandingQuantizer(
         config=config,
         spline=spline,
@@ -281,6 +284,7 @@ def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
         overload_level=tail_centroid(config.source, config.x_max),
         cell_lengths_asymptotic=tuple((delta / slope[::2]).tolist()),
         cell_lengths_exact=tuple((points[2::2] - points[:-1:2]).tolist()),
+        report=report,
     )
 
 
@@ -294,25 +298,16 @@ def _granular(levels: np.ndarray, slopes: np.ndarray, cfg: DesignConfig) -> np.n
 
 
 def granular_distortion(q: CompandingQuantizer) -> float:
-    """Companding-model granular noise power.
-
-    Evaluated as 2*x_max^2/(3(N-2)^2) * sum of density/slope^2 * cell length
-    (asymptotic), algebraically equal to the midpoint form sum of density *
-    cell_length^3 / 6.
-    """
-    y = np.array(q.levels)
-    slopes = curve_slope(q.spline.coefficients.take(q.level_segments, axis=1), y)
-    return float(_granular(y, slopes, q.config))
+    """Companding-model granular noise power: 2*x_max^2/(3(N-2)^2) times the
+    sum of density/slope^2 * cell length (asymptotic), algebraically equal to
+    the midpoint form sum of density * cell_length^3 / 6."""
+    return q.report.granular
 
 
 def overload_distortion_exact(q: CompandingQuantizer) -> float:
     """Overload noise power: twice the integral of (x - overload_level)^2
     times the density over the tail beyond x_max, in closed form."""
-    return _overload_exact(q.config, q.overload_level)
-
-
-def _overload_exact(cfg: DesignConfig, level: float) -> float:
-    return 2.0 * float(cell_second_moment(cfg.source, cfg.x_max, math.inf, level))
+    return q.report.overload_exact
 
 
 def overload_distortion_closed(x_max: float) -> float:
@@ -327,8 +322,7 @@ def sqnr(q: CompandingQuantizer) -> DistortionReport:
     """Distortion report: granular model + closed-form overload drive the
     headline SQNR; the exact overload term, about the tail centroid that
     ``build`` makes the overload level, is recorded alongside."""
-    (report,) = _model_reports([granular_distortion(q)], q.config)
-    return report
+    return q.report
 
 
 def _model_reports(granular: Sequence[float], cfg: DesignConfig) -> list[DistortionReport]:
@@ -338,7 +332,8 @@ def _model_reports(granular: Sequence[float], cfg: DesignConfig) -> list[Distort
     recorded alongside; both depend on ``cfg`` alone and are computed once."""
     src = cfg.source
     overload = src.sigma**2 * overload_distortion_closed(cfg.x_max / src.sigma)
-    overload_exact = _overload_exact(cfg, tail_centroid(src, cfg.x_max))
+    centroid = tail_centroid(src, cfg.x_max)
+    overload_exact = 2.0 * float(cell_second_moment(src, cfg.x_max, math.inf, centroid))
     return [
         DistortionReport(
             granular=g,
@@ -359,8 +354,8 @@ _BLOCK_POINTS = 2048
 def score_batch(
     tables: np.ndarray, config: DesignConfig
 ) -> tuple[list[DistortionReport | None], list[str | None]]:
-    """``build`` then ``sqnr`` for a stack of fitted curves, without building
-    any quantizer.
+    """``build``'s checks and report for a stack of fitted curves, without
+    building any quantizer.
 
     ``tables`` is a (designs, 5, segments) array as ``spline_fit.fit_batch``
     returns it; every design has the level count, support edge and source of
@@ -389,8 +384,9 @@ def score_batch(
 def encode(q: CompandingQuantizer, x: float) -> int:
     """Cell index of amplitude ``x`` (0 = negative overload, N-1 = positive).
 
-    Cells are half-open on the right; anything at or beyond +/-x_max lands in
-    the overload cells.
+    Cells are half-open on the right, as ``mc_distortion`` counts them: x_max
+    and beyond land in cell N-1, below -x_max in cell 0, while -x_max itself
+    lands in cell 1, the first granular cell.
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot encode non-finite amplitude {x!r}")

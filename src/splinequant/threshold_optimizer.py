@@ -1,5 +1,8 @@
 """The design pipeline for one threshold, its grid sweep over the free segment
-threshold, and optional golden-section refinement of the SQNR maximum."""
+threshold, and optional golden-section refinement of the SQNR maximum.
+``evaluate_candidate`` fits one knot row by ``_fit_knots`` and builds its
+quantizer, which carries its report; ``sweep`` and ``refine`` score knot rows
+by the same fits and ``score_batch``, building no quantizer."""
 
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from .quantizer_design import (
 from .spline_fit import QuadraticSpline, fit_batch, target_moments
 
 __all__ = [
-    "Design",
     "SweepCandidate",
     "SweepResult",
     "RefineResult",
@@ -41,15 +43,6 @@ _MAX_CANDIDATES = 100_000
 
 class SweepError(RuntimeError):
     """No sweep candidate produced a usable design."""
-
-
-@dataclass(frozen=True)
-class Design:
-    """One design: its quantizer, which holds the configuration and fitted
-    curve, and its report."""
-
-    quantizer: CompandingQuantizer
-    report: DistortionReport
 
 
 @dataclass(frozen=True)
@@ -81,26 +74,36 @@ class RefineResult:
     interior: bool
 
 
-def evaluate_candidate(n_levels: int, x1: float, source: SourceModel = SourceModel()) -> Design:
-    """The design on knots (0, x1, x_max): the one-row case of ``_score_knots``
-    plus ``build``, which raises the DesignError text the scorer records."""
+def evaluate_candidate(
+    n_levels: int, x1: float, source: SourceModel = SourceModel()
+) -> CompandingQuantizer:
+    """The quantizer on knots (0, x1, x_max), fitted by ``_fit_knots`` on its
+    one knot row and built once; ``build`` raises the DesignError text that
+    ``_score_knots`` records for the same row."""
     config = standard_config(n_levels, (x1,), source)
-    (table,), (report,), _ = _score_knots(config, [config.knots.knots])
-    return Design(build(QuadraticSpline(table), config), report)
+    (table,) = _fit_knots(config, [config.knots.knots])
+    return build(QuadraticSpline(table), config)
+
+
+def _fit_knots(config: DesignConfig, knots: Sequence[Sequence[float]]) -> np.ndarray:
+    """The compressor's fitted tables on each row of a (designs, K+1) knot
+    matrix, all with the support edge and source of ``config``: one quadrature
+    pass, then ``fit_batch``.  The one place where a design path names its fit
+    target.  Moment k is sigma^(k+2) times that of the unit-sigma compressor
+    (edge x_max/sigma) over knots/sigma, which keeps the quadrature's absolute
+    tolerance in scale at any sigma and is exact at sigma = 1."""
+    sigma, unit = config.source.sigma, SourceModel()
+    edge = config.x_max / sigma
+    moments = target_moments(lambda u: compressor(unit, edge, u), np.divide(knots, sigma))
+    return fit_batch(knots, moments * sigma ** np.arange(2.0, 5.0))
 
 
 def _score_knots(
     config: DesignConfig, knots: Sequence[Sequence[float]]
-) -> tuple[np.ndarray, list[DistortionReport | None], list[str | None]]:
-    """The fitted tables, and the ``score_batch`` reports and failures, of the
-    compressor fitted on each row of a (designs, K+1) knot matrix: one
-    quadrature pass for the fit moments, then ``fit_batch``.  Every row shares
-    the level count, support edge and source of ``config``.  The one place
-    where the design path names its fit target."""
-    source, x_max = config.source, config.x_max
-    moments = target_moments(lambda x: compressor(source, x_max, x), knots)
-    tables = fit_batch(knots, moments)
-    return (tables, *score_batch(tables, config))
+) -> tuple[list[DistortionReport | None], list[str | None]]:
+    """The ``score_batch`` reports and failures of the ``_fit_knots`` fits of
+    a knot matrix, for the level count of ``config``."""
+    return score_batch(_fit_knots(config, knots), config)
 
 
 def sweep(
@@ -111,10 +114,10 @@ def sweep(
     """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max.
 
     All candidates go through one array pass of ``_score_knots``, with no
-    per-candidate design object; ``score_batch`` inverts their grids in blocks
+    per-candidate quantizer; ``score_batch`` inverts their grids in blocks
     of about 2,048 grid points.  The first candidate is the midpoint x_max/2
-    exactly.  Each candidate scores as ``evaluate_candidate`` at its threshold
-    does, by the same code on one row.  Candidates whose fit cannot produce a
+    exactly.  Each candidate's report is that of ``evaluate_candidate`` at
+    its threshold, bit for bit.  Candidates whose fit cannot produce a
     monotone quantizer are kept in the curve but marked invalid, with the
     reason ``build`` gives, and skipped by the argmax.  Ties break toward the
     smaller threshold.  A ``grid_step`` that would give more than 100,000
@@ -134,7 +137,7 @@ def sweep(
         grid.append(x1)
     # one config checks the level budget and carries what all candidates share
     config = standard_config(n_levels, (grid[0],), source)
-    _, reports, failures = _score_knots(config, [(0.0, x1, x_max) for x1 in grid])
+    reports, failures = _score_knots(config, [(0.0, x1, x_max) for x1 in grid])
 
     candidates: list[SweepCandidate] = []
     best: SweepCandidate | None = None
@@ -166,8 +169,8 @@ def refine(result: SweepResult) -> RefineResult:
     Requires the grid maximum to be interior; a boundary maximum is returned
     unchanged with ``interior=False``.  The bracket closes at 1e-4 in x1.  The
     refined SQNR never falls below the grid best.  Each point is scored by
-    ``_score_knots`` on one knot row, as ``evaluate_candidate`` scores it; a
-    point that fails to build scores -inf.
+    ``_score_knots`` on one knot row, with the bits of ``evaluate_candidate``'s
+    report; a point that fails to build scores -inf.
     """
     valid = [c for c in result.candidates if c.valid]
     first, last = valid[0], valid[-1]
@@ -177,7 +180,7 @@ def refine(result: SweepResult) -> RefineResult:
     config = standard_config(result.n_levels, (result.best_x1,), result.source)
 
     def objective(x1: float) -> float:
-        _, (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
+        (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
         return -math.inf if report is None else report.sqnr_db
 
     lo = result.best_x1 - result.grid_step

@@ -10,14 +10,14 @@ construction that the single-pass ``build`` must reproduce: the same failures
 and texts, and to 1e-13 relative the same points, since its scalar
 ``scalar_invert_segment`` solves for both roots of the quadratic with the
 general cancellation-free formula, a route independent of the library's
-one-branch inverse.  ``per_candidate_sweep`` is the threshold sweep that
-fits, builds and scores one candidate at a time (``scalar_fit``, the
-closed-form Legendre projection in Python floats, ``per_level_build``,
-``scalar_sqnr``), the reference for the library's one array pass over all
-candidates.  ``reference_lloyd_max`` iterates the whole Lloyd-Max codebook,
-both halves, one iterate at a time, the reference for the library's
-positive-half iteration in blocks of iterates; ``reference_lloyd_iterates``
-yields its iterates one by one.
+one-branch inverse; its report is ``scalar_report``, summed level by level.
+``per_candidate_sweep`` is the threshold sweep that fits, builds and scores
+one candidate at a time (``scalar_fit``, the closed-form Legendre projection
+in Python floats, then ``per_level_build``), the reference for the library's
+one array pass over all candidates.  ``reference_lloyd_max`` iterates the
+whole Lloyd-Max codebook, both halves, one iterate at a time, the reference
+for the library's positive-half iteration in blocks of iterates;
+``reference_lloyd_iterates`` yields its iterates one by one.
 ``unsorted_mc_distortion`` assigns each Monte-Carlo draw to its cell by
 searching the boundaries draw by draw, as ``encode`` does, the reference for
 the library's sort-and-cut of each shard.
@@ -41,14 +41,20 @@ from typing import Callable, Iterator
 import numpy as np
 
 from splinequant import QuadratureError, SourceModel
-from splinequant.gauss_analytics import compressor, erf, pdf, support_threshold, tail_centroid
+from splinequant.gauss_analytics import (
+    cell_second_moment,
+    compressor,
+    erf,
+    pdf,
+    support_threshold,
+    tail_centroid,
+)
 from splinequant.quantizer_design import (
     CompandingQuantizer,
     DesignConfig,
     DesignError,
     DistortionReport,
     overload_distortion_closed,
-    overload_distortion_exact,
     standard_config,
     step_size,
 )
@@ -488,7 +494,7 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
 
     overload_level = tail_centroid(config.source, config.x_max)
     rows = segment_rows(spline)
-    asym = tuple(delta / scalar_slope(rows[i], y) for i, y in zip(level_segments, levels))
+    slopes = [scalar_slope(rows[i], y) for i, y in zip(level_segments, levels)]
     bounds = [0.0] + thresholds
     exact = tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
@@ -501,8 +507,9 @@ def per_level_build(spline: QuadraticSpline, config: DesignConfig) -> Companding
         counts=tuple(len(ts) for ts in per_segment),
         level_segments=tuple(level_segments),
         overload_level=overload_level,
-        cell_lengths_asymptotic=asym,
+        cell_lengths_asymptotic=tuple(delta / s for s in slopes),
         cell_lengths_exact=exact,
+        report=scalar_report(config, levels, slopes),
     )
 
 
@@ -539,30 +546,23 @@ def mp_normal_equation_values(lo: float, hi: float, moments, xs) -> list[float]:
         return [float(c0 + x * (c1 + c2 * x)) for x in map(mpmath.mpf, xs)]
 
 
-def scalar_granular_distortion(q: CompandingQuantizer) -> float:
-    """Companding-model granular noise power, summed level by level."""
-    cfg = q.config
-    src = cfg.source
-    rows = segment_rows(q.spline)
-    slopes = [scalar_slope(rows[i], y) for i, y in zip(q.level_segments, q.levels)]
-    lead = sum(
-        pdf(src, y) / s**2 * d
-        for y, s, d in zip(q.levels, slopes, q.cell_lengths_asymptotic)
-    )
-    return lead * (2.0 * cfg.x_max**2 / (3.0 * (cfg.n_levels - 2) ** 2))
-
-
-def scalar_sqnr(q: CompandingQuantizer) -> DistortionReport:
-    src = q.config.source
-    granular = scalar_granular_distortion(q)
-    overload = src.sigma**2 * overload_distortion_closed(q.config.x_max / src.sigma)
+def scalar_report(config: DesignConfig, levels, slopes) -> DistortionReport:
+    """Companding-model report summed level by level, from the curve's slope
+    at each level: the granular term, the closed-form overload term behind
+    the SQNR, and the exact overload term about the tail centroid."""
+    src, x_max = config.source, config.x_max
+    delta = step_size(config)
+    lead = sum(pdf(src, y) / s**2 * (delta / s) for y, s in zip(levels, slopes))
+    granular = lead * (2.0 * x_max**2 / (3.0 * (config.n_levels - 2) ** 2))
+    overload = src.sigma**2 * overload_distortion_closed(x_max / src.sigma)
+    tail = cell_second_moment(src, x_max, math.inf, tail_centroid(src, x_max))
     total = granular + overload
     return DistortionReport(
         granular=granular,
         overload=overload,
         total=total,
         sqnr_db=10.0 * math.log10(src.sigma**2 / total),
-        overload_exact=overload_distortion_exact(q),
+        overload_exact=2.0 * float(tail),
     )
 
 
@@ -582,7 +582,7 @@ def per_candidate_sweep(
     for x1, config, m in zip(grid, configs, moments):
         spline = scalar_fit(config.knots, m)
         try:
-            report = scalar_sqnr(per_level_build(spline, config))
+            report = per_level_build(spline, config).report
         except DesignError as exc:
             rows.append((x1, spline, None, str(exc)))
             continue

@@ -33,7 +33,7 @@ def lloyd32(model):
 
 @pytest.fixture(scope="session")
 def designs(model, sweep16, sweep32):
-    """The four reference designs: midpoint and swept optimum for N in {16, 32}."""
+    """The four reference quantizers: midpoint and swept optimum for N in {16, 32}."""
     return {
         (16, "mid"): sq.evaluate_candidate(16, sweep16.x_max / 2, model),
         (16, "opt"): sq.evaluate_candidate(16, sweep16.best_x1, model),

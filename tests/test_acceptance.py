@@ -111,9 +111,9 @@ def test_criterion_5_variant_ordering(table1_run):
 
 def test_criterion_6_monte_carlo_oracle(designs):
     zs = {}
-    for key, d in designs.items():
-        analytic = true_distortion(d.quantizer)
-        est = mc_distortion(d.quantizer, 10_000_000, 42)
+    for key, q in designs.items():
+        analytic = true_distortion(q)
+        est = mc_distortion(q, 10_000_000, 42)
         zs[key] = (est.mean_distortion - analytic) / est.std_error
     ok = all(abs(z) <= 3.0 for z in zs.values())
     detail = ", ".join(f"N={n} {tag}: z={z:+.2f}" for (n, tag), z in zs.items()) + " (|z| <= 3)"
@@ -153,8 +153,7 @@ def test_criterion_8_structural_invariants(candidate_builds, designs):
 
     # interleaving of thresholds and levels on the four reference designs
     interleave_ok = True
-    for d in designs.values():
-        q = d.quantizer
+    for q in designs.values():
         seq = [0.0]
         for y, t in zip(q.levels, q.thresholds):
             seq += [y, t]
@@ -164,7 +163,7 @@ def test_criterion_8_structural_invariants(candidate_builds, designs):
 
     # odd symmetry of the codec under random drive
     rng = np.random.default_rng(99)
-    q = designs[(16, "opt")].quantizer
+    q = designs[(16, "opt")]
     n = q.config.n_levels
     sym_ok = True
     for x in rng.standard_normal(10_000):
@@ -206,7 +205,7 @@ def test_criterion_9_overload_asymptotics(designs):
     # (a), (b): each library term against its mpmath value on the swept designs
     rows = {}
     for n in published:
-        q = designs[(n, "opt")].quantizer
+        q = designs[(n, "opt")]
         x_max = q.config.x_max
         closed, exact = overload_distortion_closed(x_max), overload_distortion_exact(q)
         exact_err = abs(exact / (2.0 * mp_tail_second_moment(x_max, q.overload_level)) - 1.0)

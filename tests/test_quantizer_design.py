@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +26,7 @@ from splinequant import (
 )
 
 from splinequant import reference_oracles, threshold_optimizer
+from splinequant.gauss_analytics import cell_second_moment
 from splinequant.quantizer_design import score_batch
 from splinequant.spline_fit import fit_batch, target_moments
 from splinequant.threshold_optimizer import sweep
@@ -106,6 +106,7 @@ class TestIntegerLevelCount:
             raise AssertionError("scored a design before checking the level count")
 
         monkeypatch.setattr(threshold_optimizer, "_score_knots", forbidden)
+        monkeypatch.setattr(threshold_optimizer, "_fit_knots", forbidden)
         monkeypatch.setattr(reference_oracles, "_granular", forbidden)
 
     @pytest.mark.parametrize("entry", sorted(LEVEL_COUNT_ENTRIES))
@@ -246,7 +247,8 @@ class TestBuild:
         # gives the same segments and counts; its one-branch inverse puts
         # levels and thresholds within 1e-13 relative of the reference's
         # general two-root solve (measured: 2.6e-15), and the cell lengths,
-        # a slope or a difference of them, within 1e-12 (measured: 3.3e-14)
+        # a slope or a difference of them, within 1e-12 (measured: 3.3e-14);
+        # its report matches the level-by-level sum, its overload terms exactly
         x_max = support_threshold(UNIT, n_levels)
         configs = [
             standard_config(n_levels, (0.5 * x_max + k * 0.05,))
@@ -273,6 +275,11 @@ class TestBuild:
                 ("cell_lengths_exact", 1e-12),
             ):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel, abs=0.0)
+            assert got.report.granular == pytest.approx(want.report.granular, rel=1e-12, abs=0.0)
+            assert got.report.sqnr_db == pytest.approx(want.report.sqnr_db, rel=1e-13, abs=0.0)
+            assert (got.report.overload, got.report.overload_exact) == (
+                want.report.overload, want.report.overload_exact
+            )
             for table in (got.levels, got.thresholds, got.cell_lengths_asymptotic):
                 assert all(type(v) is float for v in table)
             assert all(type(c) is int for c in got.counts + got.level_segments)
@@ -285,7 +292,7 @@ class TestBuild:
         pytest.importorskip("mpmath")
         valid = [c.x1 for c in sweep(n_levels).candidates if c.valid]
         for x1 in valid[:: max(1, len(valid) // 4)]:
-            q = sq.evaluate_candidate(n_levels, x1).quantizer
+            q = sq.evaluate_candidate(n_levels, x1)
             rows = segment_rows(q.spline)
             grid = (np.arange(1, 2 * q.config.granular_per_side) * (0.5 * q.step)).tolist()
             inner = [scalar_value(r, r[4]) for r in rows[:-1]]
@@ -411,11 +418,14 @@ class TestOverloadDistortion:
         assert overload_distortion_exact(q) < 1e-12
 
     def test_centroid_minimizes_exact_overload(self, fitted16):
+        # the exact term is taken about the overload level, the tail centroid,
+        # where the tail's second moment is least
         _, _, q = fitted16
         base = overload_distortion_exact(q)
+        x_max = q.config.x_max
+        assert base == 2.0 * cell_second_moment(UNIT, x_max, math.inf, q.overload_level)
         for off in (-0.2, -0.05, 0.05, 0.2):
-            moved = dataclasses.replace(q, overload_level=q.overload_level + off)
-            assert overload_distortion_exact(moved) > base
+            assert 2.0 * cell_second_moment(UNIT, x_max, math.inf, q.overload_level + off) > base
 
     def test_asymptotic_gap_against_exact(self, fitted16):
         # the closed form is a genuine asymptotic: at these support edges it
@@ -491,6 +501,16 @@ class TestEncodeDecode:
         for idx in range(q.config.n_levels):
             y = decode(q, idx)
             assert encode(q, y) == idx
+
+    def test_support_edges(self, fitted16):
+        # cells are half-open on the right: -x_max opens the first granular
+        # cell, x_max the positive overload cell
+        _, _, q = fitted16
+        n, x_max = q.config.n_levels, q.config.x_max
+        assert encode(q, -x_max) == 1
+        assert encode(q, x_max) == n - 1
+        assert encode(q, math.nextafter(x_max, 0.0)) == n - 2
+        assert encode(q, math.nextafter(-x_max, -math.inf)) == 0
 
     def test_half_open_boundaries(self, fitted16):
         _, _, q = fitted16

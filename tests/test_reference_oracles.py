@@ -53,7 +53,7 @@ class TestLloydMax:
 
     def test_beats_every_quantizer_true_distortion(self, lloyd16, designs):
         for n, tag in ((16, "mid"), (16, "opt")):
-            assert lloyd16.distortion <= true_distortion(designs[(n, tag)].quantizer)
+            assert lloyd16.distortion <= true_distortion(designs[(n, tag)])
 
     def test_beats_spline_model_sqnr(self, lloyd16, lloyd32, designs, sweep16, sweep32):
         assert lloyd16.sqnr_db >= sweep16.best_sqnr_db
@@ -217,13 +217,13 @@ class TestLloydMaxBlocks:
 
 class TestMcDistortion:
     def test_seed_reproducibility(self, designs):
-        q = designs[(16, "opt")].quantizer
+        q = designs[(16, "opt")]
         a = mc_distortion(q, 200_000, 42)
         b = mc_distortion(q, 200_000, 42)
         assert a == b
 
     def test_seed_sensitivity(self, designs):
-        q = designs[(16, "opt")].quantizer
+        q = designs[(16, "opt")]
         assert mc_distortion(q, 200_000, 1).mean_distortion != mc_distortion(
             q, 200_000, 2
         ).mean_distortion
@@ -231,7 +231,7 @@ class TestMcDistortion:
     def test_sharding_invariant_under_total_count(self, designs):
         # the first shard's draws are identical whether or not more follow,
         # so a two-shard run must extend, not reshuffle, a one-shard run
-        q = designs[(16, "opt")].quantizer
+        q = designs[(16, "opt")]
         one = mc_distortion(q, 1_000_000, 7)
         two = mc_distortion(q, 2_000_000, 7)
         shard2 = 2 * two.mean_distortion - one.mean_distortion
@@ -245,14 +245,14 @@ class TestMcDistortion:
         assert est.mean_distortion == pytest.approx(1.0, abs=3 * est.std_error)
 
     def test_matches_true_distortion(self, designs):
-        q = designs[(16, "opt")].quantizer
+        q = designs[(16, "opt")]
         est = mc_distortion(q, 1_000_000, 42)
         z = (est.mean_distortion - true_distortion(q)) / est.std_error
         assert abs(z) < 4.0
 
     def test_rejects_empty_sample_budget(self, designs):
         with pytest.raises(ValueError):
-            mc_distortion(designs[(16, "mid")].quantizer, 0, 42)
+            mc_distortion(designs[(16, "mid")], 0, 42)
 
     @pytest.mark.parametrize(
         "n_samples, seed, error",
@@ -271,10 +271,10 @@ class TestMcDistortion:
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(error):
-            mc_distortion(designs[(16, "mid")].quantizer, n_samples, seed)
+            mc_distortion(designs[(16, "mid")], n_samples, seed)
 
     def test_accepts_integer_like_counts(self, designs):
-        q = designs[(16, "mid")].quantizer
+        q = designs[(16, "mid")]
         est = mc_distortion(q, np.int64(1000), np.int32(5))
         assert type(est.n_samples) is int and type(est.seed) is int
         assert est == mc_distortion(q, 1000, 5)
@@ -286,7 +286,7 @@ class TestMcDistortionSortedShards:
 
     @pytest.fixture(scope="class")
     def quantizers(self):
-        return {n: sq.evaluate_candidate(n, 0.6 * sq.support_threshold(UNIT, n)).quantizer for n in (16, 64, 256)}
+        return {n: sq.evaluate_candidate(n, 0.6 * sq.support_threshold(UNIT, n)) for n in (16, 64, 256)}
 
     @pytest.mark.parametrize("n_samples", [1, 999_999, 1_000_001, 2_500_000])
     @pytest.mark.parametrize("n_levels", [16, 64, 256])
@@ -330,12 +330,11 @@ class TestTrueDistortion:
     def test_against_model_report(self, designs):
         # the companding model is an approximation; the honest figure moves a
         # few percent away but stays the same order
-        for key, d in designs.items():
-            honest = true_distortion(d.quantizer)
-            assert honest == pytest.approx(d.report.total, rel=0.15)
+        for q in designs.values():
+            assert true_distortion(q) == pytest.approx(q.report.total, rel=0.15)
 
     def test_regression(self, designs):
-        assert true_distortion(designs[(16, "mid")].quantizer) == pytest.approx(
+        assert true_distortion(designs[(16, "mid")]) == pytest.approx(
             0.0095940704, rel=1e-6
         )
 
@@ -343,7 +342,7 @@ class TestTrueDistortion:
     @pytest.mark.parametrize("share", [0.6, 0.75])
     def test_matches_mpmath_over_realized_cells(self, n_levels, share):
         pytest.importorskip("mpmath")
-        q = sq.evaluate_candidate(n_levels, share * sq.support_threshold(UNIT, n_levels)).quantizer
+        q = sq.evaluate_candidate(n_levels, share * sq.support_threshold(UNIT, n_levels))
         bounds = (0.0,) + q.thresholds + (math.inf,)
         want = 2.0 * mp_cell_distortion(bounds, q.levels + (q.overload_level,))
         assert true_distortion(q) == pytest.approx(want, rel=1e-10, abs=0.0)

@@ -272,7 +272,7 @@ def score_as(monkeypatch, curve):
 
     def scores(config, knots):
         reports = [SimpleNamespace(sqnr_db=curve(row[1])) for row in knots]
-        return None, reports, [None] * len(knots)
+        return reports, [None] * len(knots)
 
     monkeypatch.setattr(threshold_optimizer, "_score_knots", scores)
 
@@ -352,8 +352,8 @@ class TestEvaluateCandidate:
 
 
 class TestOnePath:
-    """``evaluate_candidate`` is the one-row case of the sweep's scorer plus
-    ``build``; it gives what the public one-design chain gives."""
+    """``evaluate_candidate`` fits its one knot row as the sweep's scorer does
+    and builds it once; it gives what the public one-design chain gives."""
 
     @pytest.mark.parametrize("n_levels", [8 * 2**k for k in range(7)])
     def test_every_candidate_matches_the_public_chain(self, n_levels):
@@ -367,13 +367,12 @@ class TestOnePath:
                     sq.evaluate_candidate(n_levels, cand.x1)
                 assert str(info.value) == str(exc)
                 continue
-            design = sq.evaluate_candidate(n_levels, cand.x1)
-            assert cand.valid and repr(design.report) == repr(report) == repr(cand.report)
-            q = design.quantizer
+            q = sq.evaluate_candidate(n_levels, cand.x1)
+            assert cand.valid and repr(q.report) == repr(report) == repr(cand.report)
             assert q.spline.coefficients.tobytes() == expected.spline.coefficients.tobytes()
             for field in (
                 "config", "step", "levels", "thresholds", "counts", "level_segments",
-                "overload_level", "cell_lengths_asymptotic", "cell_lengths_exact",
+                "overload_level", "cell_lengths_asymptotic", "cell_lengths_exact", "report",
             ):
                 assert repr(getattr(q, field)) == repr(getattr(expected, field)), field
 
@@ -387,6 +386,32 @@ class TestOnePath:
 
         for module, name in ((spline_fit, "fit"), (quantizer_design, "sqnr"), (sq, "fit"), (sq, "sqnr")):
             monkeypatch.setattr(module, name, forbidden)
-        design = sq.evaluate_candidate(16, 2.0)
-        assert design.report == report
-        assert design.quantizer.levels == quantizer.levels
+        q = sq.evaluate_candidate(16, 2.0)
+        assert q.report == report
+        assert q.levels == quantizer.levels
+
+    def test_checks_and_inverts_once(self, monkeypatch):
+        # one pass of the curve checks and the grid inversion, build's: the
+        # quantizer carries the report, so no scorer pass repeats them
+        calls = []
+        for name in ("_curve_failures", "_invert_grid"):
+            real = getattr(quantizer_design, name)
+            counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+            monkeypatch.setattr(quantizer_design, name, counted)
+        sq.evaluate_candidate(16, 2.0)
+        assert calls == ["_curve_failures", "_invert_grid"]
+
+
+class TestSourceScale:
+    """A design at sigma is the unit design scaled by sigma: the fit moments
+    are computed at unit scale, where the quadrature's absolute tolerance
+    does not bind."""
+
+    @pytest.mark.parametrize("n_levels", [16, 64, 256])
+    def test_sqnr_independent_of_sigma(self, n_levels):
+        def design(source):
+            return sq.evaluate_candidate(n_levels, 0.6 * sq.support_threshold(source, n_levels), source)
+
+        unit = design(sq.SourceModel()).report.sqnr_db
+        for sigma in (1e-4, 1e-3, 1e-2, 0.1, 10.0, 1e3, 1e5):
+            assert design(sq.SourceModel(sigma)).report.sqnr_db == pytest.approx(unit, abs=1e-9), sigma

@@ -9,9 +9,10 @@ iteration for ``lloyd_max`` and in milliseconds for the rest:
 * ``erf``: ``gauss_analytics.erf`` at 65 and at 40,000 elements;
 * ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
   one quadrature pass the sweep makes;
-* ``evaluate_candidate``: one design at the threshold ``sweep(N)`` picks;
-* ``build``: one ``build`` of the spline fitted at that threshold, the fit
-  made before the timer starts;
+* ``evaluate_candidate``: the quantizer at the threshold ``sweep(N)`` picks:
+  one fit of its knot row, then one ``build``, which computes its report;
+* ``build``: one ``build`` of the spline fitted at that threshold, report
+  included, the fit made before the timer starts;
 * ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result;
 * ``exact_compressor_sqnr``: the exact-compressor comparator at N;
 * ``lloyd_max``: microseconds per iteration of ``lloyd_max`` at N, capped at
