@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import splinequant as sq  # noqa: E402
