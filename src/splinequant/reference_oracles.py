@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 _SHARD_SIZE = 1_000_000
+# mc_distortion consumes a shard in blocks of max(_MC_BLOCK, _MC_BLOCK_PER_LEVEL
+# * N) draws for N levels, at most a shard: 512 KB blocks stay in cache at
+# small N, and at large N a block spans enough draws per level that the O(N)
+# search and level repeat of each block stay a small share of its work
+_MC_BLOCK = 2**16
+_MC_BLOCK_PER_LEVEL = 16
 _LLOYD_MAX_ITERATIONS = 10_000
 # Lloyd-Max stops once its distortion changes by less than this, relative
 _LLOYD_MAX_TOLERANCE = 1e-12
@@ -85,12 +91,17 @@ class LloydMaxResult:
 def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstimate:
     """Mean squared quantization error over seeded Gaussian draws.
 
-    Samples are generated in fixed-size shards whose generators are seeded
+    Samples are generated in shards of 10^6 draws whose generators are seeded
     from (seed, shard index), so the estimate depends only on the arguments,
-    never on how the shards are scheduled.  Each shard is sorted in place and
-    cut into cells at the boundaries; a draw equal to a boundary falls in the
-    cell to its right, as in ``encode``.  ``n_samples`` and ``seed`` must be
-    integers (``operator.index``), checked before any draw.
+    never on how the shards are scheduled.  A shard is drawn block by block
+    into one preallocated buffer, the same draws as one call per shard.  Each
+    block is sorted in place and cut into cells at the boundaries by one
+    search; a draw equal to a boundary falls in the cell to its right, as in
+    ``encode``.  The block's squared errors, then their squares, are formed in
+    place and added to the running totals by pairwise sums, so the working set
+    is one block and its repeated levels at any ``n_samples``.  ``n_samples``
+    and ``seed`` must be integers (``operator.index``), checked before any
+    draw.
     """
     n_samples = operator.index(n_samples)
     seed = operator.index(seed)
@@ -99,23 +110,23 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
     boundaries = np.asarray(q.all_boundaries, dtype=float)
     levels = np.asarray(q.all_levels, dtype=float)
     sigma = q.config.source.sigma
+    block = np.empty(min(n_samples, _SHARD_SIZE, max(_MC_BLOCK, _MC_BLOCK_PER_LEVEL * levels.size)))
     total = 0.0
     total_sq = 0.0
-    remaining = n_samples
-    shard = 0
-    while remaining > 0:
-        count = min(_SHARD_SIZE, remaining)
+    for shard, start in enumerate(range(0, n_samples, _SHARD_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
-        x = rng.standard_normal(count)
-        x *= sigma
-        x.sort()
-        cuts = np.searchsorted(x, boundaries, side="left")
-        x -= np.repeat(levels, np.diff(cuts, prepend=0, append=count))
-        x *= x
-        total += float(x.sum())
-        total_sq += float(np.dot(x, x))
-        remaining -= count
-        shard += 1
+        shard_size = min(_SHARD_SIZE, n_samples - start)
+        for offset in range(0, shard_size, block.size):
+            x = block[: min(block.size, shard_size - offset)]
+            rng.standard_normal(out=x)
+            x *= sigma
+            x.sort()
+            cuts = np.searchsorted(x, boundaries, side="left")
+            x -= np.repeat(levels, np.diff(cuts, prepend=0, append=x.size))
+            x *= x
+            total += float(x.sum())
+            x *= x
+            total_sq += float(x.sum())
     mean = total / n_samples
     variance = max(total_sq / n_samples - mean * mean, 0.0)
     std_error = math.sqrt(variance / n_samples)

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# refine's golden-section bracket closes at this width in x1
+# refine's golden-section bracket closes at this width in x1, in units of sigma
 _REFINE_X1_TOLERANCE = 1e-4
 
 # sweep refuses finer grids: each candidate is fitted, checked and scored
@@ -56,7 +56,8 @@ class SweepCandidate:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Full threshold-sweep curve plus its argmax and the inputs that made it."""
+    """Full threshold-sweep curve plus its argmax and the inputs that made it;
+    ``grid_step`` is in units of the source's sigma, as ``sweep`` takes it."""
 
     candidates: tuple[SweepCandidate, ...]
     best_x1: float
@@ -111,7 +112,8 @@ def sweep(
     grid_step: float = 0.01,
     source: SourceModel = SourceModel(),
 ) -> SweepResult:
-    """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max.
+    """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max,
+    where step is ``grid_step`` times the source's sigma.
 
     All candidates go through one array pass of ``_score_knots``, with no
     per-candidate quantizer; ``score_batch`` inverts their grids in blocks
@@ -121,19 +123,25 @@ def sweep(
     monotone quantizer are kept in the curve but marked invalid, with the
     reason ``build`` gives, and skipped by the argmax.  Ties break toward the
     smaller threshold.  A ``grid_step`` that would give more than 100,000
-    candidates raises ValueError before any work.
+    candidates raises ValueError before any work.  So the grid has the same
+    candidates in units of sigma at every sigma; at sigma = 1 the step is
+    ``grid_step`` exactly.
     """
     x_max = support_threshold(source, n_levels)
-    if not 0.0 < grid_step < 0.5 * x_max:
-        raise ValueError(f"grid_step must lie in (0, {0.5 * x_max}), got {grid_step}")
-    if 0.5 * x_max / grid_step > _MAX_CANDIDATES:
+    step = grid_step * source.sigma
+    if not 0.0 < step < 0.5 * x_max:
+        raise ValueError(
+            f"grid_step must lie in (0, {0.5 * x_max / source.sigma}) in units of sigma, "
+            f"got {grid_step}"
+        )
+    if 0.5 * x_max / step > _MAX_CANDIDATES:
         raise ValueError(
             f"grid_step {grid_step} gives more than {_MAX_CANDIDATES} candidates on "
             f"[{0.5 * x_max:.6g}, {x_max:.6g})"
         )
 
     grid = []
-    while (x1 := 0.5 * x_max + len(grid) * grid_step) < x_max * (1.0 - 1e-12):
+    while (x1 := 0.5 * x_max + len(grid) * step) < x_max * (1.0 - 1e-12):
         grid.append(x1)
     # one config checks the level budget and carries what all candidates share
     config = standard_config(n_levels, (grid[0],), source)
@@ -167,7 +175,8 @@ def refine(result: SweepResult) -> RefineResult:
     """Golden-section polish of the sweep maximum within one grid step.
 
     Requires the grid maximum to be interior; a boundary maximum is returned
-    unchanged with ``interior=False``.  The bracket closes at 1e-4 in x1.  The
+    unchanged with ``interior=False``.  The bracket closes at 1e-4 sigma in
+    x1 (1e-4 exactly at sigma = 1).  The
     refined SQNR never falls below the grid best.  Each point is scored by
     ``_score_knots`` on one knot row, with the bits of ``evaluate_candidate``'s
     report; a point that fails to build scores -inf.
@@ -183,13 +192,13 @@ def refine(result: SweepResult) -> RefineResult:
         (report,), _ = _score_knots(config, [(0.0, x1, config.x_max)])
         return -math.inf if report is None else report.sqnr_db
 
-    lo = result.best_x1 - result.grid_step
-    hi = result.best_x1 + result.grid_step
-    a, b = lo, hi
+    sigma = result.source.sigma
+    a = result.best_x1 - result.grid_step * sigma
+    b = result.best_x1 + result.grid_step * sigma
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > _REFINE_X1_TOLERANCE:
+    while b - a > _REFINE_X1_TOLERANCE * sigma:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

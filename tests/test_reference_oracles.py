@@ -13,6 +13,7 @@ from splinequant.quantizer_design import _granular, _half_step_grid, _model_repo
 from splinequant import reference_oracles
 from splinequant.reference_oracles import (
     _BLOCK_ELEMENTS,
+    _MC_BLOCK,
     _SHARD_SIZE,
     ConvergenceError,
     _invert_compressor,
@@ -280,16 +281,41 @@ class TestMcDistortion:
         assert est == mc_distortion(q, 1000, 5)
 
 
+def _uniform_stub(n_levels):
+    """A uniform quantizer of ``n_levels`` cells on [-4, 4], built like the
+    single-cell stub: only what ``mc_distortion`` reads."""
+    step = 8.0 / n_levels
+    boundaries = tuple(-4.0 + step * np.arange(1, n_levels))
+    levels = tuple(-4.0 + step * (np.arange(n_levels) + 0.5))
+    return SimpleNamespace(all_boundaries=boundaries, all_levels=levels, config=SimpleNamespace(source=UNIT))
+
+
 class TestMcDistortionSortedShards:
-    """Sorting each shard and cutting it at the boundaries reproduces the
-    draw-by-draw cell lookup; only the order of the sums differs."""
+    """Sorting each block of a shard and cutting it at the boundaries
+    reproduces the draw-by-draw cell lookup; only the order of the sums
+    differs."""
 
     @pytest.fixture(scope="class")
     def quantizers(self):
-        return {n: sq.evaluate_candidate(n, 0.6 * sq.support_threshold(UNIT, n)) for n in (16, 64, 256)}
+        # N <= 256 draws in blocks of _MC_BLOCK; N = 65,536 in whole shards
+        designs = {n: sq.evaluate_candidate(n, 0.6 * sq.support_threshold(UNIT, n)) for n in (16, 64, 256)}
+        return {**designs, 65_536: _uniform_stub(65_536)}
 
-    @pytest.mark.parametrize("n_samples", [1, 999_999, 1_000_001, 2_500_000])
-    @pytest.mark.parametrize("n_levels", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "n_samples",
+        [
+            1,
+            999_999,
+            1_000_001,
+            2_500_000,
+            _MC_BLOCK - 1,
+            _MC_BLOCK,
+            _MC_BLOCK + 1,
+            # a partial last block inside the second shard
+            _SHARD_SIZE + 2 * _MC_BLOCK + 17,
+        ],
+    )
+    @pytest.mark.parametrize("n_levels", [16, 64, 256, 65_536])
     def test_matches_unsorted_assignment(self, quantizers, n_levels, n_samples):
         q = quantizers[n_levels]
         got = mc_distortion(q, n_samples, 42)
@@ -312,18 +338,20 @@ class TestMcDistortionSortedShards:
         assert est.mean_distortion == pytest.approx(float(np.mean((draws - right) ** 2)), rel=1e-14, abs=0.0)
         assert est.mean_distortion != pytest.approx(float(np.mean((draws - left) ** 2)), rel=1e-3)
 
-    def test_working_set(self, quantizers):
-        # one shard: its draws, sorted in place, plus the repeated levels
-        # (a level gather over unsorted draws peaks at about 24 MB)
+    @pytest.mark.parametrize("n_samples", [_SHARD_SIZE, 2 * _SHARD_SIZE])
+    def test_working_set(self, quantizers, n_samples):
+        # one block of _MC_BLOCK draws (512 KB), sorted and squared in place,
+        # plus its repeated levels (512 KB): about 1.06 MB, the same for one
+        # shard or two (a whole sorted shard and its levels took 16 MB)
         q = quantizers[256]
         mc_distortion(q, 10, 0)
         tracemalloc.start()
         try:
-            mc_distortion(q, _SHARD_SIZE, 42)
+            mc_distortion(q, n_samples, 42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 17_000_000, peak
+        assert peak <= 1_500_000, peak
 
 
 class TestTrueDistortion:

@@ -415,3 +415,24 @@ class TestSourceScale:
         unit = design(sq.SourceModel()).report.sqnr_db
         for sigma in (1e-4, 1e-3, 1e-2, 0.1, 10.0, 1e3, 1e5):
             assert design(sq.SourceModel(sigma)).report.sqnr_db == pytest.approx(unit, abs=1e-9), sigma
+
+    @pytest.mark.parametrize("n_levels", [16, 64])
+    @pytest.mark.parametrize("sigma", [1e-4, 0.01, 1e3])
+    def test_sweep_and_refine_in_units_of_sigma(self, n_levels, sigma):
+        # grid_step and refine's bracket scale with sigma, so the same
+        # candidates (in units of sigma) and the same maxima are found
+        unit = sweep(n_levels)
+        scaled = sweep(n_levels, source=sq.SourceModel(sigma))
+        assert len(scaled.candidates) == len(unit.candidates)
+        assert scaled.best_sqnr_db == pytest.approx(unit.best_sqnr_db, rel=1e-9, abs=0.0)
+        assert scaled.best_x1 / sigma == pytest.approx(unit.best_x1, rel=1e-12, abs=0.0)
+        unit_refined, refined = refine(unit), refine(scaled)
+        assert refined.interior == unit_refined.interior
+        assert refined.sqnr_db == pytest.approx(unit_refined.sqnr_db, rel=1e-9, abs=0.0)
+        assert refined.x1 / sigma == pytest.approx(unit_refined.x1, abs=1e-4)
+
+    def test_grid_step_bound_is_in_units_of_sigma(self):
+        x_max = sq.support_threshold(sq.SourceModel(), 16)
+        with pytest.raises(ValueError, match="in units of sigma"):
+            sweep(16, 0.5 * x_max, sq.SourceModel(1e-4))
+        assert len(sweep(16, 0.05, sq.SourceModel(1e-4)).candidates) == 25

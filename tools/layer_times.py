@@ -4,7 +4,8 @@
 
 For each layer it prints the median and the interquartile range (IQR) of
 ``--repeat`` timed calls, in microseconds per element for ``erf``, per
-iteration for ``lloyd_max`` and in milliseconds for the rest:
+iteration for ``lloyd_max``, per 10^6 samples for ``mc_distortion`` and in
+milliseconds for the rest:
 
 * ``erf``: ``gauss_analytics.erf`` at 65 and at 40,000 elements;
 * ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
@@ -17,7 +18,10 @@ iteration for ``lloyd_max`` and in milliseconds for the rest:
 * ``exact_compressor_sqnr``: the exact-compressor comparator at N;
 * ``lloyd_max``: microseconds per iteration of ``lloyd_max`` at N, capped at
   200 iterations (every N from 16 up reaches the cap, so N = 1024 stays
-  cheap).
+  cheap);
+* ``mc_distortion``: 10^6 seeded samples through the quantizer at
+  x1 = 0.6 x_max, built by ``evaluate_candidate`` as the benchmark's
+  ``validate`` ops build theirs; skipped where it does not build (N >= 512).
 
 N runs over 16, 32, ..., 1024 unless ``--levels`` names others.  ``sweep``
 fails for N >= 1024 (no candidate builds); it is then timed up to the
@@ -41,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEVELS = tuple(2**e for e in range(4, 11))  # 16 ... 1024
 LLOYD_CAP = 200  # lloyd_max iterations per timed call
+MC_SAMPLES = 10**6  # mc_distortion samples per timed call
 
 
 def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
@@ -59,8 +64,9 @@ def layers(levels, repeat: int) -> list[dict]:
     import numpy as np
 
     from splinequant import gauss_analytics, threshold_optimizer as opt
-    from splinequant.quantizer_design import build, standard_config
+    from splinequant.quantizer_design import DesignError, build, standard_config
     from splinequant.reference_oracles import ConvergenceError, exact_compressor_sqnr, lloyd_max
+    from splinequant.reference_oracles import mc_distortion
     from splinequant.spline_fit import fit, target_moments
 
     rows = []
@@ -104,6 +110,14 @@ def layers(levels, repeat: int) -> list[dict]:
 
         cost = spread(lloyd, repeat, 1e6 / lloyd())
         rows.append({"layer": "lloyd_max", "size": n, "unit": "us/iteration", **cost})
+
+        unit = gauss_analytics.SourceModel()
+        try:
+            q = opt.evaluate_candidate(n, 0.6 * gauss_analytics.support_threshold(unit, n), unit)
+        except DesignError:
+            continue
+        cost = spread(lambda: mc_distortion(q, MC_SAMPLES, 42), repeat, 1e3 * 1e6 / MC_SAMPLES)
+        rows.append({"layer": "mc_distortion", "size": n, "unit": "ms/1e6 samples", **cost})
     return rows
 
 
