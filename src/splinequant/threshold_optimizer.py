@@ -113,7 +113,8 @@ def sweep(
     source: SourceModel = SourceModel(),
 ) -> SweepResult:
     """Evaluate every threshold on the grid x_max/2, x_max/2 + step, ... < x_max,
-    where step is ``grid_step`` times the source's sigma.
+    where step is ``grid_step`` times the source's sigma: every sigma gives the
+    same grid in units of sigma, and at sigma = 1 the step is ``grid_step``.
 
     All candidates go through one array pass of ``_score_knots``, with no
     per-candidate quantizer; ``score_batch`` inverts their grids in blocks
@@ -123,9 +124,7 @@ def sweep(
     monotone quantizer are kept in the curve but marked invalid, with the
     reason ``build`` gives, and skipped by the argmax.  Ties break toward the
     smaller threshold.  A ``grid_step`` that would give more than 100,000
-    candidates raises ValueError before any work.  So the grid has the same
-    candidates in units of sigma at every sigma; at sigma = 1 the step is
-    ``grid_step`` exactly.
+    candidates raises ValueError before any work.
     """
     x_max = support_threshold(source, n_levels)
     step = grid_step * source.sigma
@@ -176,10 +175,9 @@ def refine(result: SweepResult) -> RefineResult:
 
     Requires the grid maximum to be interior; a boundary maximum is returned
     unchanged with ``interior=False``.  The bracket closes at 1e-4 sigma in
-    x1 (1e-4 exactly at sigma = 1).  The
-    refined SQNR never falls below the grid best.  Each point is scored by
-    ``_score_knots`` on one knot row, with the bits of ``evaluate_candidate``'s
-    report; a point that fails to build scores -inf.
+    x1.  The refined SQNR never falls below the grid best.  Each point is
+    scored by ``_score_knots`` on one knot row, with the bits of
+    ``evaluate_candidate``'s report; a point that fails to build scores -inf.
     """
     valid = [c for c in result.candidates if c.valid]
     first, last = valid[0], valid[-1]

@@ -45,7 +45,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEVELS = tuple(2**e for e in range(4, 11))  # 16 ... 1024
 LLOYD_CAP = 200  # lloyd_max iterations per timed call
-MC_SAMPLES = 10**6  # mc_distortion samples per timed call
 
 
 def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
@@ -116,7 +115,7 @@ def layers(levels, repeat: int) -> list[dict]:
             q = opt.evaluate_candidate(n, 0.6 * gauss_analytics.support_threshold(unit, n), unit)
         except DesignError:
             continue
-        cost = spread(lambda: mc_distortion(q, MC_SAMPLES, 42), repeat, 1e3 * 1e6 / MC_SAMPLES)
+        cost = spread(lambda: mc_distortion(q, 10**6, 42), repeat)
         rows.append({"layer": "mc_distortion", "size": n, "unit": "ms/1e6 samples", **cost})
     return rows
 
