@@ -26,8 +26,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative, erf
-from .gauss_analytics import _SQRT_2PI, pdf, tail_centroid
+from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative
+from .gauss_analytics import _SQRT_2PI, tail_centroid
 from .quantizer_design import (
     CompandingQuantizer,
     DistortionReport,
@@ -58,6 +58,7 @@ _LLOYD_MAX_ITERATIONS = 10_000
 # Lloyd-Max stops once its distortion changes by less than this, relative
 _LLOYD_MAX_TOLERANCE = 1e-12
 _GL_ORDER = 24
+_UNIT_ROUNDOFF = 2.0**-53
 # Lloyd-Max scores k iterates in one (k, N/2, _GL_ORDER) array pass of at most
 # this many elements, so its four block buffers of that shape (two of them the
 # mirrored halves) hold at most 192 KB; N = 256, at 6,144 elements for two
@@ -197,14 +198,37 @@ def lloyd_max(
     codebook's order, so it rounds exactly as a whole-codebook sum.  Stops
     at the first iterate whose relative change drops below 1e-12.
 
-    The iterates run in blocks: k centroid steps back to back, each kept in a
-    row of a preallocated history, then the k distortions in one
+    Only iterates on which a check could fire need that distortion.
+    Iterate 1 is scored; then centroid steps run unscored while a lower
+    bound on each step's decrease stays above a limit.  The centroid step
+    alone lowers the distortion by B = 2 sum(mass (old level - new level)^2)
+    (2 for both halves) and the midpoints lower it further, so B, from masses
+    the step computes anyway, bounds the decrease from below.  The limit is
+    tol d1 + R + R', with tol = 1e-12, d1 iterate 1's distortion and R, R'
+    the two iterates' bounds on the error of their 24-point sums,
+    R = 2 (2 u x_e sqrt(d1) + (log2(48 N) + 8) u d1), u = 2^-53 and x_e the
+    iterate's largest edge: (x - level) carries an absolute error of about
+    u |x|, which by Cauchy-Schwarz adds at most 2 u x_e sqrt(d) <= 2 u x_e
+    sqrt(d1) to the sum, and the terms and the pairwise sum add a relative
+    (log2(48 N) + 8) u.  While B exceeds the limit, the scored distortion
+    falls by more than tol d1, so neither the stop test nor the increase
+    guard can fire.  The factor 2 in R covers the rest, each far below R
+    where the run ends: B's own rounding, the computed centroids' distance
+    eta from the exact ones (a cross term of at most
+    2 sqrt(B sum(mass eta^2))), and the change between neighbouring iterates
+    of the 24-point rule's own error.  At the first iterate whose bound is at
+    or below the limit, the one before it is scored, unchecked, as the
+    previous distortion, and the scored loop takes over from there.
+
+    Scored iterates run in blocks: k centroid steps back to back, each kept
+    in a row of a preallocated history, then the k distortions in one
     (k, N/2, 24) array pass into reused buffers, then the checks in iteration
     order.  k doubles from 1 up to ``_BLOCK_ELEMENTS / (12 N)`` iterates, so a
     short run computes at most twice the steps it uses.  Every figure,
-    including ``iterations`` and the error at the cap, is the same bits as
-    one iterate at a time.  ``n_levels`` and ``max_iterations`` must be
-    integers (``operator.index``), checked before any work.
+    including ``iterations`` and the errors at the cap and on an increase, is
+    the same bits as scoring every iterate one at a time.  ``n_levels`` and
+    ``max_iterations`` must be integers (``operator.index``), checked before
+    any work.
     """
     n_levels = operator.index(n_levels)
     max_iterations = operator.index(max_iterations)
@@ -230,27 +254,33 @@ def lloyd_max(
     # in the whole codebook's order
     whole = np.empty((most, n_levels, _GL_ORDER))
     mass = np.empty(cells)
+    z = np.empty(cells + 1)
+    dens = np.empty(cells + 1)
     erf_scale = sigma * math.sqrt(2.0)
-    prev = math.inf
-    iteration = 0
-    size = 1
-    while iteration < max_iterations:
-        k = min(size, most, max_iterations - iteration)
-        for j in range(k):
-            # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
-            dens = pdf(source, edges)
-            cdf = erf(edges / erf_scale)
-            levels = level_rows[j]
-            np.subtract(dens[:-1], dens[1:], out=levels)
-            levels *= sigma**2
-            np.subtract(cdf[1:], cdf[:-1], out=mass)
-            mass *= 0.5
-            levels /= mass
-            edges = edge_rows[j]
-            np.add(levels[:-1], levels[1:], out=edges[1:-1])
-            edges[1:-1] *= 0.5
-            edges[-1] = levels[-1] + 12.0 * sigma
-        # the expressions of one iterate's distortion, k iterates at a time:
+
+    def step(edges: np.ndarray, levels: np.ndarray, next_edges: np.ndarray) -> None:
+        """One Lloyd step from the cells ``edges``: their centroids into
+        ``levels``, their masses into ``mass``, the new cells into
+        ``next_edges``; the operations of ``pdf`` and ``erf``, in place."""
+        np.divide(edges, sigma, out=z)
+        np.multiply(z, -0.5, out=dens)
+        np.multiply(dens, z, out=dens)
+        np.exp(dens, out=dens)
+        np.divide(dens, sigma * _SQRT_2PI, out=dens)
+        np.divide(edges, erf_scale, out=z)
+        cdf = np.fromiter(map(math.erf, z.tolist()), float, cells + 1)
+        # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
+        np.subtract(dens[:-1], dens[1:], out=levels)
+        levels *= sigma**2
+        np.subtract(cdf[1:], cdf[:-1], out=mass)
+        np.multiply(mass, 0.5, out=mass)
+        levels /= mass
+        np.add(levels[:-1], levels[1:], out=next_edges[1:-1])
+        next_edges[1:-1] *= 0.5
+        next_edges[-1] = levels[-1] + 12.0 * sigma
+
+    def distortions(k: int) -> list[float]:
+        """The distortions of the iterates in the first ``k`` history rows."""
         # x = half-width * node + center, w = half-width * weight, then
         # w * (x - level)^2 * pdf(x), pdf(x) = exp(-0.5 z z) / (sigma sqrt(2 pi));
         # per-cell values reach the nodes by copies into (k, N/2, 24) buffers,
@@ -277,26 +307,62 @@ def lloyd_max(
         t /= sigma * _SQRT_2PI
         half *= t
         whole[:k, :cells] = half[:, ::-1, ::-1]
-        for j, distortion in enumerate(whole[:k].reshape(k, -1).sum(axis=1).tolist()):
+        return whole[:k].reshape(k, -1).sum(axis=1).tolist()
+
+    tolerance = _LLOYD_MAX_TOLERANCE
+    step(edges, level_rows[0], edge_rows[0])
+    (first,) = distortions(1)
+    prev = first
+    iteration = 1
+    # the unscored run (see the docstring) keeps the last two iterates, the
+    # older in row ``old`` of the pair; R = spread * x_e + floor
+    pair_levels = np.array([level_rows[0], level_rows[0]])
+    pair_edges = np.array([edge_rows[0], edge_rows[0]])
+    gap = np.empty(cells)
+    spread = 4.0 * _UNIT_ROUNDOFF * math.sqrt(first)
+    floor = 2.0 * (math.log2(48 * n_levels) + 8.0) * _UNIT_ROUNDOFF * first
+    noise = spread * float(pair_edges[0, -1]) + floor
+    old = 0
+    while iteration < max_iterations:
+        new = 1 - old
+        step(pair_edges[old], pair_levels[new], pair_edges[new])
+        np.subtract(pair_levels[old], pair_levels[new], out=gap)
+        gap *= gap
+        bound = 2.0 * float(gap @ mass)
+        next_noise = spread * float(pair_edges[new, -1]) + floor
+        if not bound > tolerance * first + noise + next_noise:
+            if iteration > 1:
+                level_rows[0] = pair_levels[old]
+                edge_rows[0] = pair_edges[old]
+                (prev,) = distortions(1)
+            edges = pair_edges[old]
+            break
+        iteration += 1
+        old, noise = new, next_noise
+    size = 1
+    while iteration < max_iterations:
+        k = min(size, most, max_iterations - iteration)
+        for j in range(k):
+            step(edges, level_rows[j], edge_rows[j])
+            edges = edge_rows[j]
+        for j, distortion in enumerate(distortions(k)):
             iteration += 1
             if distortion > prev * (1.0 + 1e-12):
                 raise ArithmeticError(
                     f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
                 )
-            if prev - distortion < _LLOYD_MAX_TOLERANCE * distortion:
+            if prev - distortion < tolerance * distortion:
                 levels = np.concatenate((-level_rows[j, ::-1], level_rows[j]))
                 return LloydMaxResult(
-                    levels=tuple(levels),
-                    thresholds=tuple(0.5 * (levels[:-1] + levels[1:])),
+                    levels=tuple(levels.tolist()),
+                    thresholds=tuple((0.5 * (levels[:-1] + levels[1:])).tolist()),
                     distortion=distortion,
                     sqnr_db=10.0 * math.log10(sigma**2 / distortion),
                     iterations=iteration,
                 )
             prev = distortion
         size *= 2
-    raise ConvergenceError(
-        f"no convergence to {_LLOYD_MAX_TOLERANCE} within {max_iterations} iterations"
-    )
+    raise ConvergenceError(f"no convergence to {tolerance} within {max_iterations} iterations")
 
 
 def exact_compressor_sqnr(source: SourceModel, n_levels: int) -> DistortionReport:

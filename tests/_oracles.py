@@ -15,8 +15,9 @@ one-branch inverse; its report is ``scalar_report``, summed level by level.
 one candidate at a time (``scalar_fit``, the closed-form Legendre projection
 in Python floats, then ``per_level_build``), the reference for the library's
 one array pass over all candidates.  ``reference_lloyd_max`` iterates the
-whole Lloyd-Max codebook, both halves, one iterate at a time, the reference
-for the library's positive-half iteration in blocks of iterates;
+whole Lloyd-Max codebook, both halves, scoring every iterate, one at a time,
+the reference for the library's positive-half iteration, which leaves a run
+of iterates unscored and scores the rest in blocks;
 ``reference_lloyd_iterates`` yields its iterates one by one.
 ``unsorted_mc_distortion`` assigns each Monte-Carlo draw to its cell by
 searching the boundaries draw by draw, as ``encode`` does, the reference for

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
 from splinequant import reference_oracles
+from splinequant.gauss_analytics import erf
 from splinequant.reference_oracles import (
     _BLOCK_ELEMENTS,
     _MC_BLOCK,
@@ -109,6 +111,10 @@ class TestLloydMax:
     def test_accepts_integer_like_counts(self):
         assert lloyd_max(UNIT, np.int64(8), max_iterations=np.int32(100)) == lloyd_max(UNIT, 8)
 
+    def test_levels_and_thresholds_are_plain_floats(self, lloyd16):
+        assert all(type(v) is float for v in lloyd16.levels + lloyd16.thresholds)
+        assert "np.float64" not in repr(lloyd16)
+
 
 class TestLloydMaxHalfCodebook:
     """The positive-half iteration reproduces the whole-codebook iteration bit
@@ -116,7 +122,8 @@ class TestLloydMaxHalfCodebook:
 
     @pytest.mark.parametrize(
         "n_levels, sigma",
-        [(n, s) for n in (2, 4, 6, 8, 16, 32, 64) for s in (1e-3, 0.37, 1.0, 2.0, 1e3)] + [(128, 1.0)],
+        [(n, s) for n in (2, 4, 6, 8, 16, 32, 64) for s in (1e-3, 0.37, 1.0, 2.0, 1e3)]
+        + [(12, 0.37), (24, 2.0), (48, 1e3), (96, 1e-3), (128, 1.0)],
     )
     def test_equals_whole_codebook_iteration(self, n_levels, sigma):
         with warnings.catch_warnings():
@@ -157,27 +164,85 @@ def _largest_block(n_levels):
     return max(1, _BLOCK_ELEMENTS // (n_levels // 2 * 24))
 
 
-def _blocks(n_levels, count):
-    """(first, last) iteration of each of the first ``count`` blocks: sizes
-    1, 2, 4, ... up to the largest block."""
-    bounds, first = [], 1
-    for doublings in range(count):
+def _blocks(n_levels, start):
+    """(first, last) iteration of each block of the scored loop, which starts
+    at iteration ``start``, without end: sizes 1, 2, 4, ... up to the largest
+    block."""
+    first = start
+    for doublings in itertools.count():
         last = first + min(2**doublings, _largest_block(n_levels)) - 1
-        bounds.append((first, last))
+        yield first, last
         first = last + 1
-    return bounds
 
 
-def _tolerance_stopping_at(n_levels, iteration):
-    """A tolerance at which the one-iterate-at-a-time iteration stops exactly
-    at ``iteration``: between its relative change there and the smallest one
-    before, which must be larger."""
-    iterates = itertools.islice(reference_lloyd_iterates(UNIT, n_levels), iteration)
-    d = [distortion for _, distortion in iterates]
-    changes = [(a - b) / b for a, b in zip(d, d[1:])]
-    last, earlier = changes[-1], min(changes[:-1], default=math.inf)
-    assert last < earlier, (iteration, last, earlier)
-    return 2.0 * last if earlier == math.inf else math.sqrt(last * earlier)
+def _passes(n_levels, start, stop, cap=10_000):
+    """The iterates scored by each distortion pass of a run whose unscored
+    run ends at ``start`` and which stops at ``stop`` or fails at ``cap``:
+    iterate 1, the one before ``start`` unless that is iterate 1, then the
+    blocks up to the one holding the last iterate, cut at the cap."""
+    last = min(stop, cap)
+    if last < start:
+        return [1]
+    passes = [1, 1] if start > 2 else [1]
+    for first, end in _blocks(n_levels, start):
+        passes.append(min(end, cap) - first + 1)
+        if end >= last:
+            return passes
+
+
+@functools.lru_cache(maxsize=None)
+def _run_figures(n_levels):
+    """For iterates 2, 3, ... of the one-iterate-at-a-time iteration, up to
+    twice its stop at the default tolerance: the relative change each scores,
+    and the tolerance at and above which ``lloyd_max``'s unscored run ends
+    there, by the rule in its docstring (the lower bound on the decrease less
+    both iterates' noise, over d1)."""
+    count = 2 * reference_lloyd_max(UNIT, n_levels).iterations
+    iterates = list(itertools.islice(reference_lloyd_iterates(UNIT, n_levels), count))
+    half, first = n_levels // 2, iterates[0][1]
+    u = 2.0**-53
+
+    def noise(levels):
+        return 4.0 * u * (levels[-1] + 12.0) * math.sqrt(first) + 2.0 * (
+            math.log2(48 * n_levels) + 8.0
+        ) * u * first
+
+    changes, ends = [], []
+    for (old, before), (new, after) in zip(iterates, iterates[1:]):
+        edges = np.concatenate(([0.0], 0.5 * (old[half:-1] + old[half + 1 :]), [old[-1] + 12.0]))
+        mass = 0.5 * np.diff(erf(edges / math.sqrt(2.0)))
+        bound = 2.0 * float(np.sum(mass * (old[half:] - new[half:]) ** 2))
+        changes.append((before - after) / after)
+        ends.append((bound - noise(old) - noise(new)) / first)
+    return changes, ends
+
+
+def _unscored_run_end(n_levels):
+    """The iterate at which ``lloyd_max``'s unscored run ends at the default
+    tolerance."""
+    _, ends = _run_figures(n_levels)
+    start = next(i for i, end in enumerate(ends, 2) if end <= 1e-12)
+    # far enough from the rule's edge that the library's own rounding of the
+    # bound cannot move it
+    assert abs(ends[start - 2] - 1e-12) > 1e-6 * 1e-12
+    return start
+
+
+def _tolerance_ending_run_at(n_levels, offset):
+    """A tolerance at which ``lloyd_max``'s unscored run ends at an iterate
+    s and the one-iterate-at-a-time iteration stops at s + ``offset``, with s
+    and s + ``offset``; s >= 3, so that iterates 2, ..., s - 1 go unscored,
+    where any such s does, else s = 2."""
+    changes, ends = _run_figures(n_levels)
+    for start in [*range(3, len(ends) + 2 - offset), 2]:
+        stop = start + offset
+        # the run ends at start for tolerances in [its end, the earlier ends);
+        # the iteration stops at stop for those in (its change, the earlier ones]
+        lo = max(ends[start - 2], changes[stop - 2])
+        hi = min(ends[: start - 2] + changes[: stop - 2], default=math.inf)
+        if lo > 0.0 and lo * (1.0 + 1e-6) < hi:
+            return (math.sqrt(lo * hi) if hi < math.inf else 2.0 * lo), start, stop
+    raise AssertionError(f"no tolerance puts the stop {offset} iterates after the run's end")
 
 
 def _outcome(fn, *args, **kwargs):
@@ -187,33 +252,96 @@ def _outcome(fn, *args, **kwargs):
         return str(exc)
 
 
+class _CountingNumpy:
+    """numpy, recording the leading size of every 3-d array passed to ``exp``:
+    each distortion pass makes one such call on its (k, N/2, 24) buffer, and
+    a centroid step calls ``exp`` on 1-d arrays only."""
+
+    def __init__(self):
+        self.passes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        if x.ndim == 3:
+            self.passes.append(x.shape[0])
+        return np.exp(x, *args, **kwargs)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(reference_oracles, "np", counting)
+    return counting
+
+
 class TestLloydMaxBlocks:
-    """Blocks of iterates stop and fail at the iterate where one iterate at a
-    time does, on either side of every block boundary."""
+    """The unscored run and the blocks of scored iterates after it stop and
+    fail at the iterate where scoring every iterate one at a time does: inside
+    the run, at its end, and on either side of every block boundary after
+    it.  Each case also checks which iterates were scored."""
 
     @pytest.mark.parametrize("n_levels", [2, 16, 64])
-    def test_same_cap_failure_around_block_ends(self, n_levels):
-        k = _largest_block(n_levels)
-        caps = sorted({1, 2, 3, k - 1, k, k + 1} - {0})
-        for cap in caps:
+    def test_same_cap_failure_around_block_ends(self, n_levels, counting):
+        start = _unscored_run_end(n_levels)
+        stop = lloyd_max(UNIT, n_levels).iterations
+        ends = [last for _, last in itertools.islice(_blocks(n_levels, start), 4)]
+        # inside the unscored run, at its last iterate and at its end, then
+        # on either side of each of the first block ends after it
+        caps = {1, 2, 3, start - 2, start - 1, start} | {end + d for end in ends for d in (0, 1)}
+        for cap in sorted(caps - {-1, 0}):
+            counting.passes.clear()
             got = _outcome(lloyd_max, UNIT, n_levels, max_iterations=cap)
             want = _outcome(reference_lloyd_max, UNIT, n_levels, max_iterations=cap)
             assert got == want, cap
-            # N = 2 converges at its second iterate; the others fail every cap
-            assert isinstance(got, str) == (n_levels > 2 or cap == 1), cap
+            assert isinstance(got, str) == (cap < stop), cap
+            assert counting.passes == _passes(n_levels, start, stop, cap), cap
 
     @pytest.mark.parametrize("position", [0, 1], ids=["first", "last"])
     @pytest.mark.parametrize("n_levels", [16, 64])
-    def test_stops_on_first_and_last_iterate_of_a_block(self, n_levels, position, monkeypatch):
-        # blocks 2...7: the doubling ones and, past the largest size, full ones
-        for bounds in _blocks(n_levels, 7)[1:]:
-            iteration = bounds[position]
-            tolerance = _tolerance_stopping_at(n_levels, iteration)
+    def test_stops_on_first_and_last_iterate_of_a_block(self, n_levels, position, monkeypatch, counting):
+        # blocks 2...7 after the run (2...5 at N = 16, whose slower end
+        # leaves no stop 61 iterates after it): the doubling ones and, at
+        # N = 64, full ones past the largest size; their offsets from its end
+        for bounds in itertools.islice(_blocks(n_levels, 0), 1, 5 if n_levels == 16 else 7):
+            tolerance, start, stop = _tolerance_ending_run_at(n_levels, bounds[position])
             monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", tolerance)
+            counting.passes.clear()
             got = lloyd_max(UNIT, n_levels)
             want = reference_lloyd_max(UNIT, n_levels, tolerance=tolerance)
-            assert want.iterations == iteration
-            assert got == want, iteration
+            assert want.iterations == stop
+            assert got == want, stop
+            assert counting.passes == _passes(n_levels, start, stop), stop
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["first", "next"])
+    def test_stops_on_the_first_scored_iterate_and_the_next(self, offset, monkeypatch, counting):
+        # N = 4 converges fast enough for the stop to land on the run's end
+        tolerance, start, stop = _tolerance_ending_run_at(4, offset)
+        assert start > 2
+        monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", tolerance)
+        got = lloyd_max(UNIT, 4)
+        want = reference_lloyd_max(UNIT, 4, tolerance=tolerance)
+        assert want.iterations == stop
+        assert got == want
+        assert counting.passes == _passes(4, start, stop)
+
+    @pytest.mark.parametrize("n_levels", [256, 512])
+    def test_large_codebook_cap_inside_the_unscored_run(self, n_levels, counting):
+        got = _outcome(lloyd_max, UNIT, n_levels, max_iterations=300)
+        want = _outcome(reference_lloyd_max, UNIT, n_levels, max_iterations=300)
+        assert got == want == "no convergence to 1e-12 within 300 iterations"
+        assert counting.passes == [1]
+
+    def test_increase_guard_fires_where_it_does_one_at_a_time(self):
+        # the 24-point sum's rounding noise at N = 65,536 exceeds the 1e-12
+        # increase guard; the text is reference_lloyd_max's, which takes
+        # about 17 s here (the library, about 5 s)
+        with pytest.raises(ArithmeticError) as got:
+            lloyd_max(UNIT, 65_536, max_iterations=300)
+        assert str(got.value) == (
+            "distortion increased at iteration 273: 6.334413611806354e-10 -> 6.33441361206723e-10"
+        )
 
 
 class TestMcDistortion:

@@ -3,9 +3,8 @@
     python3 tools/layer_times.py [--repeat 15] [--levels 16 64 ...] [--src DIR]
 
 For each layer it prints the median and the interquartile range (IQR) of
-``--repeat`` timed calls, in microseconds per element for ``erf``, per
-iteration for ``lloyd_max``, per 10^6 samples for ``mc_distortion`` and in
-milliseconds for the rest:
+``--repeat`` timed calls, in microseconds per element for ``erf``, per 10^6
+samples for ``mc_distortion`` and in milliseconds for the rest:
 
 * ``erf``: ``gauss_analytics.erf`` at 65 and at 40,000 elements;
 * ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
@@ -16,9 +15,9 @@ milliseconds for the rest:
   included, the fit made before the timer starts;
 * ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result;
 * ``exact_compressor_sqnr``: the exact-compressor comparator at N;
-* ``lloyd_max``: microseconds per iteration of ``lloyd_max`` at N, capped at
-  200 iterations (every N from 16 up reaches the cap, so N = 1024 stays
-  cheap);
+* ``lloyd_max``: one whole ``lloyd_max`` run at N, to convergence or, at
+  N = 256, to the 10,000-iteration cap; timed up to N = 256 only, since a
+  run at larger N is seconds of steps that never converge;
 * ``mc_distortion``: 10^6 seeded samples through the quantizer at
   x1 = 0.6 x_max, built by ``evaluate_candidate`` as the benchmark's
   ``validate`` ops build theirs; skipped where it does not build (N >= 512).
@@ -44,7 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LEVELS = tuple(2**e for e in range(4, 11))  # 16 ... 1024
-LLOYD_CAP = 200  # lloyd_max iterations per timed call
+LLOYD_LEVELS = 256  # lloyd_max is timed up to this N
 
 
 def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
@@ -103,12 +102,12 @@ def layers(levels, repeat: int) -> list[dict]:
 
         def lloyd():
             try:
-                return lloyd_max(gauss_analytics.SourceModel(), n, max_iterations=LLOYD_CAP).iterations
+                lloyd_max(gauss_analytics.SourceModel(), n)
             except ConvergenceError:
-                return LLOYD_CAP
+                pass
 
-        cost = spread(lloyd, repeat, 1e6 / lloyd())
-        rows.append({"layer": "lloyd_max", "size": n, "unit": "us/iteration", **cost})
+        if n <= LLOYD_LEVELS:
+            rows.append({"layer": "lloyd_max", "size": n, "unit": "ms", **spread(lloyd, repeat)})
 
         unit = gauss_analytics.SourceModel()
         try:
