@@ -311,16 +311,16 @@ def lloyd_max(
 
     tolerance = _LLOYD_MAX_TOLERANCE
     step(edges, level_rows[0], edge_rows[0])
-    (first,) = distortions(1)
-    prev = first
+    (d1,) = distortions(1)
+    prev = d1
     iteration = 1
     # the unscored run (see the docstring) keeps the last two iterates, the
     # older in row ``old`` of the pair; R = spread * x_e + floor
     pair_levels = np.array([level_rows[0], level_rows[0]])
     pair_edges = np.array([edge_rows[0], edge_rows[0]])
     gap = np.empty(cells)
-    spread = 4.0 * _UNIT_ROUNDOFF * math.sqrt(first)
-    floor = 2.0 * (math.log2(48 * n_levels) + 8.0) * _UNIT_ROUNDOFF * first
+    spread = 4.0 * _UNIT_ROUNDOFF * math.sqrt(d1)
+    floor = 2.0 * (math.log2(48 * n_levels) + 8.0) * _UNIT_ROUNDOFF * d1
     noise = spread * float(pair_edges[0, -1]) + floor
     old = 0
     while iteration < max_iterations:
@@ -330,7 +330,7 @@ def lloyd_max(
         gap *= gap
         bound = 2.0 * float(gap @ mass)
         next_noise = spread * float(pair_edges[new, -1]) + floor
-        if not bound > tolerance * first + noise + next_noise:
+        if not bound > tolerance * d1 + noise + next_noise:
             if iteration > 1:
                 level_rows[0] = pair_levels[old]
                 edge_rows[0] = pair_edges[old]
