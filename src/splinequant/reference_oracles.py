@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative
-from .gauss_analytics import _SQRT_2PI, tail_centroid
+from .gauss_analytics import _SQRT_2PI, pdf, tail_centroid
 from .quantizer_design import (
     CompandingQuantizer,
     DistortionReport,
@@ -59,11 +59,6 @@ _LLOYD_MAX_ITERATIONS = 10_000
 _LLOYD_MAX_TOLERANCE = 1e-12
 _GL_ORDER = 24
 _UNIT_ROUNDOFF = 2.0**-53
-# Lloyd-Max scores k iterates in one (k, N/2, _GL_ORDER) array pass of at most
-# this many elements, so its four block buffers of that shape (two of them the
-# mirrored halves) hold at most 192 KB; N = 256, at 6,144 elements for two
-# iterates, runs one iterate per block
-_BLOCK_ELEMENTS = 6000
 
 
 class ConvergenceError(RuntimeError):
@@ -218,17 +213,12 @@ def lloyd_max(
     2 sqrt(B sum(mass eta^2))), and the change between neighbouring iterates
     of the 24-point rule's own error.  At the first iterate whose bound is at
     or below the limit, the one before it is scored, unchecked, as the
-    previous distortion, and the scored loop takes over from there.
-
-    Scored iterates run in blocks: k centroid steps back to back, each kept
-    in a row of a preallocated history, then the k distortions in one
-    (k, N/2, 24) array pass into reused buffers, then the checks in iteration
-    order.  k doubles from 1 up to ``_BLOCK_ELEMENTS / (12 N)`` iterates, so a
-    short run computes at most twice the steps it uses.  Every figure,
-    including ``iterations`` and the errors at the cap and on an increase, is
-    the same bits as scoring every iterate one at a time.  ``n_levels`` and
-    ``max_iterations`` must be integers (``operator.index``), checked before
-    any work.
+    previous distortion, and from then on one (N/2, 24) array pass scores
+    each iterate before it is checked; the loop keeps only the last two
+    iterates.  Every figure, including ``iterations`` and the errors at the
+    cap and on an increase, is the same bits as scoring every iterate one at
+    a time.  ``n_levels`` and ``max_iterations`` must be integers
+    (``operator.index``), checked before any work.
     """
     n_levels = operator.index(n_levels)
     max_iterations = operator.index(max_iterations)
@@ -241,18 +231,9 @@ def lloyd_max(
     levels = np.asarray(_initial_levels(source, n_levels), dtype=float)
     edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
     nodes, weights = _gauss_legendre()
-    most = max(1, _BLOCK_ELEMENTS // (cells * _GL_ORDER))
-    level_rows = np.empty((most, cells))
-    edge_rows = np.zeros((most, cells + 1))
-    half_width = np.empty((most, cells, 1))
-    center = np.empty((most, cells, 1))
-    x = np.empty((most, cells, _GL_ORDER))
-    term = np.empty((most, cells, _GL_ORDER))
-    node_rows = np.tile(nodes, (cells, 1))
-    weight_rows = np.tile(weights, (cells, 1))
-    # both halves per iterate, the negative one mirrored first: each row sums
-    # in the whole codebook's order
-    whole = np.empty((most, n_levels, _GL_ORDER))
+    # the last two iterates, the older in row ``old``
+    level_rows = np.empty((2, cells))
+    edge_rows = np.zeros((2, cells + 1))
     mass = np.empty(cells)
     z = np.empty(cells + 1)
     dens = np.empty(cells + 1)
@@ -279,89 +260,57 @@ def lloyd_max(
         next_edges[1:-1] *= 0.5
         next_edges[-1] = levels[-1] + 12.0 * sigma
 
-    def distortions(k: int) -> list[float]:
-        """The distortions of the iterates in the first ``k`` history rows."""
-        # x = half-width * node + center, w = half-width * weight, then
-        # w * (x - level)^2 * pdf(x), pdf(x) = exp(-0.5 z z) / (sigma sqrt(2 pi));
-        # per-cell values reach the nodes by copies into (k, N/2, 24) buffers,
-        # since a ufunc that broadcasts them costs several same-shape ones
-        lo, hi = edge_rows[:k, :-1, None], edge_rows[:k, 1:, None]
-        w, c, xk, t, half = half_width[:k], center[:k], x[:k], term[:k], whole[:k, cells:]
-        np.subtract(hi, lo, out=w)
-        w *= 0.5
-        np.add(hi, lo, out=c)
-        c *= 0.5
-        half[...] = w
-        np.multiply(half, node_rows, out=xk)
-        t[...] = c
-        xk += t
-        t[...] = level_rows[:k, :, None]
-        np.subtract(xk, t, out=t)
-        t *= t
-        half *= weight_rows
-        half *= t
-        xk /= sigma
-        np.multiply(xk, -0.5, out=t)
-        t *= xk
-        np.exp(t, out=t)
-        t /= sigma * _SQRT_2PI
-        half *= t
-        whole[:k, :cells] = half[:, ::-1, ::-1]
-        return whole[:k].reshape(k, -1).sum(axis=1).tolist()
+    def distortion(row: int) -> float:
+        """The distortion of the iterate in row ``row``: the 24-point sums of
+        both halves' cells, the negative half mirrored first, summed once in
+        the whole codebook's order."""
+        lo, hi = edge_rows[row, :-1, None], edge_rows[row, 1:, None]
+        w = (hi - lo) * 0.5
+        x = w * nodes + (hi + lo) * 0.5
+        half = w * weights * (x - level_rows[row, :, None]) ** 2 * pdf(source, x)
+        return float(np.concatenate((half[::-1, ::-1], half)).sum())
 
     tolerance = _LLOYD_MAX_TOLERANCE
     step(edges, level_rows[0], edge_rows[0])
-    (d1,) = distortions(1)
-    prev = d1
+    d1 = prev = distortion(0)
     iteration = 1
-    # the unscored run (see the docstring) keeps the last two iterates, the
-    # older in row ``old`` of the pair; R = spread * x_e + floor
-    pair_levels = np.array([level_rows[0], level_rows[0]])
-    pair_edges = np.array([edge_rows[0], edge_rows[0]])
+    # the unscored run (see the docstring); R = spread * x_e + floor
+    unscored = True
     gap = np.empty(cells)
     spread = 4.0 * _UNIT_ROUNDOFF * math.sqrt(d1)
     floor = 2.0 * (math.log2(48 * n_levels) + 8.0) * _UNIT_ROUNDOFF * d1
-    noise = spread * float(pair_edges[0, -1]) + floor
+    noise = spread * float(edge_rows[0, -1]) + floor
     old = 0
     while iteration < max_iterations:
         new = 1 - old
-        step(pair_edges[old], pair_levels[new], pair_edges[new])
-        np.subtract(pair_levels[old], pair_levels[new], out=gap)
-        gap *= gap
-        bound = 2.0 * float(gap @ mass)
-        next_noise = spread * float(pair_edges[new, -1]) + floor
-        if not bound > tolerance * d1 + noise + next_noise:
-            if iteration > 1:
-                level_rows[0] = pair_levels[old]
-                edge_rows[0] = pair_edges[old]
-                (prev,) = distortions(1)
-            edges = pair_edges[old]
-            break
+        step(edge_rows[old], level_rows[new], edge_rows[new])
         iteration += 1
-        old, noise = new, next_noise
-    size = 1
-    while iteration < max_iterations:
-        k = min(size, most, max_iterations - iteration)
-        for j in range(k):
-            step(edges, level_rows[j], edge_rows[j])
-            edges = edge_rows[j]
-        for j, distortion in enumerate(distortions(k)):
-            iteration += 1
-            if distortion > prev * (1.0 + 1e-12):
+        if unscored:
+            np.subtract(level_rows[old], level_rows[new], out=gap)
+            gap *= gap
+            bound = 2.0 * float(gap @ mass)
+            next_noise = spread * float(edge_rows[new, -1]) + floor
+            unscored = bound > tolerance * d1 + noise + next_noise
+            noise = next_noise
+            if not unscored and iteration > 2:  # the older iterate is not iterate 1
+                prev = distortion(old)
+        if not unscored:
+            current = distortion(new)
+            if current > prev * (1.0 + 1e-12):
                 raise ArithmeticError(
-                    f"distortion increased at iteration {iteration}: {prev!r} -> {distortion!r}"
+                    f"distortion increased at iteration {iteration}: {prev!r} -> {current!r}"
                 )
-            if prev - distortion < tolerance * distortion:
-                levels = np.concatenate((-level_rows[j, ::-1], level_rows[j]))
+            if prev - current < tolerance * current:
+                levels = np.concatenate((-level_rows[new, ::-1], level_rows[new]))
                 return LloydMaxResult(
                     levels=tuple(levels.tolist()),
                     thresholds=tuple((0.5 * (levels[:-1] + levels[1:])).tolist()),
-                    distortion=distortion,
-                    sqnr_db=10.0 * math.log10(sigma**2 / distortion),
+                    distortion=current,
+                    sqnr_db=10.0 * math.log10(sigma**2 / current),
                     iterations=iteration,
                 )
-            prev = distortion
-        size *= 2
+            prev = current
+        old = new
     raise ConvergenceError(f"no convergence to {tolerance} within {max_iterations} iterations")
 
 

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from splinequant import reference_oracles
+
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "layer_times.py"
 _SPEC = importlib.util.spec_from_file_location("layer_times", _TOOL)
 layer_times = importlib.util.module_from_spec(_SPEC)
@@ -28,8 +30,24 @@ def test_prints_every_layer_with_median_and_iqr(capsys):
         assert row["unit"] == {"erf": "us/element", "mc_distortion": "ms/1e6 samples"}.get(
             row["layer"], "ms"
         )
+    # the Lloyd-Max row also gives the run's iteration count, in the table too
+    counted = [(row["layer"], row["size"], row["iterations"]) for row in table["layers"] if "iterations" in row]
+    assert counted == [("lloyd_max", 16, 273)]
+    assert [line.split()[0] for line in lines if line.endswith(", 273 iterations")] == ["lloyd_max"]
     # a header plus one line per layer before the JSON
     assert len(lines) == len(got) + 2
+
+
+def test_lloyd_max_row_counts_the_cap_when_the_run_fails(monkeypatch, capsys):
+    # a run that reaches its cap is counted at the cap, lloyd_max's default
+    def never_converges(source, n_levels, max_iterations=123):
+        raise reference_oracles.ConvergenceError("no convergence")
+
+    monkeypatch.setattr(reference_oracles, "lloyd_max", never_converges)
+    assert layer_times.main(["--repeat", "1", "--levels", "16"]) == 0
+    table = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    (row,) = [row for row in table["layers"] if row["layer"] == "lloyd_max"]
+    assert row["iterations"] == 123
 
 
 def test_spread_of_one_call_has_no_iqr():

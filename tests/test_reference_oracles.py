@@ -12,9 +12,8 @@ import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
 from splinequant import reference_oracles
-from splinequant.gauss_analytics import erf
+from splinequant.gauss_analytics import erf, pdf
 from splinequant.reference_oracles import (
-    _BLOCK_ELEMENTS,
     _MC_BLOCK,
     _SHARD_SIZE,
     ConvergenceError,
@@ -146,48 +145,30 @@ class TestLloydMaxHalfCodebook:
         assert lloyd_max(UNIT, 128).iterations == 9_474
 
     def test_working_set(self):
-        # the bound keeps N = 256 at one iterate per block: the preallocated
-        # history and the (k, N/2, 24) buffers of a single iterate (the
-        # whole-codebook iteration peaks at about 309 KB here)
+        # one (N/2, 24) pass per scored iterate, its temporaries freed before
+        # the next, and the rows of the last two iterates: the same at N = 16
+        # to 128 run to convergence as at N = 256 capped inside the unscored
+        # run (the whole-codebook iteration peaks at about 309 KB there)
         lloyd_max(UNIT, 2)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConvergenceError):
-                lloyd_max(UNIT, 256, max_iterations=300)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 256 * 1024, peak
+        for n_levels, cap in ((16, 10_000), (32, 10_000), (64, 10_000), (128, 10_000), (256, 300)):
+            tracemalloc.start()
+            try:
+                _outcome(lloyd_max, UNIT, n_levels, max_iterations=cap)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 256 * 1024, (n_levels, peak)
 
 
-def _largest_block(n_levels):
-    return max(1, _BLOCK_ELEMENTS // (n_levels // 2 * 24))
-
-
-def _blocks(n_levels, start):
-    """(first, last) iteration of each block of the scored loop, which starts
-    at iteration ``start``, without end: sizes 1, 2, 4, ... up to the largest
-    block."""
-    first = start
-    for doublings in itertools.count():
-        last = first + min(2**doublings, _largest_block(n_levels)) - 1
-        yield first, last
-        first = last + 1
-
-
-def _passes(n_levels, start, stop, cap=10_000):
-    """The iterates scored by each distortion pass of a run whose unscored
-    run ends at ``start`` and which stops at ``stop`` or fails at ``cap``:
-    iterate 1, the one before ``start`` unless that is iterate 1, then the
-    blocks up to the one holding the last iterate, cut at the cap."""
+def _passes(start, stop, cap=10_000):
+    """The iterates scored by a run whose unscored run ends at ``start`` and
+    which stops at ``stop`` or fails at ``cap``: iterate 1, the one before
+    ``start`` unless that is iterate 1, then every iterate from ``start`` to
+    the last, none of them if the cap comes first."""
     last = min(stop, cap)
     if last < start:
         return [1]
-    passes = [1, 1] if start > 2 else [1]
-    for first, end in _blocks(n_levels, start):
-        passes.append(min(end, cap) - first + 1)
-        if end >= last:
-            return passes
+    return [1] + [start - 1] * (start > 2) + list(range(start, last + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,70 +233,52 @@ def _outcome(fn, *args, **kwargs):
         return str(exc)
 
 
-class _CountingNumpy:
-    """numpy, recording the leading size of every 3-d array passed to ``exp``:
-    each distortion pass makes one such call on its (k, N/2, 24) buffer, and
-    a centroid step calls ``exp`` on 1-d arrays only."""
-
-    def __init__(self):
-        self.passes = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def exp(self, x, *args, **kwargs):
-        if x.ndim == 3:
-            self.passes.append(x.shape[0])
-        return np.exp(x, *args, **kwargs)
-
-
 @pytest.fixture
-def counting(monkeypatch):
-    counting = _CountingNumpy()
-    monkeypatch.setattr(reference_oracles, "np", counting)
-    return counting
+def scored(monkeypatch):
+    """One entry per distortion pass, recorded by wrapping ``pdf``: each pass
+    evaluates it once, and a centroid step inlines its operations."""
+    passes = []
+
+    def counted(*args):
+        passes.append(args[1].shape)
+        return pdf(*args)
+
+    monkeypatch.setattr(reference_oracles, "pdf", counted)
+    return passes
 
 
-class TestLloydMaxBlocks:
-    """The unscored run and the blocks of scored iterates after it stop and
-    fail at the iterate where scoring every iterate one at a time does: inside
-    the run, at its end, and on either side of every block boundary after
-    it.  Each case also checks which iterates were scored."""
+class TestLloydMaxLoop:
+    """The unscored run and the scored loop after it stop and fail at the
+    iterate where scoring every iterate one at a time does: inside the run,
+    at its end and after it.  Each case also counts the scored iterates."""
 
     @pytest.mark.parametrize("n_levels", [2, 16, 64])
-    def test_same_cap_failure_around_block_ends(self, n_levels, counting):
+    def test_same_cap_failure_around_the_run_end(self, n_levels, scored):
         start = _unscored_run_end(n_levels)
         stop = lloyd_max(UNIT, n_levels).iterations
-        ends = [last for _, last in itertools.islice(_blocks(n_levels, start), 4)]
-        # inside the unscored run, at its last iterate and at its end, then
-        # on either side of each of the first block ends after it
-        caps = {1, 2, 3, start - 2, start - 1, start} | {end + d for end in ends for d in (0, 1)}
+        caps = {1, 2, 3} | {start + d for d in (-2, -1, 0, 1, 2)}
         for cap in sorted(caps - {-1, 0}):
-            counting.passes.clear()
+            scored.clear()
             got = _outcome(lloyd_max, UNIT, n_levels, max_iterations=cap)
             want = _outcome(reference_lloyd_max, UNIT, n_levels, max_iterations=cap)
             assert got == want, cap
             assert isinstance(got, str) == (cap < stop), cap
-            assert counting.passes == _passes(n_levels, start, stop, cap), cap
+            assert len(scored) == len(_passes(start, stop, cap)), cap
+            assert set(scored) == {(n_levels // 2, 24)}, cap
 
-    @pytest.mark.parametrize("position", [0, 1], ids=["first", "last"])
+    @pytest.mark.parametrize("offset", [2, 5, 30])
     @pytest.mark.parametrize("n_levels", [16, 64])
-    def test_stops_on_first_and_last_iterate_of_a_block(self, n_levels, position, monkeypatch, counting):
-        # blocks 2...7 after the run (2...5 at N = 16, whose slower end
-        # leaves no stop 61 iterates after it): the doubling ones and, at
-        # N = 64, full ones past the largest size; their offsets from its end
-        for bounds in itertools.islice(_blocks(n_levels, 0), 1, 5 if n_levels == 16 else 7):
-            tolerance, start, stop = _tolerance_ending_run_at(n_levels, bounds[position])
-            monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", tolerance)
-            counting.passes.clear()
-            got = lloyd_max(UNIT, n_levels)
-            want = reference_lloyd_max(UNIT, n_levels, tolerance=tolerance)
-            assert want.iterations == stop
-            assert got == want, stop
-            assert counting.passes == _passes(n_levels, start, stop), stop
+    def test_stops_after_the_run_end(self, n_levels, offset, monkeypatch, scored):
+        tolerance, start, stop = _tolerance_ending_run_at(n_levels, offset)
+        monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", tolerance)
+        got = lloyd_max(UNIT, n_levels)
+        want = reference_lloyd_max(UNIT, n_levels, tolerance=tolerance)
+        assert want.iterations == stop
+        assert got == want
+        assert len(scored) == len(_passes(start, stop))
 
     @pytest.mark.parametrize("offset", [0, 1], ids=["first", "next"])
-    def test_stops_on_the_first_scored_iterate_and_the_next(self, offset, monkeypatch, counting):
+    def test_stops_on_the_first_scored_iterate_and_the_next(self, offset, monkeypatch, scored):
         # N = 4 converges fast enough for the stop to land on the run's end
         tolerance, start, stop = _tolerance_ending_run_at(4, offset)
         assert start > 2
@@ -324,14 +287,15 @@ class TestLloydMaxBlocks:
         want = reference_lloyd_max(UNIT, 4, tolerance=tolerance)
         assert want.iterations == stop
         assert got == want
-        assert counting.passes == _passes(4, start, stop)
+        assert len(scored) == len(_passes(start, stop))
 
     @pytest.mark.parametrize("n_levels", [256, 512])
-    def test_large_codebook_cap_inside_the_unscored_run(self, n_levels, counting):
+    def test_large_codebook_cap_inside_the_unscored_run(self, n_levels, scored):
         got = _outcome(lloyd_max, UNIT, n_levels, max_iterations=300)
         want = _outcome(reference_lloyd_max, UNIT, n_levels, max_iterations=300)
         assert got == want == "no convergence to 1e-12 within 300 iterations"
-        assert counting.passes == [1]
+        # only iterate 1: the run never ends
+        assert len(scored) == 1
 
     def test_increase_guard_fires_where_it_does_one_at_a_time(self):
         # the 24-point sum's rounding noise at N = 65,536 exceeds the 1e-12

@@ -17,7 +17,9 @@ samples for ``mc_distortion`` and in milliseconds for the rest:
 * ``exact_compressor_sqnr``: the exact-compressor comparator at N;
 * ``lloyd_max``: one whole ``lloyd_max`` run at N, to convergence or, at
   N = 256, to the 10,000-iteration cap; timed up to N = 256 only, since a
-  run at larger N is seconds of steps that never converge;
+  run at larger N is seconds of steps that never converge.  Its row also
+  gives the run's ``iterations``, the cap where it raises
+  ``ConvergenceError``;
 * ``mc_distortion``: 10^6 seeded samples through the quantizer at
   x1 = 0.6 x_max, built by ``evaluate_candidate`` as the benchmark's
   ``validate`` ops build theirs; skipped where it does not build (N >= 512).
@@ -35,6 +37,7 @@ Standard library and numpy only, besides the package under test.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 import sys
@@ -67,6 +70,7 @@ def layers(levels, repeat: int) -> list[dict]:
     from splinequant.reference_oracles import mc_distortion
     from splinequant.spline_fit import fit, target_moments
 
+    lloyd_cap = inspect.signature(lloyd_max).parameters["max_iterations"].default
     rows = []
     for size in (65, 40_000):
         z = np.linspace(0.0, 3.0, size)
@@ -100,14 +104,17 @@ def layers(levels, repeat: int) -> list[dict]:
         for layer, fn in timed:
             rows.append({"layer": layer, "size": n, "unit": "ms", **spread(fn, repeat)})
 
+        iterations = []
+
         def lloyd():
             try:
-                lloyd_max(gauss_analytics.SourceModel(), n)
+                iterations.append(lloyd_max(gauss_analytics.SourceModel(), n).iterations)
             except ConvergenceError:
-                pass
+                iterations.append(lloyd_cap)
 
         if n <= LLOYD_LEVELS:
-            rows.append({"layer": "lloyd_max", "size": n, "unit": "ms", **spread(lloyd, repeat)})
+            cost = spread(lloyd, repeat)
+            rows.append({"layer": "lloyd_max", "size": n, "unit": "ms", **cost, "iterations": iterations[-1]})
 
         unit = gauss_analytics.SourceModel()
         try:
@@ -133,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     rows = layers(args.levels, args.repeat)
     print(f"{'layer':<24}{'size':>8}{'median':>12}{'IQR':>10}  unit")
     for r in rows:
-        print(f"{r['layer']:<24}{r['size']:>8}{r['median']:>12.4g}{r['iqr']:>10.3g}  {r['unit']}")
+        count = f", {r['iterations']} iterations" if "iterations" in r else ""
+        print(f"{r['layer']:<24}{r['size']:>8}{r['median']:>12.4g}{r['iqr']:>10.3g}  {r['unit']}{count}")
     print(json.dumps({"repeat": args.repeat, "src": str(args.src), "layers": rows}))
     return 0
 
