@@ -219,6 +219,21 @@ def lloyd_max(
     cap and on an increase, is the same bits as scoring every iterate one at
     a time.  ``n_levels`` and ``max_iterations`` must be integers
     (``operator.index``), checked before any work.
+
+    Every buffer and view is made once per run: the two iterates' edge and
+    level rows and their slices, which swap roles by reference, and the work
+    arrays that each step and each 24-point pass fill in place.  The pass
+    writes its terms into the second half of one (N, 24) array and their
+    mirror into the first, the values and memory order of the whole
+    codebook's sum.  Constants are folded where that is exact: one division
+    by [[sigma], [sigma sqrt 2]] gives the density's and erf's arguments,
+    each element divided as before; a centroid is (pdf(lo) - pdf(hi))
+    (-2 sigma^2) / (erf(lo) - erf(hi)), and B is -sum((old level - new
+    level)^2 (erf(lo) - erf(hi))), with mass = (erf(hi) - erf(lo)) / 2.  A
+    product by -2 or 1/2 is exact while every product and quotient is a
+    normal float, so both give the bits of sigma^2 (pdf(lo) - pdf(hi)) / mass
+    and of 2 sum(mass (old level - new level)^2), the latter summed in the
+    same order.
     """
     n_levels = operator.index(n_levels)
     max_iterations = operator.index(max_iterations)
@@ -231,65 +246,90 @@ def lloyd_max(
     levels = np.asarray(_initial_levels(source, n_levels), dtype=float)
     edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
     nodes, weights = _gauss_legendre()
-    # the last two iterates, the older in row ``old``
-    level_rows = np.empty((2, cells))
-    edge_rows = np.zeros((2, cells + 1))
-    mass = np.empty(cells)
-    z = np.empty(cells + 1)
+    # every buffer and view of the run, made once (see the docstring)
+    divisors = np.array([[sigma], [sigma * math.sqrt(2.0)]])
+    args = np.empty((2, cells + 1))
+    z, erf_args = args
     dens = np.empty(cells + 1)
-    erf_scale = sigma * math.sqrt(2.0)
+    dens_lo, dens_hi = dens[:-1], dens[1:]
+    drop = np.empty(cells)  # erf(lo) - erf(hi): -2 times each cell's mass
+    fold = -2.0 * sigma**2  # sigma^2 / mass = fold / (erf(lo) - erf(hi))
+    reach = 12.0 * sigma
+    halves = np.empty((2, cells, 1))  # the cells' half widths and centres
+    width, centre = halves
+    x = np.empty((cells, _GL_ORDER))
+    terms = np.empty((n_levels, _GL_ORDER))
+    mirror, half = terms[:cells], terms[cells:]
+    flipped = half[::-1, ::-1]
 
-    def step(edges: np.ndarray, levels: np.ndarray, next_edges: np.ndarray) -> None:
+    def rows() -> tuple:
+        """An iterate's edge and level rows with their views: edges, levels,
+        levels[:-1], levels[1:] and edges[1:-1] for the step, then the columns
+        edges[:-1], edges[1:] and levels for the 24-point pass."""
+        e, y = np.zeros(cells + 1), np.empty(cells)
+        return e, y, y[:-1], y[1:], e[1:-1], e[:-1, None], e[1:, None], y[:, None]
+
+    def step(edges: np.ndarray, into: tuple) -> float:
         """One Lloyd step from the cells ``edges``: their centroids into
-        ``levels``, their masses into ``mass``, the new cells into
-        ``next_edges``; the operations of ``pdf`` and ``erf``, in place."""
-        np.divide(edges, sigma, out=z)
+        ``into``'s levels, erf(lo) - erf(hi) into ``drop``, the new cells into
+        ``into``'s edges; the operations of ``pdf`` and ``erf``, in place.
+        Returns the new last edge."""
+        next_edges, levels, lower, upper, inner = into[:5]
+        np.divide(edges, divisors, out=args)
         np.multiply(z, -0.5, out=dens)
         np.multiply(dens, z, out=dens)
         np.exp(dens, out=dens)
         np.divide(dens, sigma * _SQRT_2PI, out=dens)
-        np.divide(edges, erf_scale, out=z)
-        cdf = np.fromiter(map(math.erf, z.tolist()), float, cells + 1)
-        # centroid of each cell: sigma^2 * (pdf(lo) - pdf(hi)) / mass
-        np.subtract(dens[:-1], dens[1:], out=levels)
-        levels *= sigma**2
-        np.subtract(cdf[1:], cdf[:-1], out=mass)
-        np.multiply(mass, 0.5, out=mass)
-        levels /= mass
-        np.add(levels[:-1], levels[1:], out=next_edges[1:-1])
-        next_edges[1:-1] *= 0.5
-        next_edges[-1] = levels[-1] + 12.0 * sigma
+        cdf = np.fromiter(map(math.erf, erf_args.tolist()), float, cells + 1)
+        # centroid of each cell: sigma^2 (pdf(lo) - pdf(hi)) / mass, folded
+        np.subtract(cdf[:-1], cdf[1:], out=drop)
+        np.subtract(dens_lo, dens_hi, out=levels)
+        levels *= fold
+        levels /= drop
+        np.add(lower, upper, out=inner)
+        inner *= 0.5
+        last = levels.item(-1) + reach
+        next_edges[-1] = last
+        return last
 
-    def distortion(row: int) -> float:
-        """The distortion of the iterate in row ``row``: the 24-point sums of
-        both halves' cells, the negative half mirrored first, summed once in
-        the whole codebook's order."""
-        lo, hi = edge_rows[row, :-1, None], edge_rows[row, 1:, None]
-        w = (hi - lo) * 0.5
-        x = w * nodes + (hi + lo) * 0.5
-        half = w * weights * (x - level_rows[row, :, None]) ** 2 * pdf(source, x)
-        return float(np.concatenate((half[::-1, ::-1], half)).sum())
+    def distortion(iterate: tuple) -> float:
+        """The distortion of ``iterate``: the 24-point sums of both halves'
+        cells, the negative half mirrored first, summed once in the whole
+        codebook's order."""
+        lo, hi, column = iterate[5:]
+        np.subtract(hi, lo, out=width)
+        np.add(hi, lo, out=centre)
+        np.multiply(halves, 0.5, out=halves)
+        np.multiply(width, nodes, out=x)
+        np.add(x, centre, out=x)
+        # (x - level)^2 goes into the first half until the mirror overwrites it
+        np.subtract(x, column, out=mirror)
+        np.multiply(mirror, mirror, out=mirror)
+        np.multiply(width, weights, out=half)
+        np.multiply(half, mirror, out=half)
+        np.multiply(half, pdf(source, x), out=half)
+        np.copyto(mirror, flipped)
+        return float(terms.sum())
 
     tolerance = _LLOYD_MAX_TOLERANCE
-    step(edges, level_rows[0], edge_rows[0])
-    d1 = prev = distortion(0)
+    old, new = rows(), rows()
+    last = step(edges, old)
+    d1 = prev = distortion(old)
     iteration = 1
     # the unscored run (see the docstring); R = spread * x_e + floor
     unscored = True
     gap = np.empty(cells)
     spread = 4.0 * _UNIT_ROUNDOFF * math.sqrt(d1)
     floor = 2.0 * (math.log2(48 * n_levels) + 8.0) * _UNIT_ROUNDOFF * d1
-    noise = spread * float(edge_rows[0, -1]) + floor
-    old = 0
+    noise = spread * last + floor
     while iteration < max_iterations:
-        new = 1 - old
-        step(edge_rows[old], level_rows[new], edge_rows[new])
+        last = step(old[0], new)
         iteration += 1
         if unscored:
-            np.subtract(level_rows[old], level_rows[new], out=gap)
+            np.subtract(old[1], new[1], out=gap)
             gap *= gap
-            bound = 2.0 * float(gap @ mass)
-            next_noise = spread * float(edge_rows[new, -1]) + floor
+            bound = -float(gap @ drop)
+            next_noise = spread * last + floor
             unscored = bound > tolerance * d1 + noise + next_noise
             noise = next_noise
             if not unscored and iteration > 2:  # the older iterate is not iterate 1
@@ -301,7 +341,7 @@ def lloyd_max(
                     f"distortion increased at iteration {iteration}: {prev!r} -> {current!r}"
                 )
             if prev - current < tolerance * current:
-                levels = np.concatenate((-level_rows[new, ::-1], level_rows[new]))
+                levels = np.concatenate((-new[1][::-1], new[1]))
                 return LloydMaxResult(
                     levels=tuple(levels.tolist()),
                     thresholds=tuple((0.5 * (levels[:-1] + levels[1:])).tolist()),
@@ -310,7 +350,7 @@ def lloyd_max(
                     iterations=iteration,
                 )
             prev = current
-        old = new
+        old, new = new, old
     raise ConvergenceError(f"no convergence to {tolerance} within {max_iterations} iterations")
 
 

@@ -30,10 +30,14 @@ def test_prints_every_layer_with_median_and_iqr(capsys):
         assert row["unit"] == {"erf": "us/element", "mc_distortion": "ms/1e6 samples"}.get(
             row["layer"], "ms"
         )
-    # the Lloyd-Max row also gives the run's iteration count, in the table too
+    # the Lloyd-Max row also gives the run's iteration count and the median
+    # run time per iteration, in the table too
     counted = [(row["layer"], row["size"], row["iterations"]) for row in table["layers"] if "iterations" in row]
     assert counted == [("lloyd_max", 16, 273)]
-    assert [line.split()[0] for line in lines if line.endswith(", 273 iterations")] == ["lloyd_max"]
+    (row,) = [row for row in table["layers"] if "iterations" in row]
+    assert row["us_per_iteration"] == row["median"] * 1e3 / 273
+    printed = f", 273 iterations, {row['us_per_iteration']:.3g} us/iteration"
+    assert [line.split()[0] for line in lines if line.endswith(printed)] == ["lloyd_max"]
     # a header plus one line per layer before the JSON
     assert len(lines) == len(got) + 2
 
@@ -48,6 +52,7 @@ def test_lloyd_max_row_counts_the_cap_when_the_run_fails(monkeypatch, capsys):
     table = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     (row,) = [row for row in table["layers"] if row["layer"] == "lloyd_max"]
     assert row["iterations"] == 123
+    assert row["us_per_iteration"] == row["median"] * 1e3 / 123
 
 
 def test_spread_of_one_call_has_no_iqr():

@@ -122,7 +122,10 @@ class TestLloydMaxHalfCodebook:
     @pytest.mark.parametrize(
         "n_levels, sigma",
         [(n, s) for n in (2, 4, 6, 8, 16, 32, 64) for s in (1e-3, 0.37, 1.0, 2.0, 1e3)]
-        + [(12, 0.37), (24, 2.0), (48, 1e3), (96, 1e-3), (128, 1.0)],
+        + [(12, 0.37), (24, 2.0), (48, 1e3), (96, 1e-3), (128, 1.0)]
+        # the folded constants far from sigma = 1: sigma^2 and -2 sigma^2 are
+        # far from 1 there, but every intermediate stays a normal float
+        + [(n, s) for n in (2, 16, 32) for s in (1e-100, 1e100)],
     )
     def test_equals_whole_codebook_iteration(self, n_levels, sigma):
         with warnings.catch_warnings():
@@ -145,10 +148,12 @@ class TestLloydMaxHalfCodebook:
         assert lloyd_max(UNIT, 128).iterations == 9_474
 
     def test_working_set(self):
-        # one (N/2, 24) pass per scored iterate, its temporaries freed before
-        # the next, and the rows of the last two iterates: the same at N = 16
-        # to 128 run to convergence as at N = 256 capped inside the unscored
-        # run (the whole-codebook iteration peaks at about 309 KB there)
+        # the buffers made once per run (the rows of the last two iterates,
+        # the step's work arrays, the 24-point pass's (N/2, 24) nodes and
+        # (N, 24) terms) plus the temporaries of one pass's pdf call: the
+        # same at N = 16 to 128 run to convergence as at N = 256 capped
+        # inside the unscored run (the whole-codebook iteration peaks at
+        # about 309 KB there)
         lloyd_max(UNIT, 2)
         for n_levels, cap in ((16, 10_000), (32, 10_000), (64, 10_000), (128, 10_000), (256, 300)):
             tracemalloc.start()

@@ -19,7 +19,9 @@ samples for ``mc_distortion`` and in milliseconds for the rest:
   N = 256, to the 10,000-iteration cap; timed up to N = 256 only, since a
   run at larger N is seconds of steps that never converge.  Its row also
   gives the run's ``iterations``, the cap where it raises
-  ``ConvergenceError``;
+  ``ConvergenceError``, and ``us_per_iteration``, the median over
+  ``iterations`` in microseconds, so that a change to the step shows apart
+  from a change in the iteration count;
 * ``mc_distortion``: 10^6 seeded samples through the quantizer at
   x1 = 0.6 x_max, built by ``evaluate_candidate`` as the benchmark's
   ``validate`` ops build theirs; skipped where it does not build (N >= 512).
@@ -114,7 +116,8 @@ def layers(levels, repeat: int) -> list[dict]:
 
         if n <= LLOYD_LEVELS:
             cost = spread(lloyd, repeat)
-            rows.append({"layer": "lloyd_max", "size": n, "unit": "ms", **cost, "iterations": iterations[-1]})
+            count = {"iterations": iterations[-1], "us_per_iteration": cost["median"] * 1e3 / iterations[-1]}
+            rows.append({"layer": "lloyd_max", "size": n, "unit": "ms", **cost, **count})
 
         unit = gauss_analytics.SourceModel()
         try:
@@ -140,7 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     rows = layers(args.levels, args.repeat)
     print(f"{'layer':<24}{'size':>8}{'median':>12}{'IQR':>10}  unit")
     for r in rows:
-        count = f", {r['iterations']} iterations" if "iterations" in r else ""
+        count = ""
+        if "iterations" in r:
+            count = f", {r['iterations']} iterations, {r['us_per_iteration']:.3g} us/iteration"
         print(f"{r['layer']:<24}{r['size']:>8}{r['median']:>12.4g}{r['iqr']:>10.3g}  {r['unit']}{count}")
     print(json.dumps({"repeat": args.repeat, "src": str(args.src), "layers": rows}))
     return 0
