@@ -222,7 +222,8 @@ def lloyd_max(
 
     Every buffer and view is made once per run: the two iterates' edge and
     level rows and their slices, which swap roles by reference, and the work
-    arrays that each step and each 24-point pass fill in place.  The pass
+    arrays that each step and each 24-point pass fill in place; only the
+    step's erf values and the pass's ``pdf`` call allocate anew.  The pass
     writes its terms into the second half of one (N, 24) array and their
     mirror into the first, the values and memory order of the whole
     codebook's sum.  Constants are folded where that is exact: one division
