@@ -27,6 +27,8 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT6 = math.sqrt(6.0)
+# sigma^2 is a normal float from 2^-511 up to sqrt(largest float): [1.49e-154, 1.34e154]
+_SIGMA_RANGE = (2.0**-511, math.sqrt(np.finfo(float).max))
 
 # Beyond this many standard deviations the upper-tail probability leaves the
 # normal double range and the centroid ratio is no longer trustworthy.
@@ -44,13 +46,14 @@ _MAX_DEPTH = 60  # interval width shrinks by 2^-60; past that refinement is nois
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Zero-mean Gaussian amplitude source; ``sigma`` is the standard deviation."""
+    """Zero-mean Gaussian amplitude source of standard deviation ``sigma`` in
+    ``_SIGMA_RANGE``: designs and oracles compute at sigma = 1, then scale once."""
 
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]:
+            raise ValueError(f"sigma must lie in {list(_SIGMA_RANGE)}, got {self.sigma}")
 
 
 class QuadratureError(ArithmeticError):

@@ -97,15 +97,17 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
     place and added to the running totals by pairwise sums, so the working set
     is one block and its repeated levels at any ``n_samples``.  ``n_samples``
     and ``seed`` must be integers (``operator.index``), checked before any
-    draw.
+    draw.  The draws are unit normals, cut at boundaries/sigma and measured
+    from levels/sigma; the mean and its standard error are scaled by sigma^2
+    once.
     """
     n_samples = operator.index(n_samples)
     seed = operator.index(seed)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    boundaries = np.asarray(q.all_boundaries, dtype=float)
-    levels = np.asarray(q.all_levels, dtype=float)
     sigma = q.config.source.sigma
+    boundaries = np.asarray(q.all_boundaries, dtype=float) / sigma
+    levels = np.asarray(q.all_levels, dtype=float) / sigma
     block = np.empty(min(n_samples, _SHARD_SIZE, max(_MC_BLOCK, _MC_BLOCK_PER_LEVEL * levels.size)))
     total = 0.0
     total_sq = 0.0
@@ -115,7 +117,6 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
         for offset in range(0, shard_size, block.size):
             x = block[: min(block.size, shard_size - offset)]
             rng.standard_normal(out=x)
-            x *= sigma
             x.sort()
             cuts = np.searchsorted(x, boundaries, side="left")
             x -= np.repeat(levels, np.diff(cuts, prepend=0, append=x.size))
@@ -126,7 +127,7 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
     mean = total / n_samples
     variance = max(total_sq / n_samples - mean * mean, 0.0)
     std_error = math.sqrt(variance / n_samples)
-    return McEstimate(mean, std_error, n_samples, seed)
+    return McEstimate(mean * sigma**2, std_error * sigma**2, n_samples, seed)
 
 
 def true_distortion(q: CompandingQuantizer) -> float:
@@ -186,12 +187,14 @@ def lloyd_max(
     ``n_levels`` must be even: the codebook is then antisymmetric bit for bit
     (mirrored start, middle threshold exactly 0, ``math.erf`` odd, symmetric
     Gauss-Legendre rule), so only the positive half is iterated, on the cell
-    edges ``[0, midpoints..., last + 12 sigma]``.  Centroids use the
-    closed-form Gaussian tail moments.  The distortion deciding convergence is
+    edges ``[0, midpoints..., last + 12]``.  Centroids use the closed-form
+    Gaussian tail moments.  The distortion deciding convergence is
     re-evaluated for every iterate by per-cell Gauss-Legendre quadrature and
     must never increase; it is summed over both mirrored halves in the whole
     codebook's order, so it rounds exactly as a whole-codebook sum.  Stops
-    at the first iterate whose relative change drops below 1e-12.
+    at the first iterate whose relative change drops below 1e-12.  It runs
+    on the unit source and scales the result once: levels by sigma, the
+    thresholds of those levels, distortion by sigma^2, the unit SQNR.
 
     Only iterates on which a check could fire need that distortion.
     Iterate 1 is scored; then centroid steps run unscored while a lower
@@ -226,15 +229,9 @@ def lloyd_max(
     step's erf values and the pass's ``pdf`` call allocate anew.  The pass
     writes its terms into the second half of one (N, 24) array and their
     mirror into the first, the values and memory order of the whole
-    codebook's sum.  Constants are folded where that is exact: one division
-    by [[sigma], [sigma sqrt 2]] gives the density's and erf's arguments,
-    each element divided as before; a centroid is (pdf(lo) - pdf(hi))
-    (-2 sigma^2) / (erf(lo) - erf(hi)), and B is -sum((old level - new
-    level)^2 (erf(lo) - erf(hi))), with mass = (erf(hi) - erf(lo)) / 2.  A
-    product by -2 or 1/2 is exact while every product and quotient is a
-    normal float, so both give the bits of sigma^2 (pdf(lo) - pdf(hi)) / mass
-    and of 2 sum(mass (old level - new level)^2), the latter summed in the
-    same order.
+    codebook's sum.  With mass = (erf(hi) - erf(lo)) / 2, a centroid is
+    -2 (pdf(lo) - pdf(hi)) / (erf(lo) - erf(hi)) and B is
+    -sum((old level - new level)^2 (erf(lo) - erf(hi))).
     """
     n_levels = operator.index(n_levels)
     max_iterations = operator.index(max_iterations)
@@ -242,20 +239,15 @@ def lloyd_max(
         raise ValueError(f"n_levels must be even and >= 2, got {n_levels}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    sigma = source.sigma
+    sigma, unit = source.sigma, SourceModel()
     cells = n_levels // 2
-    levels = np.asarray(_initial_levels(source, n_levels), dtype=float)
-    edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0 * sigma]))
+    levels = np.asarray(_initial_levels(unit, n_levels), dtype=float)
+    edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0]))
     nodes, weights = _gauss_legendre()
     # every buffer and view of the run, made once (see the docstring)
-    divisors = np.array([[sigma], [sigma * math.sqrt(2.0)]])
-    args = np.empty((2, cells + 1))
-    z, erf_args = args
-    dens = np.empty(cells + 1)
+    erf_args, dens = np.empty((2, cells + 1))
     dens_lo, dens_hi = dens[:-1], dens[1:]
     drop = np.empty(cells)  # erf(lo) - erf(hi): -2 times each cell's mass
-    fold = -2.0 * sigma**2  # sigma^2 / mass = fold / (erf(lo) - erf(hi))
-    reach = 12.0 * sigma
     halves = np.empty((2, cells, 1))  # the cells' half widths and centres
     width, centre = halves
     x = np.empty((cells, _GL_ORDER))
@@ -276,20 +268,20 @@ def lloyd_max(
         ``into``'s edges; the operations of ``pdf`` and ``erf``, in place.
         Returns the new last edge."""
         next_edges, levels, lower, upper, inner = into[:5]
-        np.divide(edges, divisors, out=args)
-        np.multiply(z, -0.5, out=dens)
-        np.multiply(dens, z, out=dens)
+        np.divide(edges, math.sqrt(2.0), out=erf_args)
+        np.multiply(edges, -0.5, out=dens)
+        np.multiply(dens, edges, out=dens)
         np.exp(dens, out=dens)
-        np.divide(dens, sigma * _SQRT_2PI, out=dens)
+        np.divide(dens, _SQRT_2PI, out=dens)
         cdf = np.fromiter(map(math.erf, erf_args.tolist()), float, cells + 1)
-        # centroid of each cell: sigma^2 (pdf(lo) - pdf(hi)) / mass, folded
+        # centroid of each cell: (pdf(lo) - pdf(hi)) / mass
         np.subtract(cdf[:-1], cdf[1:], out=drop)
         np.subtract(dens_lo, dens_hi, out=levels)
-        levels *= fold
+        levels *= -2.0
         levels /= drop
         np.add(lower, upper, out=inner)
         inner *= 0.5
-        last = levels.item(-1) + reach
+        last = levels.item(-1) + 12.0
         next_edges[-1] = last
         return last
 
@@ -308,7 +300,7 @@ def lloyd_max(
         np.multiply(mirror, mirror, out=mirror)
         np.multiply(width, weights, out=half)
         np.multiply(half, mirror, out=half)
-        np.multiply(half, pdf(source, x), out=half)
+        np.multiply(half, pdf(unit, x), out=half)
         np.copyto(mirror, flipped)
         return float(terms.sum())
 
@@ -342,12 +334,12 @@ def lloyd_max(
                     f"distortion increased at iteration {iteration}: {prev!r} -> {current!r}"
                 )
             if prev - current < tolerance * current:
-                levels = np.concatenate((-new[1][::-1], new[1]))
+                levels = np.concatenate((-new[1][::-1], new[1])) * sigma
                 return LloydMaxResult(
                     levels=tuple(levels.tolist()),
                     thresholds=tuple((0.5 * (levels[:-1] + levels[1:])).tolist()),
-                    distortion=current,
-                    sqnr_db=10.0 * math.log10(sigma**2 / current),
+                    distortion=current * sigma**2,
+                    sqnr_db=10.0 * math.log10(1.0 / current),
                     iterations=iteration,
                 )
             prev = current

@@ -16,6 +16,7 @@ from .gauss_analytics import SourceModel, compressor, support_threshold
 from .quantizer_design import (
     CompandingQuantizer,
     DesignConfig,
+    DesignError,
     DistortionReport,
     build,
     score_batch,
@@ -89,14 +90,20 @@ def evaluate_candidate(
 def _fit_knots(config: DesignConfig, knots: Sequence[Sequence[float]]) -> np.ndarray:
     """The compressor's fitted tables on each row of a (designs, K+1) knot
     matrix, all with the support edge and source of ``config``: one quadrature
-    pass, then ``fit_batch``.  The one place where a design path names its fit
-    target.  Moment k is sigma^(k+2) times that of the unit-sigma compressor
-    (edge x_max/sigma) over knots/sigma, which keeps the quadrature's absolute
-    tolerance in scale at any sigma and is exact at sigma = 1."""
+    pass, then ``fit_batch``, on the unit source (knots/sigma, edge x_max/sigma);
+    the tables are then scaled once, c0 by sigma and c2 by 1/sigma, with lo and
+    hi the given knots.  The one place where a design path names its fit
+    target.  Knots that meet in units of sigma raise DesignError."""
     sigma, unit = config.source.sigma, SourceModel()
-    edge = config.x_max / sigma
-    moments = target_moments(lambda u: compressor(unit, edge, u), np.divide(knots, sigma))
-    return fit_batch(knots, moments * sigma ** np.arange(2.0, 5.0))
+    knots = np.asarray(knots, dtype=float)
+    scaled, edge = knots / sigma, config.x_max / sigma
+    meet = ~(scaled[:, 1:] > scaled[:, :-1]).all(axis=1)
+    if meet.any():
+        raise DesignError(f"knots {knots[np.argmax(meet)].tolist()} meet in units of sigma {sigma!r}")
+    tables = fit_batch(scaled, target_moments(lambda u: compressor(unit, edge, u), scaled))
+    tables[:, 0], tables[:, 2] = tables[:, 0] * sigma, tables[:, 2] / sigma
+    tables[:, 3], tables[:, 4] = knots[:, :-1], knots[:, 1:]
+    return tables
 
 
 def _score_knots(

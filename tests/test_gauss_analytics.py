@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -27,10 +28,19 @@ class TestSourceModel:
     def test_default_sigma_is_one(self):
         assert UNIT.sigma == 1.0
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-160, 1e160])
     def test_rejects_bad_sigma(self, sigma):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma must lie in"):
             SourceModel(sigma)
+
+    def test_sigma_range_ends_square_to_normal_floats(self):
+        # the ends of the range are accepted, and their squares are normal
+        for sigma in (2.0**-511, math.sqrt(sys.float_info.max)):
+            assert SourceModel(sigma).sigma**2 >= sys.float_info.min
+            assert math.isfinite(sigma**2)
+        for sigma in (math.nextafter(2.0**-511, 0.0), math.nextafter(math.sqrt(sys.float_info.max), math.inf)):
+            with pytest.raises(ValueError):
+                SourceModel(sigma)
 
 
 class TestPdf:

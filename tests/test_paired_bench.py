@@ -134,3 +134,45 @@ def test_run_once_reads_the_ops_from_the_result_record(tmp_path, monkeypatch):
     result = paired_bench.run_once(tmp_path, "oracle-validate", 3, 25.0)
     assert result["typical_op_ms"] == {"validate/16": 43.0, "oracles/16": 1.5}
     assert result["env"] == {"nproc": 2} and result["correct"] is True
+
+
+def test_tier1_runs_alternate_and_summarize_per_side(monkeypatch, capsys):
+    # a stub suite prints a pytest summary line; each side runs it three
+    # times, the first side of each round alternating, and the JSON gives
+    # both sides' wall-time quartiles and per-run counts
+    spec = paired_bench.json.loads((paired_bench.ROOT / "BENCHMARK.json").read_text())
+    trees = []
+
+    def fake_run(tree, workload, seed, seconds):
+        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+        return {"correct": True, "failed": 0, "metrics": metrics, "env": {}, "typical_op_ms": {}}
+
+    real_tier1 = paired_bench.run_tier1
+    stub = "print('2 failed, 7 passed, 1 error in 0.01s')"
+    monkeypatch.setattr(paired_bench, "TIER1_COMMAND", [paired_bench.sys.executable, "-c", stub])
+    monkeypatch.setattr(paired_bench, "run_tier1", lambda tree: trees.append(tree) or real_tier1(tree))
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    monkeypatch.setattr(paired_bench, "export", lambda commit, into: None)
+    monkeypatch.setattr(paired_bench, "git", lambda *args: "")
+    assert paired_bench.main(["--pairs", "10", "--workload", "encode-stream", "--tier1", "3"]) == 0
+    change = paired_bench.ROOT
+    assert [tree == change for tree in trees] == [False, True, True, False, False, True]
+    out = capsys.readouterr().out.strip().splitlines()
+    tier1 = paired_bench.json.loads(out[-1])["tier1"]
+    assert set(tier1) == {"base", "change"}
+    for row in tier1.values():
+        assert (row["runs"], row["passed"], row["failed"], row["error"]) == (3, [7] * 3, [2] * 3, [1] * 3)
+        wall = row["wall_s"]
+        assert 0.0 < wall["q1"] <= wall["median"] <= wall["q3"]
+    assert out[-3].startswith("  base: ") and out[-3].endswith(" | [7, 7, 7] | [2, 2, 2] | [1, 1, 1]")
+
+
+def test_tier1_needs_two_runs_per_side():
+    with pytest.raises(SystemExit):
+        paired_bench.main(["--tier1", "1"])
+
+
+def test_tier1_without_a_summary_line_stops(tmp_path, monkeypatch):
+    monkeypatch.setattr(paired_bench, "TIER1_COMMAND", [paired_bench.sys.executable, "-c", "print('crashed')"])
+    with pytest.raises(SystemExit, match="no summary"):
+        paired_bench.run_tier1(tmp_path)

@@ -15,10 +15,10 @@ from splinequant.quantizer_design import score_batch  # noqa: E402
 
 @st.composite
 def design_inputs(draw):
-    """Even N in [6, 512] and sigma in [1e-3, 1e3], both log-uniform, x1 in
-    (0, x_max) and an amplitude within 10 sigma of zero."""
+    """Even N in [6, 512] and sigma in [1e-150, 1e150], both log-uniform, x1
+    in (0, x_max) and an amplitude within 10 sigma of zero."""
     n_levels = 2 * round(2.0 ** draw(st.floats(math.log2(3.0), 8.0)))
-    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    sigma = 10.0 ** draw(st.floats(-150.0, 150.0))
     x_max = sq.support_threshold(sq.SourceModel(sigma), n_levels)
     x1 = draw(st.floats(0.0, x_max, exclude_min=True, exclude_max=True))
     return n_levels, sigma, x1, sigma * draw(st.floats(-10.0, 10.0))
@@ -64,5 +64,5 @@ def test_design_properties():
 
     check()
     # a quarter of the draws or more reach the properties of a valid design
-    # (34 of 100: most x1 at N >= 128 give a curve that is not increasing)
+    # (31 of 100: most x1 at N >= 128 give a curve that is not increasing)
     assert len(valid) >= 100 and sum(valid) >= len(valid) // 4, (sum(valid), len(valid))

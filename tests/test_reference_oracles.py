@@ -62,10 +62,22 @@ class TestLloydMax:
         assert lloyd32.sqnr_db >= sweep32.best_sqnr_db
 
     def test_sigma_scaling(self):
+        # the run is the unit source's, scaled once
         narrow = lloyd_max(UNIT, 8)
         wide = lloyd_max(SourceModel(2.0), 8)
-        assert wide.sqnr_db == pytest.approx(narrow.sqnr_db, abs=1e-9)
-        assert wide.levels == pytest.approx(tuple(2.0 * y for y in narrow.levels), rel=1e-8)
+        assert wide.sqnr_db == narrow.sqnr_db
+        assert wide.levels == tuple(2.0 * y for y in narrow.levels)
+        assert wide.distortion == 4.0 * narrow.distortion
+
+    def test_panter_dite_ratio_rises_towards_one(self, lloyd16, lloyd32):
+        # N^2 D / (sqrt(3) pi / 2), the Panter-Dite (1951) high-resolution
+        # distortion of the unit Gaussian: 0.8940, 0.9427, 0.9699 and 0.9845
+        # at N = 16...128, and N (1 - ratio) 1.70, 1.83, 1.93 and 1.99
+        runs = {16: lloyd16, 32: lloyd32, 64: _unit_lloyd_max(64), 128: _unit_lloyd_max(128)}
+        ratios = [n * n * run.distortion / (math.sqrt(3.0) * math.pi / 2.0) for n, run in runs.items()]
+        gaps = [n * (1.0 - ratio) for n, ratio in zip(runs, ratios)]
+        assert all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1.0, ratios
+        assert all(a < b for a, b in zip(gaps, gaps[1:])), gaps
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", 1e-15)
@@ -115,24 +127,48 @@ class TestLloydMax:
         assert "np.float64" not in repr(lloyd16)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_lloyd_max(n_levels):
+    """``lloyd_max`` on the unit source, run once per level count."""
+    return lloyd_max(UNIT, n_levels)
+
+
+@functools.lru_cache(maxsize=None)
+def _replicated_unit_run(n_levels):
+    """The unit source's run, checked once per level count against the
+    whole-codebook iteration: levels, thresholds, distortion and iteration
+    count, bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = reference_lloyd_max(UNIT, n_levels)
+    assert _unit_lloyd_max(n_levels) == want
+    return want
+
+
 class TestLloydMaxHalfCodebook:
     """The positive-half iteration reproduces the whole-codebook iteration bit
-    for bit: levels, thresholds, distortion and iteration count."""
+    for bit on the unit source, and any other sigma gives that run scaled
+    once."""
 
     @pytest.mark.parametrize(
         "n_levels, sigma",
         [(n, s) for n in (2, 4, 6, 8, 16, 32, 64) for s in (1e-3, 0.37, 1.0, 2.0, 1e3)]
         + [(12, 0.37), (24, 2.0), (48, 1e3), (96, 1e-3), (128, 1.0)]
-        # the folded constants far from sigma = 1: sigma^2 and -2 sigma^2 are
-        # far from 1 there, but every intermediate stays a normal float
-        + [(n, s) for n in (2, 16, 32) for s in (1e-100, 1e100)],
+        # far from sigma = 1, out to the ends of SourceModel's range, where
+        # folding sigma into the loop's constants overflowed or underflowed
+        + [(n, s) for n in (2, 16, 32) for s in (1e-100, 1e100)]
+        + [(n, s) for n in (2, 16, 32) for s in (1e-150, 1e-105, 1e150)],
     )
     def test_equals_whole_codebook_iteration(self, n_levels, sigma):
+        unit = _replicated_unit_run(n_levels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lloyd_max(SourceModel(sigma), n_levels)
-            want = reference_lloyd_max(SourceModel(sigma), n_levels)
-        assert got == want
+        levels = tuple(sigma * y for y in unit.levels)
+        assert got.levels == levels
+        assert got.thresholds == tuple(0.5 * (a + b) for a, b in zip(levels, levels[1:]))
+        assert got.distortion == unit.distortion * sigma**2
+        assert (got.sqnr_db, got.iterations) == (unit.sqnr_db, unit.iterations)
 
     def test_same_iteration_cap_failure(self, monkeypatch):
         monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", 1e-15)
@@ -145,7 +181,7 @@ class TestLloydMaxHalfCodebook:
         assert str(got.value) == str(want.value)
 
     def test_n128_iteration_count(self):
-        assert lloyd_max(UNIT, 128).iterations == 9_474
+        assert _unit_lloyd_max(128).iterations == 9_474
 
     def test_working_set(self):
         # the buffers made once per run (the rows of the last two iterates,
@@ -348,6 +384,18 @@ class TestMcDistortion:
         z = (est.mean_distortion - true_distortion(q)) / est.std_error
         assert abs(z) < 4.0
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-105, 1e-80, 1e-3, 1e3, 1e77, 1e80, 1e150])
+    def test_sigma_scaling(self, sigma):
+        # unit draws against the design's cells over sigma: the estimate and
+        # its standard error over sigma^2 are the unit source's
+        def estimate(source):
+            q = sq.evaluate_candidate(16, 2.1 * source.sigma, source)
+            return mc_distortion(q, 100_000, 1)
+
+        unit, scaled = estimate(UNIT), estimate(SourceModel(sigma))
+        assert scaled.mean_distortion / sigma**2 == pytest.approx(unit.mean_distortion, rel=1e-12, abs=0.0)
+        assert scaled.std_error / sigma**2 == pytest.approx(unit.std_error, rel=1e-12, abs=0.0)
+
     def test_rejects_empty_sample_budget(self, designs):
         with pytest.raises(ValueError):
             mc_distortion(designs[(16, "mid")], 0, 42)
@@ -498,6 +546,16 @@ class TestExactCompressorModel:
     def test_n32_regression(self):
         report = exact_compressor_sqnr(UNIT, 32)
         assert report.sqnr_db == pytest.approx(25.7916, abs=2e-3)
+
+    def test_panter_dite_ratio_of_the_granular_term_rises_towards_one(self):
+        # N^2 granular / (sqrt(3) pi / 2): 0.7934 at N = 16 up to 0.99994 at
+        # N = 65,536, the Panter-Dite (1951) limit of the optimal compressor
+        levels = [16, 64, 256, 1024, 4096, 16_384, 65_536]
+        ratios = [
+            n * n * exact_compressor_sqnr(UNIT, n).granular / (math.sqrt(3.0) * math.pi / 2.0)
+            for n in levels
+        ]
+        assert all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1.0, ratios
 
     def test_identity_compressor_reduces_to_uniform(self):
         # with the identity map (levels at the grid's level targets, unit

@@ -403,9 +403,9 @@ class TestOnePath:
 
 
 class TestSourceScale:
-    """A design at sigma is the unit design scaled by sigma: the fit moments
-    are computed at unit scale, where the quadrature's absolute tolerance
-    does not bind."""
+    """A design at sigma is the unit design scaled by sigma: the fit is made
+    on the unit source, where the quadrature's absolute tolerance does not
+    bind, and its tables are scaled once."""
 
     @pytest.mark.parametrize("n_levels", [16, 64, 256])
     def test_sqnr_independent_of_sigma(self, n_levels):
@@ -413,7 +413,7 @@ class TestSourceScale:
             return sq.evaluate_candidate(n_levels, 0.6 * sq.support_threshold(source, n_levels), source)
 
         unit = design(sq.SourceModel()).report.sqnr_db
-        for sigma in (1e-4, 1e-3, 1e-2, 0.1, 10.0, 1e3, 1e5):
+        for sigma in (1e-150, 1e-4, 1e-3, 1e-2, 0.1, 10.0, 1e3, 1e5, 1e150):
             assert design(sq.SourceModel(sigma)).report.sqnr_db == pytest.approx(unit, abs=1e-9), sigma
 
     @pytest.mark.parametrize("n_levels", [16, 64])
@@ -430,6 +430,11 @@ class TestSourceScale:
         assert refined.interior == unit_refined.interior
         assert refined.sqnr_db == pytest.approx(unit_refined.sqnr_db, rel=1e-9, abs=0.0)
         assert refined.x1 / sigma == pytest.approx(unit_refined.x1, abs=1e-4)
+
+    def test_knots_that_meet_in_units_of_sigma_fail_the_design(self):
+        # 5e-324 / 10 rounds to 0: the unit fit has an empty first segment
+        with pytest.raises(sq.DesignError, match="meet in units of sigma 10.0"):
+            sq.evaluate_candidate(8, 5e-324, sq.SourceModel(10.0))
 
     def test_grid_step_bound_is_in_units_of_sigma(self):
         x_max = sq.support_threshold(sq.SourceModel(), 16)

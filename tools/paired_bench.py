@@ -1,6 +1,6 @@
 """Paired benchmark runs: a base commit against the working tree.
 
-    python3 tools/paired_bench.py --base HEAD~1 --pairs 10 [--workload design-sweep ...]
+    python3 tools/paired_bench.py --base HEAD~1 --pairs 10 [--workload design-sweep ...] [--tier1 K]
 
 Exports ``--base`` with ``git archive`` into a temporary directory (nothing is
 registered in the repository), then runs ``perfbench/run.py`` on that copy and
@@ -27,11 +27,18 @@ the op's typical latency (``typical_op_ms`` in the run's
 ``.perfbench_out/result-<workload>-seed<n>-trace0.json``), so a change can be
 traced to the ops that moved.
 
+With ``--tier1 K`` (K >= 2) it also runs the tier-1 suite, ROADMAP's
+``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``, K
+times per side, alternating which side runs first, and prints each side's
+median and quartiles of the suite's wall time and the passed, failed and
+error counts of each run.
+
 The last line of stdout is the same table as one JSON object: for every
 workload and metric both sides' medians and quartiles, the change/base ratio,
 the pairs won and the verdict, the per-op medians, plus the seeds, the host
 details the runs reported, the base commit and the working tree's commit (and
-whether it had uncommitted changes).  Commit it as ``BENCH_<n>.json``.
+whether it had uncommitted changes), and with ``--tier1`` the suite's figures
+under ``tier1``.  Commit it as ``BENCH_<n>.json``.
 
 Standard library only.
 """
@@ -42,14 +49,19 @@ import argparse
 import io
 import json
 import math
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# ROADMAP's tier-1 command, run with src on PYTHONPATH
+TIER1_COMMAND = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -70,6 +82,33 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     record = tree / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
     result["typical_op_ms"] = dict(json.loads(record.read_text(encoding="utf-8"))["typical_op_ms"])
     return result
+
+
+def run_tier1(tree: Path) -> dict:
+    """One run of ``TIER1_COMMAND`` in ``tree``: its wall time in seconds and
+    the passed, failed and error counts of pytest's summary line."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1_COMMAND, cwd=tree, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=False)
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    summary = re.findall(r"(\d+) (passed|failed|error)s?\b", lines[-1] if lines else "")
+    counts = {kind: int(n) for n, kind in summary}
+    if not counts:
+        sys.exit(f"tier-1 run gave no summary in {tree}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {"wall_s": wall_s, **{k: counts.get(k, 0) for k in ("passed", "failed", "error")}}
+
+
+def summarize_tier1(runs: dict) -> dict:
+    """Per side: the median and quartiles of the tier-1 runs' wall times and
+    each run's passed, failed and error counts, in run order."""
+    out = {}
+    for side, results in runs.items():
+        q1, med, q3 = quartiles([r["wall_s"] for r in results])
+        out[side] = {"wall_s": {"median": med, "q1": q1, "q3": q3}, "runs": len(results),
+                     **{k: [r[k] for r in results] for k in ("passed", "failed", "error")}}
+    return out
 
 
 def export(commit: str, into: str) -> None:
@@ -152,9 +191,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload, at least 10")
     parser.add_argument("--workload", action="append", choices=names, help="default: all")
     parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
+    parser.add_argument("--tier1", type=int, default=0, metavar="K",
+                        help="also time the tier-1 suite K times per side (K >= 2)")
     args = parser.parse_args(argv)
     if args.pairs < 10:
         parser.error("at least 10 pairs are needed to judge a gain")
+    if args.tier1 and args.tier1 < 2:
+        parser.error("--tier1 needs at least 2 runs per side for quartiles")
 
     runs: dict = {}
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
@@ -169,7 +212,13 @@ def main(argv: list[str] | None = None) -> int:
                     runs[workload][side].append(result)
                     print(f"{workload} pair {i} {side}: correct={result['correct']} "
                           f"failed={result['failed']}", file=sys.stderr, flush=True)
+        suite: dict = {"base": [], "change": []}
+        for i in range(args.tier1):
+            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                suite[side].append(run_tier1(trees[side]))
+                print(f"tier1 run {i} {side}: {suite[side][-1]}", file=sys.stderr, flush=True)
     table = summarize(runs, spec)
+    tier1 = summarize_tier1(suite) if args.tier1 else None
 
     print(f"base {args.base} vs working tree, {args.pairs} pairs, {spec['run_seconds']:g} s runs")
     print("workload metric: base median [q1, q3] | change median [q1, q3] | change/base | wins | verdict")
@@ -186,6 +235,12 @@ def main(argv: list[str] | None = None) -> int:
         for key, op in row["typical_op_ms"].items():
             ratio = float("nan") if op["ratio"] is None else op["ratio"]
             print(f"    {key}: {op['base']:.6g} | {op['change']:.6g} | {ratio:.3f}")
+    if tier1:
+        print(f"tier1 wall_s, {args.tier1} runs per side: median [q1, q3] | passed | failed | error")
+        for side, row in tier1.items():
+            w = row["wall_s"]
+            print(f"  {side}: {w['median']:.6g} [{w['q1']:.6g}, {w['q3']:.6g}] | "
+                  f"{row['passed']} | {row['failed']} | {row['error']}")
     first = next(iter(runs.values()))["base"][0]
     print(json.dumps({
         "base": {"ref": args.base, "commit": git("rev-parse", "--verify", f"{args.base}^{{commit}}")},
@@ -196,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": [args.seed + i for i in range(args.pairs)],
         "host": first["env"],
         "workloads": table,
+        **({"tier1": tier1} if tier1 else {}),
     }, sort_keys=True))
     return 0
 
