@@ -331,7 +331,8 @@ def lloyd_max(
             current = distortion(new)
             if current > prev * (1.0 + 1e-12):
                 raise ArithmeticError(
-                    f"distortion increased at iteration {iteration}: {prev!r} -> {current!r}"
+                    f"distortion increased at iteration {iteration}: "
+                    f"{prev * sigma**2!r} -> {current * sigma**2!r}"
                 )
             if prev - current < tolerance * current:
                 levels = np.concatenate((-new[1][::-1], new[1])) * sigma

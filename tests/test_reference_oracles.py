@@ -338,6 +338,25 @@ class TestLloydMaxLoop:
         # only iterate 1: the run never ends
         assert len(scored) == 1
 
+    def test_increase_message_gives_the_sources_distortions(self, monkeypatch):
+        # a density that doubles from the third distortion pass on makes the
+        # distortion rise; at sigma = 3 the text gives 9 times the unit figures
+        def message(sigma):
+            passes = []
+
+            def rising(*args):
+                passes.append(args[1].shape)
+                return pdf(*args) * (2.0 if len(passes) > 2 else 1.0)
+
+            monkeypatch.setattr(reference_oracles, "pdf", rising)
+            with pytest.raises(ArithmeticError) as got:
+                lloyd_max(SourceModel(sigma), 16)
+            return str(got.value)
+
+        head, figures = message(1.0).split(": ")
+        before, after = (float(v) for v in figures.split(" -> "))
+        assert message(3.0) == f"{head}: {9.0 * before!r} -> {9.0 * after!r}"
+
     def test_increase_guard_fires_where_it_does_one_at_a_time(self):
         # the 24-point sum's rounding noise at N = 65,536 exceeds the 1e-12
         # increase guard; the text is reference_lloyd_max's, which takes
