@@ -1,6 +1,8 @@
 """Gaussian source model: density, tail statistics, the SQNR-optimal compressor,
-the closed-form cell moment that every cell and tail distortion uses, and the
-batched adaptive quadrature that computes the spline fit's target moments."""
+the closed-form cell moment, and the batched adaptive quadrature that computes
+the spline fit's target moments.  The cell moment gives the reports' exact
+overload term and ``true_distortion``; Lloyd-Max's distortion comes from its
+own 24-point Gauss-Legendre rule instead."""
 
 from __future__ import annotations
 

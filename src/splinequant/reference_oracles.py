@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -57,8 +56,9 @@ _MC_BLOCK_PER_LEVEL = 16
 _LLOYD_MAX_ITERATIONS = 10_000
 # Lloyd-Max stops once its distortion changes by less than this, relative
 _LLOYD_MAX_TOLERANCE = 1e-12
-_GL_ORDER = 24
 _UNIT_ROUNDOFF = 2.0**-53
+# the 24-point Gauss-Legendre rule on [-1, 1] that scores Lloyd-Max iterates
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 class ConvergenceError(RuntimeError):
@@ -144,37 +144,27 @@ def true_distortion(q: CompandingQuantizer) -> float:
     return 2.0 * float(np.sum(cells))
 
 
-def _initial_levels(source: SourceModel, n_levels: int) -> list[float]:
-    """Positive half of the starting codebook for an even ``n_levels``: the
-    exact compressor's levels, the preimages of the half-step grid's level
-    targets, and the overload level, or the upper normal quartile for N = 2."""
+def _initial_levels(n_levels: int) -> list[float]:
+    """Positive half of the unit source's starting codebook for an even
+    ``n_levels``: the exact compressor's levels, the preimages of the
+    half-step grid's level targets, and the overload level, or the upper
+    normal quartile for N = 2."""
     if n_levels == 2:
-        return [NormalDist(0.0, source.sigma).inv_cdf(0.75)]
-    cfg = standard_config(n_levels, (), source)
-    levels = [_invert_compressor(source, cfg.x_max, v) for v in _half_step_grid(cfg)[::2].tolist()]
-    return levels + [tail_centroid(source, cfg.x_max)]
+        return [NormalDist().inv_cdf(0.75)]
+    cfg = standard_config(n_levels, ())
+    levels = [_invert_compressor(cfg.x_max, v) for v in _half_step_grid(cfg)[::2].tolist()]
+    return levels + [tail_centroid(cfg.source, cfg.x_max)]
 
 
-def _invert_compressor(source: SourceModel, x_max: float, value: float) -> float:
-    """Preimage of ``value`` in [0, x_max] under the optimal compressor: the
-    root of erf(x/s) = p, p = value * erf(x_max/s) / x_max, s = sqrt(6) sigma.
-    The closed form through the normal quantile loses relative accuracy near
-    0, where 1 + p rounds; one Newton step on erf restores it."""
-    s = math.sqrt(6.0) * source.sigma
+def _invert_compressor(x_max: float, value: float) -> float:
+    """Preimage of ``value`` in [0, x_max] under the unit source's optimal
+    compressor: the root of erf(x/s) = p, p = value * erf(x_max/s) / x_max,
+    s = sqrt(6).  The closed form through the normal quantile loses relative
+    accuracy near 0, where 1 + p rounds; one Newton step on erf restores it."""
+    s = math.sqrt(6.0)
     p = value * math.erf(x_max / s) / x_max
-    x = math.sqrt(3.0) * source.sigma * NormalDist().inv_cdf(0.5 * (1.0 + p))
+    x = math.sqrt(3.0) * NormalDist().inv_cdf(0.5 * (1.0 + p))
     return x - (math.erf(x / s) - p) * 0.5 * math.sqrt(math.pi) * s * math.exp((x / s) ** 2)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``_GL_ORDER``-point Gauss-Legendre rule on
-    [-1, 1], read-only; computed once, since ``leggauss`` solves an
-    eigenproblem on every call."""
-    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
-    for array in rule:
-        array.setflags(write=False)
-    return rule
 
 
 def lloyd_max(
@@ -223,14 +213,9 @@ def lloyd_max(
     a time.  ``n_levels`` and ``max_iterations`` must be integers
     (``operator.index``), checked before any work.
 
-    Every buffer and view is made once per run: the two iterates' edge and
-    level rows and their slices, which swap roles by reference, and the work
-    arrays that each step and each 24-point pass fill in place; only the
-    step's erf values and the pass's ``pdf`` call allocate anew.  The pass
-    writes its terms into the second half of one (N, 24) array and their
-    mirror into the first, the values and memory order of the whole
-    codebook's sum.  With mass = (erf(hi) - erf(lo)) / 2, a centroid is
-    -2 (pdf(lo) - pdf(hi)) / (erf(lo) - erf(hi)) and B is
+    The centroid step and the unscored bound, which run on every iterate,
+    fill buffers made once per run.  With mass = (erf(hi) - erf(lo)) / 2, a
+    centroid is -2 (pdf(lo) - pdf(hi)) / (erf(lo) - erf(hi)) and B is
     -sum((old level - new level)^2 (erf(lo) - erf(hi))).
     """
     n_levels = operator.index(n_levels)
@@ -241,33 +226,25 @@ def lloyd_max(
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     sigma, unit = source.sigma, SourceModel()
     cells = n_levels // 2
-    levels = np.asarray(_initial_levels(unit, n_levels), dtype=float)
+    levels = np.asarray(_initial_levels(n_levels), dtype=float)
     edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0]))
-    nodes, weights = _gauss_legendre()
-    # every buffer and view of the run, made once (see the docstring)
+    # the step's buffers and views, made once (see the docstring)
     erf_args, dens = np.empty((2, cells + 1))
     dens_lo, dens_hi = dens[:-1], dens[1:]
     drop = np.empty(cells)  # erf(lo) - erf(hi): -2 times each cell's mass
-    halves = np.empty((2, cells, 1))  # the cells' half widths and centres
-    width, centre = halves
-    x = np.empty((cells, _GL_ORDER))
-    terms = np.empty((n_levels, _GL_ORDER))
-    mirror, half = terms[:cells], terms[cells:]
-    flipped = half[::-1, ::-1]
 
     def rows() -> tuple:
-        """An iterate's edge and level rows with their views: edges, levels,
-        levels[:-1], levels[1:] and edges[1:-1] for the step, then the columns
-        edges[:-1], edges[1:] and levels for the 24-point pass."""
+        """An iterate's edge and level rows with the step's views: edges,
+        levels, levels[:-1], levels[1:] and edges[1:-1]."""
         e, y = np.zeros(cells + 1), np.empty(cells)
-        return e, y, y[:-1], y[1:], e[1:-1], e[:-1, None], e[1:, None], y[:, None]
+        return e, y, y[:-1], y[1:], e[1:-1]
 
     def step(edges: np.ndarray, into: tuple) -> float:
         """One Lloyd step from the cells ``edges``: their centroids into
         ``into``'s levels, erf(lo) - erf(hi) into ``drop``, the new cells into
         ``into``'s edges; the operations of ``pdf`` and ``erf``, in place.
         Returns the new last edge."""
-        next_edges, levels, lower, upper, inner = into[:5]
+        next_edges, levels, lower, upper, inner = into
         np.divide(edges, math.sqrt(2.0), out=erf_args)
         np.multiply(edges, -0.5, out=dens)
         np.multiply(dens, edges, out=dens)
@@ -289,20 +266,12 @@ def lloyd_max(
         """The distortion of ``iterate``: the 24-point sums of both halves'
         cells, the negative half mirrored first, summed once in the whole
         codebook's order."""
-        lo, hi, column = iterate[5:]
-        np.subtract(hi, lo, out=width)
-        np.add(hi, lo, out=centre)
-        np.multiply(halves, 0.5, out=halves)
-        np.multiply(width, nodes, out=x)
-        np.add(x, centre, out=x)
-        # (x - level)^2 goes into the first half until the mirror overwrites it
-        np.subtract(x, column, out=mirror)
-        np.multiply(mirror, mirror, out=mirror)
-        np.multiply(width, weights, out=half)
-        np.multiply(half, mirror, out=half)
-        np.multiply(half, pdf(unit, x), out=half)
-        np.copyto(mirror, flipped)
-        return float(terms.sum())
+        edges, levels = iterate[:2]
+        lo, hi = edges[:-1, None], edges[1:, None]
+        width, centre = (hi - lo) * 0.5, (hi + lo) * 0.5
+        x = width * _GL_NODES + centre
+        half = width * _GL_WEIGHTS * np.square(x - levels[:, None]) * pdf(unit, x)
+        return float(np.concatenate((half[::-1, ::-1], half)).sum())
 
     tolerance = _LLOYD_MAX_TOLERANCE
     old, new = rows(), rows()

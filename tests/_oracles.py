@@ -17,7 +17,7 @@ in Python floats, then ``per_level_build``), the reference for the library's
 one array pass over all candidates.  ``reference_lloyd_max`` iterates the
 whole Lloyd-Max codebook, both halves, scoring every iterate, one at a time,
 the reference for the library's positive-half iteration, which leaves a run
-of iterates unscored and scores the rest in blocks;
+of iterates unscored and scores the rest one pass per iterate;
 ``reference_lloyd_iterates`` yields its iterates one by one.
 ``unsorted_mc_distortion`` assigns each Monte-Carlo draw to its cell by
 searching the boundaries draw by draw, as ``encode`` does, the reference for
@@ -610,8 +610,10 @@ def _full_companding_levels(source: SourceModel, n_levels: int) -> list[float] |
     except ValueError:
         return None
     delta = 2.0 * x_max / (n_levels - 2)
+    # the unit compressor's preimages, scaled: exact at sigma = 1
+    sigma = source.sigma
     positive = [
-        _invert_compressor(source, x_max, (k - 0.5) * delta)
+        sigma * _invert_compressor(x_max / sigma, (k - 0.5) * delta / sigma)
         for k in range(1, (n_levels - 2) // 2 + 1)
     ]
     positive.append(tail_centroid(source, x_max))

@@ -12,7 +12,7 @@ import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
 from splinequant import reference_oracles
-from splinequant.gauss_analytics import erf, pdf
+from splinequant.gauss_analytics import cell_second_moment, erf, pdf
 from splinequant.reference_oracles import (
     _MC_BLOCK,
     _SHARD_SIZE,
@@ -78,6 +78,18 @@ class TestLloydMax:
         gaps = [n * (1.0 - ratio) for n, ratio in zip(runs, ratios)]
         assert all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1.0, ratios
         assert all(a < b for a, b in zip(gaps, gaps[1:])), gaps
+
+    @pytest.mark.parametrize("n_levels", [2, 4, 8, 16, 32, 64, 128])
+    def test_distortion_matches_closed_form_cell_moments(self, n_levels):
+        # the 24-point figure against the closed-form moments of the run's
+        # own positive cells, the last one out to +inf, doubled; the gap is
+        # mostly the 24-point rule on the 12-sigma-truncated last cell:
+        # 1.35e-11 at N = 2, 6.7e-12 at N = 4, at most 1.5e-12 from N = 8
+        run = _unit_lloyd_max(n_levels)
+        half = n_levels // 2
+        bounds = np.array((0.0,) + run.thresholds[half:] + (math.inf,))
+        cells = cell_second_moment(UNIT, bounds[:-1], bounds[1:], np.array(run.levels[half:]))
+        assert run.distortion == pytest.approx(2.0 * float(np.sum(cells)), rel=2e-11, abs=0.0)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", 1e-15)
@@ -184,12 +196,12 @@ class TestLloydMaxHalfCodebook:
         assert _unit_lloyd_max(128).iterations == 9_474
 
     def test_working_set(self):
-        # the buffers made once per run (the rows of the last two iterates,
-        # the step's work arrays, the 24-point pass's (N/2, 24) nodes and
-        # (N, 24) terms) plus the temporaries of one pass's pdf call: the
-        # same at N = 16 to 128 run to convergence as at N = 256 capped
-        # inside the unscored run (the whole-codebook iteration peaks at
-        # about 309 KB there)
+        # the step's buffers made once per run (the rows of the last two
+        # iterates and its work arrays) plus the temporaries of one 24-point
+        # pass, a few (N/2, 24) arrays and the (N, 24) terms: the same at
+        # N = 16 to 128 run to convergence as at N = 256 capped inside the
+        # unscored run, where it peaks at about 140 KB (the whole-codebook
+        # iteration peaks at about 309 KB there)
         lloyd_max(UNIT, 2)
         for n_levels, cap in ((16, 10_000), (32, 10_000), (64, 10_000), (128, 10_000), (256, 300)):
             tracemalloc.start()
@@ -553,7 +565,7 @@ class TestInvertCompressor:
             x_max = sq.support_threshold(UNIT, n)
             v = (k - 0.5) * 2.0 * x_max / (n - 2)
             ref = mp_invert_compressor(x_max, v)
-            worst = max(worst, abs(_invert_compressor(UNIT, x_max, v) / ref - 1.0))
+            worst = max(worst, abs(_invert_compressor(x_max, v) / ref - 1.0))
         assert worst <= 2e-13, worst
 
 
