@@ -7,99 +7,18 @@ analytically, and the free segment threshold is optimized numerically.
 
 __version__ = "0.1.0"
 
-from .gauss_analytics import (
-    QuadratureError,
-    SourceModel,
-    compressor,
-    compressor_derivative,
-    integrate,
-    pdf,
-    support_threshold,
-    tail_centroid,
-    upper_tail,
-)
-from .spline_fit import (
-    InversionError,
-    KnotVector,
-    QuadraticSpline,
-    fit,
-    invert_segment,
-)
-from .quantizer_design import (
-    CompandingQuantizer,
-    DesignConfig,
-    DesignError,
-    DistortionReport,
-    build,
-    decode,
-    encode,
-    granular_distortion,
-    overload_distortion_closed,
-    overload_distortion_exact,
-    sqnr,
-    standard_config,
-    step_size,
-)
-from .threshold_optimizer import (
-    RefineResult,
-    SweepCandidate,
-    SweepError,
-    SweepResult,
-    evaluate_candidate,
-    refine,
-    sweep,
-)
-from .reference_oracles import (
-    ConvergenceError,
-    LloydMaxResult,
-    McEstimate,
-    exact_compressor_sqnr,
-    lloyd_max,
-    mc_distortion,
-    true_distortion,
-)
+from . import gauss_analytics, quantizer_design, reference_oracles, spline_fit, threshold_optimizer
+from .gauss_analytics import *
+from .spline_fit import *
+from .quantizer_design import *
+from .threshold_optimizer import *
+from .reference_oracles import *
 
 __all__ = [
     "__version__",
-    "QuadratureError",
-    "SourceModel",
-    "compressor",
-    "compressor_derivative",
-    "integrate",
-    "pdf",
-    "support_threshold",
-    "tail_centroid",
-    "upper_tail",
-    "InversionError",
-    "KnotVector",
-    "QuadraticSpline",
-    "fit",
-    "invert_segment",
-    "CompandingQuantizer",
-    "DesignConfig",
-    "DesignError",
-    "DistortionReport",
-    "build",
-    "decode",
-    "encode",
-    "granular_distortion",
-    "overload_distortion_closed",
-    "overload_distortion_exact",
-    "sqnr",
-    "standard_config",
-    "step_size",
-    "RefineResult",
-    "SweepCandidate",
-    "SweepError",
-    "SweepResult",
-    "evaluate_candidate",
-    "refine",
-    "sweep",
-    "ConvergenceError",
-    "LloydMaxResult",
-    "McEstimate",
-    "exact_compressor_sqnr",
-    "lloyd_max",
-    "mc_distortion",
-    "true_distortion",
+    *gauss_analytics.__all__,
+    *spline_fit.__all__,
+    *quantizer_design.__all__,
+    *threshold_optimizer.__all__,
+    *reference_oracles.__all__,
 ]

@@ -17,14 +17,11 @@ __all__ = [
     "QuadratureError",
     "pdf",
     "upper_tail",
-    "cell_second_moment",
     "compressor",
     "compressor_derivative",
     "support_threshold",
     "tail_centroid",
-    "erf",
     "integrate",
-    "TAIL_CENTROID_CUTOFF",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

@@ -54,7 +54,6 @@ __all__ = [
     "standard_config",
     "step_size",
     "build",
-    "score_batch",
     "granular_distortion",
     "overload_distortion_exact",
     "overload_distortion_closed",

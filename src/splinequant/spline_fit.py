@@ -27,14 +27,9 @@ from .gauss_analytics import integrate
 __all__ = [
     "KnotVector",
     "QuadraticSpline",
-    "curve_value",
-    "curve_slope",
     "InversionError",
     "fit",
-    "fit_batch",
-    "target_moments",
     "invert_segment",
-    "segment_inverse",
 ]
 
 

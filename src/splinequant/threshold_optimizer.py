@@ -153,21 +153,17 @@ def sweep(
     config = standard_config(n_levels, (grid[0],), source)
     reports, failures = _score_knots(config, [(0.0, x1, x_max) for x1 in grid])
 
-    candidates: list[SweepCandidate] = []
-    best: SweepCandidate | None = None
-    for x1, report, failure in zip(grid, reports, failures):
-        if report is None:
-            candidates.append(SweepCandidate(x1, None, None, False, failure))
-            continue
-        cand = SweepCandidate(x1, report.sqnr_db, report, True)
-        candidates.append(cand)
-        if best is None or cand.sqnr_db > best.sqnr_db:
-            best = cand
+    candidates = tuple(
+        SweepCandidate(x1, None if report is None else report.sqnr_db, report, report is not None, failure)
+        for x1, report, failure in zip(grid, reports, failures)
+    )
+    # max keeps the first of equal maxima: ties break toward the smaller x1
+    best = max((c for c in candidates if c.valid), key=lambda c: c.sqnr_db, default=None)
     if best is None:
         raise SweepError(f"all {len(candidates)} sweep candidates failed to build")
 
     return SweepResult(
-        candidates=tuple(candidates),
+        candidates=candidates,
         best_x1=best.x1,
         best_sqnr_db=best.sqnr_db,
         n_levels=config.n_levels,

@@ -58,10 +58,10 @@ class TestPdf:
         assert all(pdf(UNIT, x) > 0.0 for x in [-30.0, -3.0, 0.0, 3.0, 30.0])
 
     def test_normalization(self):
-        assert integrate(lambda x: pdf(UNIT, x), -8.0, 8.0) == pytest.approx(1.0, abs=1e-10)
+        assert gl_integrate(lambda x: pdf(UNIT, x), -8.0, 8.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_variance(self):
-        second = integrate(lambda x: x * x * pdf(UNIT, x), -8.0, 8.0)
+        second = gl_integrate(lambda x: x * x * pdf(UNIT, x), -8.0, 8.0)
         assert second == pytest.approx(1.0, abs=1e-8)
 
     def test_sigma_scaling(self):

@@ -546,7 +546,22 @@ class TestTrueDistortion:
     @pytest.mark.parametrize("share", [0.6, 0.75])
     def test_matches_mpmath_over_realized_cells(self, n_levels, share):
         pytest.importorskip("mpmath")
-        q = sq.evaluate_candidate(n_levels, share * sq.support_threshold(UNIT, n_levels))
+        self._check_against_mpmath(
+            sq.evaluate_candidate(n_levels, share * sq.support_threshold(UNIT, n_levels))
+        )
+
+    def test_matches_mpmath_over_realized_cells_at_512(self):
+        # both shares fail to build at N = 512, so take the sweep's valid
+        # candidates (x1 near 3.315 and 3.345): the narrowest cells checked,
+        # where cell_second_moment's closed form cancels most
+        pytest.importorskip("mpmath")
+        x1s = [c.x1 for c in sq.sweep(512).candidates if c.valid]
+        assert len(x1s) == 2, x1s
+        for x1 in x1s:
+            self._check_against_mpmath(sq.evaluate_candidate(512, x1))
+
+    @staticmethod
+    def _check_against_mpmath(q):
         bounds = (0.0,) + q.thresholds + (math.inf,)
         want = 2.0 * mp_cell_distortion(bounds, q.levels + (q.overload_level,))
         assert true_distortion(q) == pytest.approx(want, rel=1e-10, abs=0.0)
