@@ -19,6 +19,9 @@ whole Lloyd-Max codebook, both halves, scoring every iterate, one at a time,
 the reference for the library's positive-half iteration, which leaves a run
 of iterates unscored and scores the rest one pass per iterate;
 ``reference_lloyd_iterates`` yields its iterates one by one.
+``one_point_refine`` is the golden-section refinement that scores each point
+by its own ``_score_knots`` call on one knot row, the reference for the
+library's refinement, which scores the points of three steps in one call.
 ``unsorted_mc_distortion`` assigns each Monte-Carlo draw to its cell by
 searching the boundaries draw by draw, as ``encode`` does, the reference for
 the library's sort-and-cut of each shard.
@@ -72,7 +75,8 @@ from splinequant.spline_fit import (
     QuadraticSpline,
     target_moments,
 )
-from splinequant.threshold_optimizer import SweepError
+from splinequant import threshold_optimizer
+from splinequant.threshold_optimizer import RefineResult, SweepError, SweepResult
 
 _DOMAIN_SLACK = 1e-9
 
@@ -593,6 +597,43 @@ def per_candidate_sweep(
     if best is None:
         raise SweepError(f"all {len(rows)} sweep candidates failed to build")
     return rows, best
+
+
+def one_point_refine(result: SweepResult) -> RefineResult:
+    """Golden-section refinement of an interior sweep maximum, one point per
+    ``threshold_optimizer._score_knots`` call (looked up at each call, so that
+    a test's stand-in scores both routes); the bracket, stop width and tie
+    rule are the library's."""
+    valid = [c for c in result.candidates if c.valid]
+    if result.best_x1 in (valid[0].x1, valid[-1].x1):
+        return RefineResult(result.best_x1, result.best_sqnr_db, interior=False)
+    config = standard_config(result.n_levels, (result.best_x1,), result.source)
+
+    def objective(x1: float) -> float:
+        (report,), _ = threshold_optimizer._score_knots(config, [(0.0, x1, config.x_max)])
+        return -math.inf if report is None else report.sqnr_db
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    sigma = result.source.sigma
+    a = result.best_x1 - result.grid_step * sigma
+    b = result.best_x1 + result.grid_step * sigma
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > threshold_optimizer._REFINE_X1_TOLERANCE * sigma:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    x1 = c if fc > fd else d
+    val = max(fc, fd)
+    if val < result.best_sqnr_db:
+        return RefineResult(result.best_x1, result.best_sqnr_db, interior=True)
+    return RefineResult(x1, val, interior=True)
 
 
 def _full_initial_levels(source: SourceModel, n_levels: int) -> list[float]:

@@ -38,6 +38,10 @@ def test_prints_every_layer_with_median_and_iqr(capsys):
     assert row["us_per_iteration"] == row["median"] * 1e3 / 273
     printed = f", 273 iterations, {row['us_per_iteration']:.3g} us/iteration"
     assert [line.split()[0] for line in lines if line.endswith(printed)] == ["lloyd_max"]
+    # the refine row gives its _score_knots calls and the knot rows they score
+    counted = [(row["layer"], row["size"], row["passes"], row["points"]) for row in table["layers"] if "passes" in row]
+    assert counted == [("refine", 16, 4, 29)]
+    assert [line.split()[0] for line in lines if line.endswith(", 4 passes, 29 points")] == ["refine"]
     # a header plus one line per layer before the JSON
     assert len(lines) == len(got) + 2
 

@@ -16,7 +16,7 @@ from splinequant.threshold_optimizer import (
     sweep,
 )
 
-from _oracles import per_candidate_sweep
+from _oracles import one_point_refine, per_candidate_sweep
 
 
 def spikes(result: SweepResult, tolerance_db: float = 0.05) -> list[float]:
@@ -268,13 +268,40 @@ def public_chain(n_levels, x1, source=sq.SourceModel()):
 
 
 def score_as(monkeypatch, curve):
-    """Make every point that ``refine`` scores read ``curve(x1)``."""
+    """Make every point that ``refine`` scores read ``curve(x1)``; a point
+    where the curve is None fails to build."""
 
     def scores(config, knots):
-        reports = [SimpleNamespace(sqnr_db=curve(row[1])) for row in knots]
-        return reports, [None] * len(knots)
+        values = [curve(row[1]) for row in knots]
+        reports = [None if v is None else SimpleNamespace(sqnr_db=v) for v in values]
+        return reports, [None if v is None else "synthetic failure" for v in values]
 
     monkeypatch.setattr(threshold_optimizer, "_score_knots", scores)
+
+
+def record_passes(monkeypatch):
+    """The x1 of every knot row that ``refine`` scores, one list per
+    ``_score_knots`` call; the calls still score."""
+    passes = []
+    real = threshold_optimizer._score_knots
+
+    def recording(config, knots):
+        passes.append([row[1] for row in knots])
+        return real(config, knots)
+
+    monkeypatch.setattr(threshold_optimizer, "_score_knots", recording)
+    return passes
+
+
+# x1 -> synthetic SQNR around an interior grid maximum at 1.7, grid step 0.05
+_SYNTHETIC_CURVES = {
+    "constant: every comparison a tie": lambda x: 1.0,
+    "flat top: ties near the peak": lambda x: min(0.0, 0.02 - abs(x - 1.7)),
+    "invalid right of the peak": lambda x: None if x > 1.71 else 5.0 - (x - 1.7) ** 2,
+    "invalid left of the peak": lambda x: None if x < 1.69 else 5.0 - (x - 1.7) ** 2,
+    "invalid everywhere": lambda x: None,
+    "sawtooth": lambda x: (x * 997.0) % 1.0,
+}
 
 
 class TestRefine:
@@ -330,6 +357,19 @@ class TestRefine:
             monkeypatch.setattr(threshold_optimizer, name, forbidden)
         assert refine(sweep16).interior
 
+    def test_no_valid_candidate_raises_sweep_error(self):
+        result = SweepResult(
+            candidates=(SweepCandidate(1.0, None, None, False, "synthetic failure"),),
+            best_x1=1.0,
+            best_sqnr_db=-math.inf,
+            n_levels=16,
+            x_max=2.0,
+            grid_step=0.01,
+            source=sq.SourceModel(),
+        )
+        with pytest.raises(sq.SweepError, match="none of the 1 sweep candidates is valid"):
+            refine(result)
+
     def test_invalid_point_scores_minus_inf(self, sweep16, monkeypatch):
         # a point that fails to build is not raised but loses every comparison
         def all_invalid(tables, config):
@@ -338,6 +378,46 @@ class TestRefine:
         monkeypatch.setattr(threshold_optimizer, "score_batch", all_invalid)
         refined = refine(sweep16)
         assert refined == RefineResult(sweep16.best_x1, sweep16.best_sqnr_db, interior=True)
+
+
+class TestRefinePasses:
+    """``refine`` scores the point it needs together with every point the
+    next two steps could need, in one ``_score_knots`` call, and takes the
+    golden-section walk that scores one point per call."""
+
+    @pytest.mark.parametrize("n_levels", [16, 32, 64, 128, 256, 512])
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    def test_same_result_as_one_point_per_call(self, n_levels, sigma):
+        result = sweep(n_levels, source=sq.SourceModel(sigma))
+        assert refine(result) == one_point_refine(result)
+
+    @pytest.mark.parametrize("curve", list(_SYNTHETIC_CURVES), ids=str)
+    def test_same_walk_on_synthetic_curves(self, curve, monkeypatch):
+        score_as(monkeypatch, _SYNTHETIC_CURVES[curve])
+        xs = [1.5 + 0.05 * k for k in range(11)]
+        # a grid best below every finite score, so that the result is the
+        # walk's last point
+        result = synthetic_result(xs, [-2.0] * 4 + [-1.0] + [-2.0] * 6, 4, grid_step=0.05)
+        assert refine(result) == one_point_refine(result)
+
+    @pytest.mark.parametrize("n_levels", [16, 32, 64, 128, 256])
+    def test_few_passes_and_each_point_once_within_the_bracket(self, n_levels, monkeypatch):
+        result = sweep(n_levels)
+        passes = record_passes(monkeypatch)
+        assert refine(result).interior
+        # one point per call takes 14 calls at these N
+        assert 1 <= len(passes) <= 5
+        assert max(map(len, passes)) <= 8
+        scored = [x1 for rows in passes for x1 in rows]
+        assert len(set(scored)) == len(scored)
+        half = result.grid_step * result.source.sigma
+        assert all(result.best_x1 - half <= x1 <= result.best_x1 + half for x1 in scored)
+
+    def test_boundary_maximum_scores_nothing(self, monkeypatch):
+        passes = record_passes(monkeypatch)
+        result = synthetic_result([1.0, 1.1, 1.2], [3.0, 2.0, 1.0], 0, grid_step=0.1)
+        assert not refine(result).interior
+        assert passes == []
 
 
 class TestEvaluateCandidate:

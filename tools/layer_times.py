@@ -13,7 +13,9 @@ samples for ``mc_distortion`` and in milliseconds for the rest:
   one fit of its knot row, then one ``build``, which computes its report;
 * ``build``: one ``build`` of the spline fitted at that threshold, report
   included, the fit made before the timer starts;
-* ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result;
+* ``sweep`` and ``refine``: ``sweep(N)`` and ``refine`` of its result.
+  The ``refine`` row also gives its ``passes``, the ``_score_knots`` calls
+  one refinement makes, and ``points``, the knot rows those calls score;
 * ``exact_compressor_sqnr``: the exact-compressor comparator at N;
 * ``lloyd_max``: one whole ``lloyd_max`` run at N, to convergence or, at
   N = 256, to the 10,000-iteration cap; timed up to N = 256 only, since a
@@ -62,6 +64,19 @@ def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
     return {"median": statistics.median(times), "iqr": q3 - q1}
 
 
+def refine_counts(opt, result) -> dict[str, int]:
+    """The ``_score_knots`` calls and the knot rows they score in one
+    ``refine(result)``, counted on an untimed call."""
+    rows = []
+    real = opt._score_knots
+    opt._score_knots = lambda config, knots: rows.append(len(knots)) or real(config, knots)
+    try:
+        opt.refine(result)
+    finally:
+        opt._score_knots = real
+    return {"passes": len(rows), "points": sum(rows)}
+
+
 def layers(levels, repeat: int) -> list[dict]:
     """One row per (layer, size): its name, size, unit and ``spread``."""
     import numpy as np
@@ -104,7 +119,10 @@ def layers(levels, repeat: int) -> list[dict]:
         comparator = lambda: exact_compressor_sqnr(gauss_analytics.SourceModel(), n)
         timed.append(("exact_compressor_sqnr", comparator))
         for layer, fn in timed:
-            rows.append({"layer": layer, "size": n, "unit": "ms", **spread(fn, repeat)})
+            row = {"layer": layer, "size": n, "unit": "ms", **spread(fn, repeat)}
+            if layer == "refine":
+                row.update(refine_counts(opt, result))
+            rows.append(row)
 
         iterations = []
 
@@ -146,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         count = ""
         if "iterations" in r:
             count = f", {r['iterations']} iterations, {r['us_per_iteration']:.3g} us/iteration"
+        elif "passes" in r:
+            count = f", {r['passes']} passes, {r['points']} points"
         print(f"{r['layer']:<24}{r['size']:>8}{r['median']:>12.4g}{r['iqr']:>10.3g}  {r['unit']}{count}")
     print(json.dumps({"repeat": args.repeat, "src": str(args.src), "layers": rows}))
     return 0

@@ -62,7 +62,7 @@ def fingerprint(n_levels: int) -> dict[str, str | None]:
         else:
             candidates = repr([(c.x1, c.sqnr_db, c.valid, c.failure) for c in result.candidates])
     (moments,) = seen
-    # refine fits through the same pass, one point at a time: not recorded
+    # refine fits through the same pass, up to eight points per call: not recorded
     refined = None if result is None else _digest(repr(opt.refine(result)))
     return {
         "moments": _digest(moments.tobytes()),
