@@ -21,7 +21,6 @@ __all__ = [
     "compressor_derivative",
     "support_threshold",
     "tail_centroid",
-    "integrate",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -127,7 +126,7 @@ def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float
     the closed form of the normalized cube-root-density integral.  A float
     gives a float and an array is mapped elementwise, with ``math.erf``'s bits.
     """
-    if x_max <= 0.0:
+    if not x_max > 0.0:
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = model.sigma * _SQRT6
     size = np.abs(x)
@@ -139,7 +138,7 @@ def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float
 
 def compressor_derivative(model: SourceModel, x_max: float, x: float) -> float:
     """Slope of the optimal compressor; positive everywhere on the domain."""
-    if x_max <= 0.0:
+    if not x_max > 0.0:
         raise ValueError(f"x_max must be positive, got {x_max}")
     s = model.sigma * _SQRT6
     z = x / s
@@ -153,7 +152,7 @@ def support_threshold(model: SourceModel, n_levels: int) -> float:
     requires n_levels >= 4 so the inner logarithm is positive and the design
     keeps at least two granular levels.
     """
-    if n_levels < 4:
+    if not n_levels >= 4:
         raise ValueError(f"n_levels must be >= 4, got {n_levels}")
     ln_n = math.log(n_levels)
     bracket = 1.0 - math.log(ln_n) / (4.0 * ln_n) - math.log(3.0 * math.sqrt(math.pi)) / (2.0 * ln_n)
@@ -167,7 +166,7 @@ def tail_centroid(model: SourceModel, x_max: float) -> float:
     OverflowError once x_max/sigma > TAIL_CENTROID_CUTOFF, where the tail
     probability underflows.
     """
-    if x_max < 0.0:
+    if not x_max >= 0.0:
         raise ValueError(f"x_max must be nonnegative, got {x_max}")
     if x_max / model.sigma > TAIL_CENTROID_CUTOFF:
         raise OverflowError(
@@ -181,7 +180,8 @@ def integrate(
     a: float | np.ndarray,
     b: float | np.ndarray,
 ) -> np.ndarray:
-    """Adaptive Simpson quadrature of ``f`` over each interval [a[i], b[i]].
+    """Adaptive Simpson quadrature of ``f`` over each interval [a[i], b[i]];
+    off the public surface, kept for ``spline_fit.target_moments``.
 
     ``f`` maps an array of abscissae to an array whose last axis runs over
     them; leading axes are components.  The result has the shape of ``f``'s

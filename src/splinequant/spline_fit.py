@@ -9,14 +9,17 @@ the jump sizes are available as a diagnostic through
 ``QuadraticSpline.knot_jumps``.
 
 A fitted curve is its coefficient table, one column per segment, rows c0, c1,
-c2, lo, hi.  This module owns that layout: other modules evaluate a table only
-through ``curve_value``, ``curve_slope`` and ``segment_inverse``, which
-inverts a segment on its increasing branch, the only one a valid design uses.
+c2, lo, hi.  Other modules evaluate it through ``curve_value``, ``curve_slope``
+and ``segment_inverse`` (the increasing branch, the only one a valid design
+uses) and index its rows directly: ``threshold_optimizer._fit_knots`` writes
+c0, c2, lo and hi, ``quantizer_design`` reads lo and hi, and ``cli`` lists
+lo, hi, c0, c1, c2.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,14 +30,12 @@ from .gauss_analytics import integrate
 __all__ = [
     "KnotVector",
     "QuadraticSpline",
-    "InversionError",
     "fit",
-    "invert_segment",
 ]
 
 
 class InversionError(ValueError):
-    """Raised when a segment does not increase or does not reach a target value."""
+    """Raised by ``invert_segment``: a segment does not increase or does not reach a target."""
 
 
 @dataclass(frozen=True)
@@ -199,29 +200,19 @@ def segment_inverse(rows, target):
     return np.minimum(lo + 2.0 * d / (s + np.sqrt(np.maximum(s * s + 4.0 * c2 * d, 0.0))), hi)
 
 
-def invert_segment(
-    spline: QuadraticSpline, segment_index: int | np.ndarray, target: float | np.ndarray
-) -> float | np.ndarray:
+def invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:
     """Solve segment polynomial == target inside that segment's interval by
-    ``segment_inverse``.
+    ``segment_inverse``; off the public surface, kept because the benchmark's
+    tracer binds it.
 
-    ``segment_index`` and ``target`` may be arrays that broadcast together;
-    the result has their broadcast shape, and is a float for scalar inputs.
     Raises InversionError when the segment's slope is not positive at both
-    ends, or the target lies outside the segment's values [v(lo), v(hi)];
-    array inputs raise for their first failing element.
+    ends, or the target lies outside the segment's values [v(lo), v(hi)].
     """
-    idx, t = np.asarray(segment_index), np.asarray(target, dtype=float)
-    rows = spline.coefficients.take(idx, axis=1)
-    slopes, values = curve_slope(rows, rows[3:]), curve_value(rows, rows[3:])
-    failed = ~((slopes > 0.0).all(axis=0) & (values[0] <= t) & (t <= values[1]))
-    if failed.any():
-        k = int(np.argmax(failed.ravel()))
-        i, tk = (np.broadcast_to(v, failed.shape).flat[k].item() for v in (idx, t))
-        col = spline.coefficients[:, i]
-        (s_lo, s_hi), (v_lo, v_hi) = curve_slope(col, col[3:]), curve_value(col, col[3:])
-        if not (s_lo > 0.0 and s_hi > 0.0):
-            raise InversionError(f"segment {i} not increasing (end slopes {s_lo:.3e}, {s_hi:.3e})")
-        raise InversionError(f"target {tk} outside the values [{v_lo}, {v_hi}] of segment {i}")
-    x = segment_inverse(rows, t)
-    return float(x) if x.ndim == 0 else x
+    i, t = operator.index(segment_index), float(target)
+    col = spline.coefficients[:, i]
+    (s_lo, s_hi), (v_lo, v_hi) = (f(col, col[3:]).tolist() for f in (curve_slope, curve_value))
+    if not (s_lo > 0.0 and s_hi > 0.0):
+        raise InversionError(f"segment {i} not increasing (end slopes {s_lo:.3e}, {s_hi:.3e})")
+    if not v_lo <= t <= v_hi:
+        raise InversionError(f"target {t} outside the values [{v_lo}, {v_hi}] of segment {i}")
+    return float(segment_inverse(col, t))

@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 import splinequant as sq
-from splinequant import mc_distortion, overload_distortion_closed, overload_distortion_exact, true_distortion
+from splinequant import mc_distortion, overload_distortion_closed, true_distortion
+from splinequant.quantizer_design import overload_distortion_exact
 
 from _oracles import (
     make_spline,

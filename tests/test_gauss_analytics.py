@@ -10,14 +10,13 @@ from splinequant import (
     SourceModel,
     compressor,
     compressor_derivative,
-    integrate,
     pdf,
     support_threshold,
     tail_centroid,
     upper_tail,
 )
 from splinequant import gauss_analytics
-from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF, cell_second_moment
+from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF, cell_second_moment, integrate
 
 from _oracles import gaussian_cell_distortion, gl_integrate, mp_tail_second_moment, recursive_simpson
 
@@ -127,6 +126,13 @@ class TestCompressor:
         with pytest.raises(ValueError):
             compressor(UNIT, self.X_MAX, self.X_MAX + 0.1)
 
+    @pytest.mark.parametrize("x_max", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_or_nan_edge(self, x_max):
+        # NaN fails every comparison: the guard is written so that it fails it
+        for fn in (compressor, compressor_derivative):
+            with pytest.raises(ValueError, match="x_max must be positive"):
+                fn(UNIT, x_max, 0.5)
+
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for x in [0.2, 1.0, 2.0]:
@@ -151,7 +157,7 @@ class TestSupportThreshold:
         vals = [support_threshold(UNIT, n) for n in (8, 16, 32, 64, 128)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, math.nan])
     def test_rejects_small_n(self, n):
         with pytest.raises(ValueError):
             support_threshold(UNIT, n)
@@ -182,6 +188,11 @@ class TestTailCentroid:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             tail_centroid(UNIT, TAIL_CENTROID_CUTOFF + 1.0)
+
+    @pytest.mark.parametrize("x_max", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_edge(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be nonnegative"):
+            tail_centroid(UNIT, x_max)
 
     def test_sigma_scaling(self):
         wide = SourceModel(3.0)

@@ -20,16 +20,20 @@ def test_prints_every_layer_with_median_and_iqr(capsys):
     assert got == [
         ("erf", 65), ("erf", 40_000),
         ("target_moments", 16), ("sweep", 16), ("evaluate_candidate", 16), ("build", 16),
-        ("refine", 16), ("exact_compressor_sqnr", 16), ("lloyd_max", 16), ("mc_distortion", 16),
+        ("refine", 16), ("exact_compressor_sqnr", 16), ("encode", 16), ("decode", 16),
+        ("lloyd_max", 16), ("mc_distortion", 16),
         # no candidate builds at N = 1024, nor the quantizer at 0.6 x_max, and
-        # Lloyd-Max is timed up to N = 256: only the sweep and the comparator
+        # Lloyd-Max is timed up to N = 256: only the sweep and the comparator;
+        # with no sweep-best quantizer there is nothing to encode or decode
         ("sweep", 1024), ("exact_compressor_sqnr", 1024),
     ]
+    units = {
+        "erf": "us/element", "encode": "us/sample", "decode": "us/sample",
+        "mc_distortion": "ms/1e6 samples",
+    }
     for row in table["layers"]:
         assert row["median"] > 0.0 and row["iqr"] >= 0.0
-        assert row["unit"] == {"erf": "us/element", "mc_distortion": "ms/1e6 samples"}.get(
-            row["layer"], "ms"
-        )
+        assert row["unit"] == units.get(row["layer"], "ms")
     # the Lloyd-Max row also gives the run's iteration count and the median
     # run time per iteration, in the table too
     counted = [(row["layer"], row["size"], row["iterations"]) for row in table["layers"] if "iterations" in row]

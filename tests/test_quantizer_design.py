@@ -14,11 +14,8 @@ from splinequant import (
     build,
     decode,
     encode,
-    granular_distortion,
     overload_distortion_closed,
-    overload_distortion_exact,
     pdf,
-    sqnr,
     standard_config,
     step_size,
     support_threshold,
@@ -27,7 +24,7 @@ from splinequant import (
 
 from splinequant import reference_oracles, threshold_optimizer
 from splinequant.gauss_analytics import cell_second_moment
-from splinequant.quantizer_design import score_batch
+from splinequant.quantizer_design import granular_distortion, overload_distortion_exact, score_batch, sqnr
 from splinequant.spline_fit import fit_batch, target_moments
 from splinequant.threshold_optimizer import sweep
 
@@ -440,8 +437,9 @@ class TestOverloadDistortion:
         assert ratio32 == pytest.approx(1.700, abs=0.01)
 
     def test_rejects_nonpositive_edge(self):
-        with pytest.raises(ValueError):
-            overload_distortion_closed(0.0)
+        for x_max in (0.0, math.nan):
+            with pytest.raises(ValueError, match="x_max must be positive"):
+                overload_distortion_closed(x_max)
 
 
 class TestSqnr:

@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 from splinequant import (
-    InversionError,
     KnotVector,
     QuadraticSpline,
     SourceModel,
     compressor,
     fit,
-    invert_segment,
     standard_config,
     support_threshold,
 )
 
 from splinequant.quantizer_design import score_batch
-from splinequant.spline_fit import curve_slope, curve_value, fit_batch, target_moments
+from splinequant.spline_fit import (
+    InversionError,
+    curve_slope,
+    curve_value,
+    fit_batch,
+    invert_segment,
+    target_moments,
+)
 from splinequant.threshold_optimizer import sweep
 
 from _oracles import (
@@ -320,6 +325,13 @@ class TestInvertSegment:
         with pytest.raises(InversionError, match="not increasing"):
             invert_segment(sp, 0, 1.0)
 
+    def test_index_is_taken_as_an_integer(self, gauss_spline):
+        # a bool is an integer index; a float or an array is not one
+        assert invert_segment(gauss_spline, True, 2.0) == invert_segment(gauss_spline, 1, 2.0)
+        for index in (0.0, np.array([0, 0])):
+            with pytest.raises(TypeError):
+                invert_segment(gauss_spline, index, 0.3)
+
 
 class TestInvertSegmentArrays:
     SPLINES = {
@@ -329,49 +341,37 @@ class TestInvertSegmentArrays:
         "square": make_spline((0.0, 0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0, 3.0)),
     }
 
-    @staticmethod
-    def scalar_outcome(spline, i, t):
-        try:
-            return invert_segment(spline, i, t)
-        except InversionError as exc:
-            return str(exc)
-
     @pytest.mark.parametrize("name", sorted(SPLINES))
     def test_elementwise_equal_to_scalar_calls(self, name):
-        # every element equals the library's scalar call bit for bit; a point
-        # fails exactly when its segment's slope is not positive at both ends
-        # or the target lies outside the segment's values, and otherwise lies
-        # within 1e-13 relative of the reference's general two-root solve; an
-        # array raises exactly when one of its elements does, with the
-        # message of the first such element
+        # one call per target: a call succeeds exactly when its segment's
+        # slope is positive at both ends and the target lies within the
+        # segment's values, then lies within 1e-13 relative of the
+        # reference's general two-root solve, and otherwise raises the
+        # exact text of the failed check
         spline = self.SPLINES[name]
         rng = np.random.default_rng(5)
         values = [owning_segment_value(spline, x) for x in np.linspace(0.0, spline.knots[-1], 7)]
         lo, hi = min(values), max(values)
-        targets = np.concatenate((values, rng.uniform(lo - 1.0, hi + 1.0, 40)))
+        targets = np.concatenate((values, rng.uniform(lo - 1.0, hi + 1.0, 40))).tolist()
         for i, seg in enumerate(segment_rows(spline)):
-            outcomes = [self.scalar_outcome(spline, i, float(t)) for t in targets]
-            rising = scalar_slope(seg, seg[3]) > 0.0 and scalar_slope(seg, seg[4]) > 0.0
+            slopes = (scalar_slope(seg, seg[3]), scalar_slope(seg, seg[4]))
             reach = (scalar_value(seg, seg[3]), scalar_value(seg, seg[4]))
-            solvable = np.array([rising and reach[0] <= t <= reach[1] for t in targets.tolist()])
-            assert [not isinstance(o, str) for o in outcomes] == solvable.tolist()
-            got = invert_segment(spline, np.full(solvable.sum(), i), targets[solvable])
-            assert got.tolist() == [o for o in outcomes if not isinstance(o, str)]
-            want = [scalar_invert_segment(spline, i, t) for t in targets[solvable].tolist()]
-            assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
-            if not solvable.all():
+            for t in targets:
+                if not (slopes[0] > 0.0 and slopes[1] > 0.0):
+                    text = f"segment {i} not increasing (end slopes {slopes[0]:.3e}, {slopes[1]:.3e})"
+                elif not reach[0] <= t <= reach[1]:
+                    text = f"target {t} outside the values [{reach[0]}, {reach[1]}] of segment {i}"
+                else:
+                    want = scalar_invert_segment(spline, i, t)
+                    assert invert_segment(spline, i, t) == pytest.approx(want, rel=1e-13, abs=0.0)
+                    continue
                 with pytest.raises(InversionError) as info:
-                    invert_segment(spline, i, targets)
-                assert str(info.value) == outcomes[int(np.argmin(solvable))]
-
-    def test_index_and_target_broadcast(self, gauss_spline):
-        targets = np.array([[0.3], [0.5]])
-        got = invert_segment(gauss_spline, np.array([0, 0, 0]), targets)
-        assert got.shape == (2, 3)
-        assert got[:, 0].tolist() == [invert_segment(gauss_spline, 0, t) for t in (0.3, 0.5)]
+                    invert_segment(spline, i, t)
+                assert str(info.value) == text
 
     def test_scalar_inputs_give_a_float(self, gauss_spline):
         assert type(invert_segment(gauss_spline, 0, 0.3)) is float
+        assert type(invert_segment(gauss_spline, np.int64(0), np.float64(0.3))) is float
 
 
 class TestFitPrecision:

@@ -3,8 +3,9 @@
     python3 tools/layer_times.py [--repeat 15] [--levels 16 64 ...] [--src DIR]
 
 For each layer it prints the median and the interquartile range (IQR) of
-``--repeat`` timed calls, in microseconds per element for ``erf``, per 10^6
-samples for ``mc_distortion`` and in milliseconds for the rest:
+``--repeat`` timed calls, in microseconds per element for ``erf``, per
+sample for ``encode`` and ``decode``, per 10^6 samples for ``mc_distortion``
+and in milliseconds for the rest:
 
 * ``erf``: ``gauss_analytics.erf`` at 65 and at 40,000 elements;
 * ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
@@ -17,6 +18,9 @@ samples for ``mc_distortion`` and in milliseconds for the rest:
   The ``refine`` row also gives its ``passes``, the ``_score_knots`` calls
   one refinement makes, and ``points``, the knot rows those calls score;
 * ``exact_compressor_sqnr``: the exact-compressor comparator at N;
+* ``encode`` and ``decode``: one seeded block of 4,096 N(0,1) samples coded
+  one sample at a time, then its codes decoded, on the quantizer at the
+  threshold ``sweep(N)`` picks, as the benchmark's encode-stream ops do;
 * ``lloyd_max``: one whole ``lloyd_max`` run at N, to convergence or, at
   N = 256, to the 10,000-iteration cap; timed up to N = 256 only, since a
   run at larger N is seconds of steps that never converge.  Its row also
@@ -51,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEVELS = tuple(2**e for e in range(4, 11))  # 16 ... 1024
 LLOYD_LEVELS = 256  # lloyd_max is timed up to this N
+BLOCK_SAMPLES = 4096  # samples in the encode/decode block
 
 
 def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
@@ -82,12 +87,13 @@ def layers(levels, repeat: int) -> list[dict]:
     import numpy as np
 
     from splinequant import gauss_analytics, threshold_optimizer as opt
-    from splinequant.quantizer_design import DesignError, build, standard_config
+    from splinequant.quantizer_design import DesignError, build, decode, encode, standard_config
     from splinequant.reference_oracles import ConvergenceError, exact_compressor_sqnr, lloyd_max
     from splinequant.reference_oracles import mc_distortion
     from splinequant.spline_fit import fit, target_moments
 
     lloyd_cap = inspect.signature(lloyd_max).parameters["max_iterations"].default
+    block = np.random.default_rng(0).standard_normal(BLOCK_SAMPLES).tolist()
     rows = []
     for size in (65, 40_000):
         z = np.linspace(0.0, 3.0, size)
@@ -123,6 +129,15 @@ def layers(levels, repeat: int) -> list[dict]:
             if layer == "refine":
                 row.update(refine_counts(opt, result))
             rows.append(row)
+        if result is not None:
+            q = opt.evaluate_candidate(n, result.best_x1, source)
+            codes = [encode(q, x) for x in block]
+            for layer, fn in (
+                ("encode", lambda: [encode(q, x) for x in block]),
+                ("decode", lambda: [decode(q, c) for c in codes]),
+            ):
+                cost = spread(fn, repeat, 1e6 / BLOCK_SAMPLES)
+                rows.append({"layer": layer, "size": n, "unit": "us/sample", **cost})
 
         iterations = []
 
