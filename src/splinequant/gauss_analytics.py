@@ -1,12 +1,13 @@
 """Gaussian source model: density, tail statistics, the SQNR-optimal compressor,
-the closed-form cell moment, and the batched adaptive quadrature that computes
-the spline fit's target moments.  The cell moment gives the reports' exact
-overload term and ``true_distortion``; Lloyd-Max's distortion comes from its
-own 24-point Gauss-Legendre rule instead."""
+cell second moments, and the batched adaptive quadrature that computes the
+spline fit's target moments.  One 24-point Gauss-Legendre rule integrates every
+finite cell, for ``true_distortion`` and Lloyd-Max alike; only the tail [a, inf)
+keeps a closed form, for the exact overload term and the overload cell."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +32,8 @@ _SIGMA_RANGE = (2.0**-511, math.sqrt(np.finfo(float).max))
 # Beyond this many standard deviations the upper-tail probability leaves the
 # normal double range and the centroid ratio is no longer trustworthy.
 TAIL_CENTROID_CUTOFF = 35.0
+# the 24-point Gauss-Legendre rule on [-1, 1] that integrates every finite cell
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 # integrate(): a piece is accepted once its error estimate is within its share
 # of max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * |whole|); one (interval,
@@ -81,27 +84,30 @@ def upper_tail(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def cell_second_moment(
-    model: SourceModel,
-    a: float | np.ndarray,
-    b: float | np.ndarray,
-    y: float | np.ndarray,
+    model: SourceModel, a: float | np.ndarray, b: float | np.ndarray, y: float | np.ndarray
 ) -> float | np.ndarray:
-    """Integral of (x - y)^2 * density over [a, b], elementwise over floats
-    or arrays that broadcast together; b may be +inf.
+    """Integral of (x - y)^2 * density over the finite cell [a, b], elementwise
+    over floats or arrays that broadcast: sigma^2 times ``_cell_terms``' sum at
+    a, b and y over sigma, which unlike closed-form tails does not cancel."""
+    s = model.sigma
+    return s * s * _cell_terms(a / s, b / s, y / s).sum(axis=-1)
 
-    Closed form (sigma^2 + y^2) (Q(a) - Q(b)) + sigma^2 ((a - 2y) pdf(a) -
-    (b - 2y) pdf(b)), Q the upper tail: the cell mass is a difference of
-    erfc tails, so cells far out keep the mass's relative precision.  The b
-    terms vanish where pdf(b) underflows to 0, b = +inf included, without
-    forming inf * 0.  The terms still cancel: on a tail [a, inf) about its
-    centroid the relative error grows like (a/sigma)^6 * 1e-16, 5e-12 at 6
-    sigma.
-    """
+
+def tail_second_moment(model: SourceModel, a: float, y: float) -> float:
+    """Integral of (x - y)^2 * density over the tail [a, inf): (sigma^2 + y^2)
+    Q(a) + sigma^2 (a - 2y) pdf(a), Q the upper tail (erfc).  The terms cancel:
+    about the centroid the relative error is about (a/sigma)^6 1e-16, 5e-12 at 6 sigma."""
     s2 = model.sigma**2
-    mass = upper_tail(model, a) - upper_tail(model, b)
-    pdf_b = pdf(model, b)
-    b_factor = np.where(pdf_b > 0.0, b - 2.0 * y, 0.0)
-    return (s2 + y * y) * mass + s2 * ((a - 2.0 * y) * pdf(model, a) - b_factor * pdf_b)
+    return (s2 + y * y) * upper_tail(model, a) + s2 * ((a - 2.0 * y) * pdf(model, a))
+
+
+def _cell_terms(a, b, y) -> np.ndarray:
+    """The 24-point Gauss-Legendre rule's terms of (z - y)^2 phi(z), phi the unit
+    density, over each cell [a, b]: the broadcast shape plus an axis of 24."""
+    lo, hi, y = (np.asarray(v, dtype=float)[..., None] for v in (a, b, y))
+    width, centre = (hi - lo) * 0.5, (hi + lo) * 0.5
+    z = width * _GL_NODES + centre
+    return width * _GL_WEIGHTS * np.square(z - y) * (np.exp(-0.5 * z * z) / _SQRT_2PI)
 
 
 def erf(z: np.ndarray) -> np.ndarray:
@@ -124,23 +130,25 @@ def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float
     Odd, strictly increasing, maps 0 to 0 and +/-x_max to +/-x_max.  Equals
     x_max * sgn(x) * erf(|x| / (sigma*sqrt(6))) / erf(x_max / (sigma*sqrt(6))),
     the closed form of the normalized cube-root-density integral.  A float
-    gives a float and an array is mapped elementwise, with ``math.erf``'s bits.
-    """
-    if not x_max > 0.0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    gives a float and an array is mapped elementwise, with ``math.erf``'s bits;
+    x_max must be positive and finite, and |x| at most x_max (NaN is not)."""
+    if not 0.0 < x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
     s = model.sigma * _SQRT6
     size = np.abs(x)
-    if (size > x_max * (1.0 + 1e-12)).any():
+    if not (size <= x_max * (1.0 + 1e-12)).all():
         raise ValueError(f"|x|={np.max(size)} outside compressor domain [0, {x_max}]")
     y = np.copysign(x_max, x) * erf(size / s) / math.erf(x_max / s)
     return y if isinstance(x, np.ndarray) else float(y)
 
 
 def compressor_derivative(model: SourceModel, x_max: float, x: float) -> float:
-    """Slope of the optimal compressor; positive everywhere on the domain."""
-    if not x_max > 0.0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    """Slope of the optimal compressor, on ``compressor``'s domain; positive."""
+    if not 0.0 < x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
     s = model.sigma * _SQRT6
+    if not abs(x) <= x_max * (1.0 + 1e-12):
+        raise ValueError(f"|x|={abs(x)} outside compressor domain [0, {x_max}]")
     z = x / s
     return x_max * (2.0 / math.sqrt(math.pi)) * math.exp(-z * z) / (s * math.erf(x_max / s))
 
@@ -150,9 +158,9 @@ def support_threshold(model: SourceModel, n_levels: int) -> float:
 
     sigma * sqrt(6 ln N) * [1 - ln(ln N)/(4 ln N) - ln(3 sqrt(pi))/(2 ln N)];
     requires n_levels >= 4 so the inner logarithm is positive and the design
-    keeps at least two granular levels.
+    keeps at least two granular levels; taken through ``operator.index``.
     """
-    if not n_levels >= 4:
+    if operator.index(n_levels) < 4:
         raise ValueError(f"n_levels must be >= 4, got {n_levels}")
     ln_n = math.log(n_levels)
     bracket = 1.0 - math.log(ln_n) / (4.0 * ln_n) - math.log(3.0 * math.sqrt(math.pi)) / (2.0 * ln_n)

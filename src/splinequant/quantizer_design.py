@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gauss_analytics import SourceModel, cell_second_moment, pdf, support_threshold, tail_centroid
+from .gauss_analytics import SourceModel, pdf, support_threshold, tail_centroid, tail_second_moment
 from .spline_fit import KnotVector, QuadraticSpline, curve_slope, curve_value, segment_inverse
 
 __all__ = [
@@ -331,8 +331,7 @@ def _model_reports(granular: Sequence[float], cfg: DesignConfig) -> list[Distort
     recorded alongside; both depend on ``cfg`` alone and are computed once."""
     src = cfg.source
     overload = src.sigma**2 * overload_distortion_closed(cfg.x_max / src.sigma)
-    centroid = tail_centroid(src, cfg.x_max)
-    overload_exact = 2.0 * float(cell_second_moment(src, cfg.x_max, math.inf, centroid))
+    overload_exact = 2.0 * tail_second_moment(src, cfg.x_max, tail_centroid(src, cfg.x_max))
     return [
         DistortionReport(
             granular=g,

@@ -6,7 +6,7 @@ that its numbers can be cross-checked:
 * ``mc_distortion``     seeded Monte-Carlo through the realized encode/decode
                         tables;
 * ``true_distortion``   the realized quantizer's error, cell by cell, from the
-                        closed-form Gaussian cell moment;
+                        shared 24-point cell rule and the closed-form tail;
 * ``lloyd_max``         the MSE-optimal fixed-rate quantizer, which no design
                         for the same source and level count may beat; only
                         its starting codebook is the exact compressor's.
@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative
-from .gauss_analytics import _SQRT_2PI, pdf, tail_centroid
+from .gauss_analytics import _SQRT_2PI, _cell_terms, tail_centroid, tail_second_moment
 from .quantizer_design import (
     CompandingQuantizer,
     DistortionReport,
@@ -57,8 +57,6 @@ _LLOYD_MAX_ITERATIONS = 10_000
 # Lloyd-Max stops once its distortion changes by less than this, relative
 _LLOYD_MAX_TOLERANCE = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53
-# the 24-point Gauss-Legendre rule on [-1, 1] that scores Lloyd-Max iterates
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 class ConvergenceError(RuntimeError):
@@ -133,15 +131,14 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
 def true_distortion(q: CompandingQuantizer) -> float:
     """Noise power of the realized quantizer, cell by cell.
 
-    The closed-form second moment of (x - level)^2 against the source density
-    over every positive cell that encode/decode use, the overload cell
-    [x_max, inf) included, in one array call; doubled for the negative half.
-    Independent of the companding model.
+    The second moment of (x - level)^2 against the source density over every
+    positive cell that encode/decode use, the finite ones in one array call,
+    the overload cell [x_max, inf) in closed form; doubled for the negative
+    half.  Independent of the companding model.
     """
-    bounds = np.array((0.0,) + q.thresholds + (math.inf,))
-    levels = np.array(q.levels + (q.overload_level,))
-    cells = cell_second_moment(q.config.source, bounds[:-1], bounds[1:], levels)
-    return 2.0 * float(np.sum(cells))
+    src, bounds = q.config.source, np.array((0.0,) + q.thresholds)
+    cells = cell_second_moment(src, bounds[:-1], bounds[1:], np.array(q.levels))
+    return 2.0 * (float(np.sum(cells)) + tail_second_moment(src, q.config.x_max, q.overload_level))
 
 
 def _initial_levels(n_levels: int) -> list[float]:
@@ -224,7 +221,7 @@ def lloyd_max(
         raise ValueError(f"n_levels must be even and >= 2, got {n_levels}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    sigma, unit = source.sigma, SourceModel()
+    sigma = source.sigma
     cells = n_levels // 2
     levels = np.asarray(_initial_levels(n_levels), dtype=float)
     edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [levels[-1] + 12.0]))
@@ -266,11 +263,7 @@ def lloyd_max(
         """The distortion of ``iterate``: the 24-point sums of both halves'
         cells, the negative half mirrored first, summed once in the whole
         codebook's order."""
-        edges, levels = iterate[:2]
-        lo, hi = edges[:-1, None], edges[1:, None]
-        width, centre = (hi - lo) * 0.5, (hi + lo) * 0.5
-        x = width * _GL_NODES + centre
-        half = width * _GL_WEIGHTS * np.square(x - levels[:, None]) * pdf(unit, x)
+        half = _cell_terms(iterate[0][:-1], iterate[0][1:], iterate[1])
         return float(np.concatenate((half[::-1, ::-1], half)).sum())
 
     tolerance = _LLOYD_MAX_TOLERANCE

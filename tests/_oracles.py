@@ -46,12 +46,12 @@ import numpy as np
 
 from splinequant import QuadratureError, SourceModel
 from splinequant.gauss_analytics import (
-    cell_second_moment,
     compressor,
     erf,
     pdf,
     support_threshold,
     tail_centroid,
+    tail_second_moment,
 )
 from splinequant.quantizer_design import (
     CompandingQuantizer,
@@ -560,7 +560,7 @@ def scalar_report(config: DesignConfig, levels, slopes) -> DistortionReport:
     lead = sum(pdf(src, y) / s**2 * (delta / s) for y, s in zip(levels, slopes))
     granular = lead * (2.0 * x_max**2 / (3.0 * (config.n_levels - 2) ** 2))
     overload = src.sigma**2 * overload_distortion_closed(x_max / src.sigma)
-    tail = cell_second_moment(src, x_max, math.inf, tail_centroid(src, x_max))
+    tail = tail_second_moment(src, x_max, tail_centroid(src, x_max))
     total = granular + overload
     return DistortionReport(
         granular=granular,

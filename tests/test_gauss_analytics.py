@@ -17,6 +17,8 @@ from splinequant import (
 )
 from splinequant import gauss_analytics
 from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF, cell_second_moment, integrate
+from splinequant.gauss_analytics import tail_second_moment
+from splinequant.reference_oracles import _initial_levels
 
 from _oracles import gaussian_cell_distortion, gl_integrate, mp_tail_second_moment, recursive_simpson
 
@@ -133,6 +135,29 @@ class TestCompressor:
             with pytest.raises(ValueError, match="x_max must be positive"):
                 fn(UNIT, x_max, 0.5)
 
+    def test_rejects_infinite_edge(self):
+        # an infinite edge used to give inf
+        for fn in (compressor, compressor_derivative):
+            with pytest.raises(ValueError, match="x_max must be positive and finite"):
+                fn(UNIT, math.inf, 0.5)
+
+    def test_rejects_nan_abscissa(self):
+        for fn in (compressor, compressor_derivative):
+            with pytest.raises(ValueError, match="outside compressor domain"):
+                fn(UNIT, self.X_MAX, math.nan)
+        with pytest.raises(ValueError, match="outside compressor domain"):
+            compressor(UNIT, self.X_MAX, np.array([0.5, math.nan, 1.0]))
+
+    def test_derivative_takes_the_compressor_domain(self):
+        # |x| > x_max used to give a slope, 4.3e-4 at x = 7 with x_max = 3
+        for x in (7.0, -7.0, self.X_MAX + 0.1):
+            with pytest.raises(ValueError, match="outside compressor domain"):
+                compressor_derivative(UNIT, self.X_MAX, x)
+        # the edges, with compressor's 1e-12 relative slack, are inside
+        for x in (self.X_MAX, -self.X_MAX, self.X_MAX * (1.0 + 1e-13)):
+            assert compressor_derivative(UNIT, self.X_MAX, x) > 0.0
+            compressor(UNIT, self.X_MAX, x)
+
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for x in [0.2, 1.0, 2.0]:
@@ -159,7 +184,15 @@ class TestSupportThreshold:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, math.nan])
     def test_rejects_small_n(self, n):
-        with pytest.raises(ValueError):
+        # a level count is taken through operator.index, as DesignConfig
+        # takes it: a small one is a ValueError, NaN (no integer) a TypeError
+        with pytest.raises(TypeError if isinstance(n, float) else ValueError):
+            support_threshold(UNIT, n)
+
+    @pytest.mark.parametrize("n", [math.inf, 16.5, 16.0])
+    def test_rejects_non_integer_n(self, n):
+        # inf used to give nan, and 16.5 an edge no quantizer has
+        with pytest.raises(TypeError):
             support_threshold(UNIT, n)
 
 
@@ -250,21 +283,22 @@ class TestCellSecondMoment:
         edges = [support_threshold(UNIT, 2**e) for e in range(2, 13)]
         for a in [0.0, 0.5, 1.7] + edges:
             for y in (tail_centroid(UNIT, a), a, a + 0.3):
-                got = cell_second_moment(UNIT, a, math.inf, y)
+                got = tail_second_moment(UNIT, a, y)
                 assert got == pytest.approx(mp_tail_second_moment(a, y), rel=1e-11, abs=0.0)
 
     def test_infinite_and_underflowing_ends_give_no_nan_or_warning(self):
-        a = np.array([0.0, 1.0, 3.0, 30.0, 35.0])
-        b = np.array([math.inf, math.inf, 40.0, math.inf, 50.0])
-        y = np.array([0.5, 1.5, 3.2, 30.03, 35.1])
+        # tails from edges where the density and the tail probability are
+        # far from underflow out to 35 sigma, and finite cells whose far end
+        # lies where they underflow (40 and 50 sigma)
+        a = [0.0, 1.0, 3.0, 30.0, 35.0]
+        y = [0.5, 1.5, 3.2, 30.03, 35.1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = cell_second_moment(UNIT, a, b, y)
-            scalar = cell_second_moment(UNIT, 2.0, math.inf, 2.4)
-        assert np.isfinite(got).all() and (got > 0.0).all()
-        assert math.isfinite(scalar) and scalar > 0.0
-        # b = 40 sigma lies where the density and the tail underflow: as b = inf
-        assert got[2] == cell_second_moment(UNIT, 3.0, math.inf, 3.2)
+            tails = [tail_second_moment(UNIT, *args) for args in zip(a, y)]
+            lo, hi, levels = np.array([3.0, 35.0]), np.array([40.0, 50.0]), np.array([3.2, 35.1])
+            cells = cell_second_moment(UNIT, lo, hi, levels)
+        assert all(math.isfinite(t) and t > 0.0 for t in tails)
+        assert np.isfinite(cells).all() and (cells > 0.0).all()
 
     def test_arrays_match_closed_form_oracle(self):
         rng = np.random.default_rng(7)
@@ -274,15 +308,35 @@ class TestCellSecondMoment:
         got = cell_second_moment(UNIT, a, b, y)
         assert got.shape == (200,)
         want = [gaussian_cell_distortion(*args) for args in zip(a.tolist(), b.tolist(), y.tolist())]
-        # both closed forms cancel on short cells, to about 1e-16 of the mass
+        # the oracle's closed form cancels on short cells, to about 1e-16 of the mass
         assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+    def test_matches_mpmath_per_cell_on_the_1024_codebook(self):
+        # the exact compressor's N = 1024 codebook, its cells cut at the
+        # midpoints, 4.2e-3 to 0.29 wide: the rule's worst cell is 9e-14 off,
+        # where a difference of closed-form tails lost up to 5e-8
+        mpmath = pytest.importorskip("mpmath")
+        levels = np.array(_initial_levels(1024)[:-1])
+        x_max = support_threshold(UNIT, 1024)
+        edges = np.concatenate(([0.0], 0.5 * (levels[:-1] + levels[1:]), [x_max]))
+        got = cell_second_moment(UNIT, edges[:-1], edges[1:], levels)
+        with mpmath.workdps(40):
+            root = mpmath.sqrt(2 * mpmath.pi)
+            want = []
+            for a, b, y in zip(edges[:-1].tolist(), edges[1:].tolist(), levels.tolist()):
+                y = mpmath.mpf(y)
+                moment = mpmath.quad(lambda x: (x - y) ** 2 * mpmath.exp(-x * x / 2), [a, b])
+                want.append(float(moment / root))
+        assert got == pytest.approx(want, rel=2e-13, abs=0.0)
 
     def test_sigma_scaling(self):
         # X = sigma Z: the moment about sigma y over [sigma a, sigma b] is sigma^2 times
         wide = SourceModel(2.5)
-        for a, b, y in ((0.0, 0.3, 0.1), (1.0, 2.0, 1.4), (2.5, math.inf, 2.9)):
+        for a, b, y in ((0.0, 0.3, 0.1), (1.0, 2.0, 1.4), (2.5, 4.0, 2.9)):
             got = cell_second_moment(wide, 2.5 * a, 2.5 * b, 2.5 * y)
             assert got == pytest.approx(6.25 * cell_second_moment(UNIT, a, b, y), rel=1e-13)
+        got = tail_second_moment(wide, 2.5 * 2.5, 2.5 * 2.9)
+        assert got == pytest.approx(6.25 * tail_second_moment(UNIT, 2.5, 2.9), rel=1e-13)
 
 
 class TestIntegrate:

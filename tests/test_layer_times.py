@@ -21,7 +21,7 @@ def test_prints_every_layer_with_median_and_iqr(capsys):
         ("erf", 65), ("erf", 40_000),
         ("target_moments", 16), ("sweep", 16), ("evaluate_candidate", 16), ("build", 16),
         ("refine", 16), ("exact_compressor_sqnr", 16), ("encode", 16), ("decode", 16),
-        ("lloyd_max", 16), ("mc_distortion", 16),
+        ("lloyd_max", 16), ("mc_distortion", 16), ("true_distortion", 16),
         # no candidate builds at N = 1024, nor the quantizer at 0.6 x_max, and
         # Lloyd-Max is timed up to N = 256: only the sweep and the comparator;
         # with no sweep-best quantizer there is nothing to encode or decode

@@ -23,7 +23,7 @@ from splinequant import (
 )
 
 from splinequant import reference_oracles, threshold_optimizer
-from splinequant.gauss_analytics import cell_second_moment
+from splinequant.gauss_analytics import tail_second_moment
 from splinequant.quantizer_design import granular_distortion, overload_distortion_exact, score_batch, sqnr
 from splinequant.spline_fit import fit_batch, target_moments
 from splinequant.threshold_optimizer import sweep
@@ -420,9 +420,9 @@ class TestOverloadDistortion:
         _, _, q = fitted16
         base = overload_distortion_exact(q)
         x_max = q.config.x_max
-        assert base == 2.0 * cell_second_moment(UNIT, x_max, math.inf, q.overload_level)
+        assert base == 2.0 * tail_second_moment(UNIT, x_max, q.overload_level)
         for off in (-0.2, -0.05, 0.05, 0.2):
-            assert 2.0 * cell_second_moment(UNIT, x_max, math.inf, q.overload_level + off) > base
+            assert 2.0 * tail_second_moment(UNIT, x_max, q.overload_level + off) > base
 
     def test_asymptotic_gap_against_exact(self, fitted16):
         # the closed form is a genuine asymptotic: at these support edges it

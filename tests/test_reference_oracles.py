@@ -12,7 +12,7 @@ import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
 from splinequant import reference_oracles
-from splinequant.gauss_analytics import cell_second_moment, erf, pdf
+from splinequant.gauss_analytics import _cell_terms, erf
 from splinequant.reference_oracles import (
     _MC_BLOCK,
     _SHARD_SIZE,
@@ -81,15 +81,14 @@ class TestLloydMax:
 
     @pytest.mark.parametrize("n_levels", [2, 4, 8, 16, 32, 64, 128])
     def test_distortion_matches_closed_form_cell_moments(self, n_levels):
-        # the 24-point figure against the closed-form moments of the run's
-        # own positive cells, the last one out to +inf, doubled; the gap is
-        # mostly the 24-point rule on the 12-sigma-truncated last cell:
-        # 1.35e-11 at N = 2, 6.7e-12 at N = 4, at most 1.5e-12 from N = 8
+        # the 24-point figure against the 50-digit moments of the run's own
+        # positive cells, the last one out to +inf, doubled; the gap is
+        # mostly the 24-point rule on the 12-sigma-truncated last cell
+        pytest.importorskip("mpmath")
         run = _unit_lloyd_max(n_levels)
         half = n_levels // 2
-        bounds = np.array((0.0,) + run.thresholds[half:] + (math.inf,))
-        cells = cell_second_moment(UNIT, bounds[:-1], bounds[1:], np.array(run.levels[half:]))
-        assert run.distortion == pytest.approx(2.0 * float(np.sum(cells)), rel=2e-11, abs=0.0)
+        want = mp_cell_distortion((0.0,) + run.thresholds[half:] + (math.inf,), run.levels[half:])
+        assert run.distortion == pytest.approx(2.0 * want, rel=2e-11, abs=0.0)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(reference_oracles, "_LLOYD_MAX_TOLERANCE", 1e-15)
@@ -288,15 +287,17 @@ def _outcome(fn, *args, **kwargs):
 
 @pytest.fixture
 def scored(monkeypatch):
-    """One entry per distortion pass, recorded by wrapping ``pdf``: each pass
-    evaluates it once, and a centroid step inlines its operations."""
+    """One entry per distortion pass, the shape of its terms, recorded by
+    wrapping the shared cell kernel: each pass calls it once, and a centroid
+    step does not call it."""
     passes = []
 
     def counted(*args):
-        passes.append(args[1].shape)
-        return pdf(*args)
+        terms = _cell_terms(*args)
+        passes.append(terms.shape)
+        return terms
 
-    monkeypatch.setattr(reference_oracles, "pdf", counted)
+    monkeypatch.setattr(reference_oracles, "_cell_terms", counted)
     return passes
 
 
@@ -351,16 +352,16 @@ class TestLloydMaxLoop:
         assert len(scored) == 1
 
     def test_increase_message_gives_the_sources_distortions(self, monkeypatch):
-        # a density that doubles from the third distortion pass on makes the
+        # cell terms that double from the third distortion pass on make the
         # distortion rise; at sigma = 3 the text gives 9 times the unit figures
         def message(sigma):
             passes = []
 
             def rising(*args):
-                passes.append(args[1].shape)
-                return pdf(*args) * (2.0 if len(passes) > 2 else 1.0)
+                passes.append(args)
+                return _cell_terms(*args) * (2.0 if len(passes) > 2 else 1.0)
 
-            monkeypatch.setattr(reference_oracles, "pdf", rising)
+            monkeypatch.setattr(reference_oracles, "_cell_terms", rising)
             with pytest.raises(ArithmeticError) as got:
                 lloyd_max(SourceModel(sigma), 16)
             return str(got.value)
@@ -542,7 +543,7 @@ class TestTrueDistortion:
             0.0095940704, rel=1e-6
         )
 
-    @pytest.mark.parametrize("n_levels", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n_levels", [6, 8, 16, 32, 64, 128, 256])
     @pytest.mark.parametrize("share", [0.6, 0.75])
     def test_matches_mpmath_over_realized_cells(self, n_levels, share):
         pytest.importorskip("mpmath")
@@ -553,7 +554,7 @@ class TestTrueDistortion:
     def test_matches_mpmath_over_realized_cells_at_512(self):
         # both shares fail to build at N = 512, so take the sweep's valid
         # candidates (x1 near 3.315 and 3.345): the narrowest cells checked,
-        # where cell_second_moment's closed form cancels most
+        # where a closed-form cell moment would cancel most
         pytest.importorskip("mpmath")
         x1s = [c.x1 for c in sq.sweep(512).candidates if c.valid]
         assert len(x1s) == 2, x1s
@@ -564,7 +565,9 @@ class TestTrueDistortion:
     def _check_against_mpmath(q):
         bounds = (0.0,) + q.thresholds + (math.inf,)
         want = 2.0 * mp_cell_distortion(bounds, q.levels + (q.overload_level,))
-        assert true_distortion(q) == pytest.approx(want, rel=1e-10, abs=0.0)
+        # the 24-point rule on the finite cells, the closed form on the tail:
+        # at most 1.6e-14 off at N = 6 ... 512
+        assert true_distortion(q) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestInvertCompressor:
@@ -620,7 +623,7 @@ class TestExactCompressorModel:
     @pytest.mark.parametrize("n_levels", [4, 6, 8, 10, 16, 32, 64, 100, 128, 256, 512, 1000, 1024])
     def test_matches_mpmath(self, n_levels):
         # the exact overload term is a difference of nearly equal terms whose
-        # relative error grows like x_max^6 * 1e-16 (``cell_second_moment``):
+        # relative error grows like x_max^6 * 1e-16 (``tail_second_moment``):
         # 3.3e-12 at the N = 1024 edge, so it gets the 5e-12 bound documented
         # up to 6 sigma
         pytest.importorskip("mpmath")

@@ -30,7 +30,8 @@ and in milliseconds for the rest:
   from a change in the iteration count;
 * ``mc_distortion``: 10^6 seeded samples through the quantizer at
   x1 = 0.6 x_max, built by ``evaluate_candidate`` as the benchmark's
-  ``validate`` ops build theirs; skipped where it does not build (N >= 512).
+  ``validate`` ops build theirs; skipped where it does not build (N >= 512);
+* ``true_distortion``: the cell-by-cell distortion of that same quantizer.
 
 N runs over 16, 32, ..., 1024 unless ``--levels`` names others.  ``sweep``
 fails for N >= 1024 (no candidate builds); it is then timed up to the
@@ -89,7 +90,7 @@ def layers(levels, repeat: int) -> list[dict]:
     from splinequant import gauss_analytics, threshold_optimizer as opt
     from splinequant.quantizer_design import DesignError, build, decode, encode, standard_config
     from splinequant.reference_oracles import ConvergenceError, exact_compressor_sqnr, lloyd_max
-    from splinequant.reference_oracles import mc_distortion
+    from splinequant.reference_oracles import mc_distortion, true_distortion
     from splinequant.spline_fit import fit, target_moments
 
     lloyd_cap = inspect.signature(lloyd_max).parameters["max_iterations"].default
@@ -159,6 +160,8 @@ def layers(levels, repeat: int) -> list[dict]:
             continue
         cost = spread(lambda: mc_distortion(q, 10**6, 42), repeat)
         rows.append({"layer": "mc_distortion", "size": n, "unit": "ms/1e6 samples", **cost})
+        cost = spread(lambda: true_distortion(q), repeat)
+        rows.append({"layer": "true_distortion", "size": n, "unit": "ms", **cost})
     return rows
 
 
