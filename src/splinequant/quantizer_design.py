@@ -331,7 +331,8 @@ def _model_reports(granular: Sequence[float], cfg: DesignConfig) -> list[Distort
     recorded alongside; both depend on ``cfg`` alone and are computed once."""
     src = cfg.source
     overload = src.sigma**2 * overload_distortion_closed(cfg.x_max / src.sigma)
-    overload_exact = 2.0 * tail_second_moment(src, cfg.x_max, tail_centroid(src, cfg.x_max))
+    centroid = tail_centroid(src, cfg.x_max)
+    overload_exact = 2.0 * tail_second_moment(src, cfg.x_max, centroid)
     return [
         DistortionReport(
             granular=g,

@@ -136,9 +136,11 @@ def true_distortion(q: CompandingQuantizer) -> float:
     the overload cell [x_max, inf) in closed form; doubled for the negative
     half.  Independent of the companding model.
     """
-    src, bounds = q.config.source, np.array((0.0,) + q.thresholds)
+    src = q.config.source
+    bounds = np.array((0.0,) + q.thresholds)
     cells = cell_second_moment(src, bounds[:-1], bounds[1:], np.array(q.levels))
-    return 2.0 * (float(np.sum(cells)) + tail_second_moment(src, q.config.x_max, q.overload_level))
+    tail = tail_second_moment(src, q.config.x_max, q.overload_level)
+    return 2.0 * (float(np.sum(cells)) + tail)
 
 
 def _initial_levels(n_levels: int) -> list[float]:

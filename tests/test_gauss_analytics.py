@@ -20,7 +20,8 @@ from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF, cell_second_moment
 from splinequant.gauss_analytics import tail_second_moment
 from splinequant.reference_oracles import _initial_levels
 
-from _oracles import gaussian_cell_distortion, gl_integrate, mp_tail_second_moment, recursive_simpson
+from _oracles import gaussian_cell_distortion, gl_integrate, mp_cell_distortion, mp_tail_second_moment
+from _oracles import recursive_simpson
 
 UNIT = SourceModel()
 
@@ -287,18 +288,43 @@ class TestCellSecondMoment:
                 assert got == pytest.approx(mp_tail_second_moment(a, y), rel=1e-11, abs=0.0)
 
     def test_infinite_and_underflowing_ends_give_no_nan_or_warning(self):
-        # tails from edges where the density and the tail probability are
-        # far from underflow out to 35 sigma, and finite cells whose far end
-        # lies where they underflow (40 and 50 sigma)
-        a = [0.0, 1.0, 3.0, 30.0, 35.0]
-        y = [0.5, 1.5, 3.2, 30.03, 35.1]
+        a = np.array([0.0, 1.0, 3.0, 30.0, 35.0])
+        b = np.array([math.inf, math.inf, 40.0, math.inf, 50.0])
+        y = np.array([0.5, 1.5, 3.2, 30.03, 35.1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tails = [tail_second_moment(UNIT, *args) for args in zip(a, y)]
-            lo, hi, levels = np.array([3.0, 35.0]), np.array([40.0, 50.0]), np.array([3.2, 35.1])
-            cells = cell_second_moment(UNIT, lo, hi, levels)
+            got = cell_second_moment(UNIT, a, b, y)
+            scalar = cell_second_moment(UNIT, 2.0, math.inf, 2.4)
+            tails = [tail_second_moment(UNIT, *args) for args in zip(a.tolist(), y.tolist())]
+        assert np.isfinite(got).all() and (got > 0.0).all()
+        assert math.isfinite(scalar) and scalar > 0.0
         assert all(math.isfinite(t) and t > 0.0 for t in tails)
-        assert np.isfinite(cells).all() and (cells > 0.0).all()
+        # b = 40 sigma lies past the density cut at sqrt(3^2 + 100) sigma: as b = inf
+        assert got[2] == cell_second_moment(UNIT, 3.0, math.inf, 3.2)
+        pytest.importorskip("mpmath")
+        want = [mp_cell_distortion([lo, hi], [v]) for lo, hi, v in zip(a.tolist(), b.tolist(), y.tolist())]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 37.0])
+    def test_cells_on_one_side_of_zero_match_mpmath_at_any_width(self, a):
+        # the cut where the density is e^-50 below the cell's peak keeps the
+        # 24 points on the mass: 7.5e-14 at worst, where the uncut rule lost
+        # 3e-4 on [3, 40] and 0.36 on [35, 50]
+        pytest.importorskip("mpmath")
+        for b in (a + 1.0, a + 8.0, a + 50.0, math.inf):
+            for y in (a, a + 0.3, a + 2.0, 0.5 * a):
+                want = mp_cell_distortion([a, b], [y])
+                assert cell_second_moment(UNIT, a, b, y) == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert cell_second_moment(UNIT, -b, -a, -y) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_cells_across_zero_are_cut_at_ten_sigma(self):
+        # a cell across 0 keeps the rule's accuracy only while narrow
+        pytest.importorskip("mpmath")
+        want = mp_cell_distortion([-5.0, 5.0], [0.3])
+        assert cell_second_moment(UNIT, -5.0, 5.0, 0.3) == pytest.approx(want, rel=1e-12, abs=0.0)
+        whole = cell_second_moment(UNIT, -math.inf, math.inf, 0.0)
+        assert whole == cell_second_moment(UNIT, -10.0, 10.0, 0.0)
+        assert whole == pytest.approx(1.0, rel=1e-3)
 
     def test_arrays_match_closed_form_oracle(self):
         rng = np.random.default_rng(7)
@@ -332,7 +358,7 @@ class TestCellSecondMoment:
     def test_sigma_scaling(self):
         # X = sigma Z: the moment about sigma y over [sigma a, sigma b] is sigma^2 times
         wide = SourceModel(2.5)
-        for a, b, y in ((0.0, 0.3, 0.1), (1.0, 2.0, 1.4), (2.5, 4.0, 2.9)):
+        for a, b, y in ((0.0, 0.3, 0.1), (1.0, 2.0, 1.4), (2.5, 4.0, 2.9), (3.0, 40.0, 3.2)):
             got = cell_second_moment(wide, 2.5 * a, 2.5 * b, 2.5 * y)
             assert got == pytest.approx(6.25 * cell_second_moment(UNIT, a, b, y), rel=1e-13)
         got = tail_second_moment(wide, 2.5 * 2.5, 2.5 * 2.9)

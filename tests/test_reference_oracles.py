@@ -561,6 +561,15 @@ class TestTrueDistortion:
         for x1 in x1s:
             self._check_against_mpmath(sq.evaluate_candidate(512, x1))
 
+    @pytest.mark.parametrize("n_levels, x_max", [(4, 12.0), (4, 30.0), (6, 30.0)])
+    def test_matches_mpmath_with_a_wide_edge(self, n_levels, x_max):
+        # a user-chosen edge far out, on the identity compressor: the cell
+        # [0, 30] is 30 sigma wide, where the uncut 24-point rule lost 1e-6
+        pytest.importorskip("mpmath")
+        config = sq.DesignConfig(n_levels, sq.KnotVector((0.0, x_max)), UNIT)
+        identity = sq.QuadraticSpline(np.array([[0.0], [1.0], [0.0], [0.0], [x_max]]))
+        self._check_against_mpmath(sq.build(identity, config))
+
     @staticmethod
     def _check_against_mpmath(q):
         bounds = (0.0,) + q.thresholds + (math.inf,)
