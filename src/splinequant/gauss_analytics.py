@@ -1,8 +1,8 @@
 """Gaussian source model: density, tail statistics, the SQNR-optimal compressor,
 cell second moments, and the batched adaptive quadrature that computes the
 spline fit's target moments.  One 24-point Gauss-Legendre rule integrates every
-cell, for ``true_distortion`` and Lloyd-Max alike; only the tail [a, inf)
-keeps a closed form, for the exact overload term and the overload cell."""
+cell, the tail [a, inf) included: for the exact overload term,
+``true_distortion`` and Lloyd-Max alike."""
 
 from __future__ import annotations
 
@@ -102,14 +102,6 @@ def cell_second_moment(
     lo, hi = a / s, b / s
     reach = np.sqrt(np.square(np.clip(0.0, lo, hi)) + 100.0)
     return s * s * _cell_terms(np.maximum(lo, -reach), np.minimum(hi, reach), y / s).sum(axis=-1)
-
-
-def tail_second_moment(model: SourceModel, a: float, y: float) -> float:
-    """Integral of (x - y)^2 * density over the tail [a, inf): (sigma^2 + y^2)
-    Q(a) + sigma^2 (a - 2y) pdf(a), Q the upper tail (erfc).  The terms cancel:
-    about the centroid the relative error is about (a/sigma)^6 1e-16, 5e-12 at 6 sigma."""
-    s2 = model.sigma**2
-    return (s2 + y * y) * upper_tail(model, a) + s2 * ((a - 2.0 * y) * pdf(model, a))
 
 
 def _cell_terms(a, b, y) -> np.ndarray:

@@ -25,7 +25,8 @@ Design conventions
 * Granular distortion uses the companding model: density at the level, slope
   of the compressor there, and the asymptotic cell length delta/slope.  The
   headline SQNR combines it with the asymptotic overload term; the exact
-  overload term, from the closed-form tail moment, is reported alongside.
+  overload term, the tail's second moment by the shared 24-point cell rule,
+  is reported alongside.
   This module owns the model: one half-step grid, one granular kernel and
   one report function serve ``build`` and ``score_batch``; the kernel and the
   report also serve the exact-compressor comparator
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gauss_analytics import SourceModel, pdf, support_threshold, tail_centroid, tail_second_moment
+from .gauss_analytics import SourceModel, cell_second_moment, pdf, support_threshold, tail_centroid
 from .spline_fit import KnotVector, QuadraticSpline, curve_slope, curve_value, segment_inverse
 
 __all__ = [
@@ -287,10 +288,12 @@ def build(spline: QuadraticSpline, config: DesignConfig) -> CompandingQuantizer:
 def _granular(levels: np.ndarray, slopes: np.ndarray, cfg: DesignConfig) -> np.ndarray:
     """Companding-model granular noise power of each row of levels, with the
     curve's slope at each level: the sum over the last axis of
-    density/slope^2 * (delta/slope), times 2*x_max^2/(3(N-2)^2)."""
+    density/slope^2 * (delta/slope), times 2*(x_max/sigma)^2/(3(N-2)^2), times
+    sigma^2 once, so that no square leaves the float range at any sigma."""
+    s = cfg.source.sigma
     asym = step_size(cfg) / slopes
     lead = np.sum(pdf(cfg.source, levels) / slopes**2 * asym, axis=-1)
-    return lead * (2.0 * cfg.x_max**2 / (3.0 * (cfg.n_levels - 2) ** 2))
+    return lead * (2.0 * (cfg.x_max / s) ** 2 / (3.0 * (cfg.n_levels - 2) ** 2)) * (s * s)
 
 
 def granular_distortion(q: CompandingQuantizer) -> float:
@@ -303,8 +306,9 @@ def granular_distortion(q: CompandingQuantizer) -> float:
 
 def overload_distortion_exact(q: CompandingQuantizer) -> float:
     """Overload noise power: twice the integral of (x - overload_level)^2
-    times the density over the tail beyond x_max, in closed form.  Off the
-    public surface, kept because the benchmark's tracer binds it."""
+    times the density over the tail beyond x_max, by the 24-point cell
+    rule.  Off the public surface, kept because the benchmark's tracer binds
+    it."""
     return q.report.overload_exact
 
 
@@ -332,7 +336,7 @@ def _model_reports(granular: Sequence[float], cfg: DesignConfig) -> list[Distort
     src = cfg.source
     overload = src.sigma**2 * overload_distortion_closed(cfg.x_max / src.sigma)
     centroid = tail_centroid(src, cfg.x_max)
-    overload_exact = 2.0 * tail_second_moment(src, cfg.x_max, centroid)
+    overload_exact = 2.0 * float(cell_second_moment(src, cfg.x_max, math.inf, centroid))
     return [
         DistortionReport(
             granular=g,

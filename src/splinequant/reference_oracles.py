@@ -5,8 +5,8 @@ that its numbers can be cross-checked:
 
 * ``mc_distortion``     seeded Monte-Carlo through the realized encode/decode
                         tables;
-* ``true_distortion``   the realized quantizer's error, cell by cell, from the
-                        shared 24-point cell rule and the closed-form tail;
+* ``true_distortion``   the realized quantizer's error, cell by cell, the
+                        overload cell too, from the shared 24-point cell rule;
 * ``lloyd_max``         the MSE-optimal fixed-rate quantizer, which no design
                         for the same source and level count may beat; only
                         its starting codebook is the exact compressor's.
@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .gauss_analytics import SourceModel, cell_second_moment, compressor_derivative
-from .gauss_analytics import _SQRT_2PI, _cell_terms, tail_centroid, tail_second_moment
+from .gauss_analytics import _SQRT_2PI, _cell_terms, tail_centroid
 from .quantizer_design import (
     CompandingQuantizer,
     DistortionReport,
@@ -132,15 +132,13 @@ def true_distortion(q: CompandingQuantizer) -> float:
     """Noise power of the realized quantizer, cell by cell.
 
     The second moment of (x - level)^2 against the source density over every
-    positive cell that encode/decode use, the finite ones in one array call,
-    the overload cell [x_max, inf) in closed form; doubled for the negative
-    half.  Independent of the companding model.
+    positive cell that encode/decode use, the overload cell [x_max, inf)
+    included, in one array call; doubled for the negative half.  Independent
+    of the companding model.
     """
-    src = q.config.source
-    bounds = np.array((0.0,) + q.thresholds)
-    cells = cell_second_moment(src, bounds[:-1], bounds[1:], np.array(q.levels))
-    tail = tail_second_moment(src, q.config.x_max, q.overload_level)
-    return 2.0 * (float(np.sum(cells)) + tail)
+    bounds = np.array((0.0,) + q.thresholds + (math.inf,))
+    levels = np.array(q.levels + (q.overload_level,))
+    return 2.0 * float(np.sum(cell_second_moment(q.config.source, bounds[:-1], bounds[1:], levels)))
 
 
 def _initial_levels(n_levels: int) -> list[float]:

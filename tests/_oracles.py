@@ -1,9 +1,10 @@
 """Independent numeric oracles for the tests.
 
 The numpy helpers integrate with fixed-order Gauss-Legendre rules, on purpose:
-the library's fit moments use adaptive Simpson and its cell moments a closed
-form, so these helpers provide a structurally different route to the same
-integrals; ``weighted_objective`` is the fit's length-weighted squared error.
+the library's fit moments use adaptive Simpson, so these helpers provide a
+structurally different route to the same integrals.  Its cell moments use one
+24-point rule, so ``gaussian_cell_distortion`` checks them by closed form;
+``weighted_objective`` is the fit's length-weighted squared error.
 ``recursive_simpson`` is the scalar adaptive Simpson the batched library
 routine must reproduce, and ``per_level_build`` the per-level quantizer
 construction that the single-pass ``build`` must reproduce: the same failures
@@ -46,12 +47,12 @@ import numpy as np
 
 from splinequant import QuadratureError, SourceModel
 from splinequant.gauss_analytics import (
+    cell_second_moment,
     compressor,
     erf,
     pdf,
     support_threshold,
     tail_centroid,
-    tail_second_moment,
 )
 from splinequant.quantizer_design import (
     CompandingQuantizer,
@@ -553,20 +554,22 @@ def mp_normal_equation_values(lo: float, hi: float, moments, xs) -> list[float]:
 
 def scalar_report(config: DesignConfig, levels, slopes) -> DistortionReport:
     """Companding-model report summed level by level, from the curve's slope
-    at each level: the granular term, the closed-form overload term behind
-    the SQNR, and the exact overload term about the tail centroid."""
-    src, x_max = config.source, config.x_max
+    at each level: the granular term, its constant in units of sigma and
+    scaled by sigma^2 once; the closed-form overload term behind the SQNR;
+    and the exact overload term about the tail centroid, the tail's cell
+    moment."""
+    src, x_max, sigma = config.source, config.x_max, config.source.sigma
     delta = step_size(config)
     lead = sum(pdf(src, y) / s**2 * (delta / s) for y, s in zip(levels, slopes))
-    granular = lead * (2.0 * x_max**2 / (3.0 * (config.n_levels - 2) ** 2))
-    overload = src.sigma**2 * overload_distortion_closed(x_max / src.sigma)
-    tail = tail_second_moment(src, x_max, tail_centroid(src, x_max))
+    granular = lead * (2.0 * (x_max / sigma) ** 2 / (3.0 * (config.n_levels - 2) ** 2)) * (sigma * sigma)
+    overload = sigma**2 * overload_distortion_closed(x_max / sigma)
+    tail = cell_second_moment(src, x_max, math.inf, tail_centroid(src, x_max))
     total = granular + overload
     return DistortionReport(
         granular=granular,
         overload=overload,
         total=total,
-        sqnr_db=10.0 * math.log10(src.sigma**2 / total),
+        sqnr_db=10.0 * math.log10(sigma**2 / total),
         overload_exact=2.0 * float(tail),
     )
 

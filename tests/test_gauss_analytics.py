@@ -17,7 +17,6 @@ from splinequant import (
 )
 from splinequant import gauss_analytics
 from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF, cell_second_moment, integrate
-from splinequant.gauss_analytics import tail_second_moment
 from splinequant.reference_oracles import _initial_levels
 
 from _oracles import gaussian_cell_distortion, gl_integrate, mp_cell_distortion, mp_tail_second_moment
@@ -278,14 +277,15 @@ class TestErf:
 
 class TestCellSecondMoment:
     def test_tail_matches_mpmath(self):
-        # the terms cancel more the farther out a lies (relative error about
-        # a^6 * 1e-16); the support edges of N = 4 ... 4096 reach a = 5.9
+        # the tail [a, inf) is a cell with an infinite end, and the rule's
+        # positive terms do not cancel however far out a lies; the support
+        # edges of N = 4 ... 65,536 reach a = 7.5
         pytest.importorskip("mpmath")
-        edges = [support_threshold(UNIT, 2**e) for e in range(2, 13)]
+        edges = [support_threshold(UNIT, 2**e) for e in range(2, 17)]
         for a in [0.0, 0.5, 1.7] + edges:
             for y in (tail_centroid(UNIT, a), a, a + 0.3):
-                got = tail_second_moment(UNIT, a, y)
-                assert got == pytest.approx(mp_tail_second_moment(a, y), rel=1e-11, abs=0.0)
+                got = cell_second_moment(UNIT, a, math.inf, y)
+                assert got == pytest.approx(mp_tail_second_moment(a, y), rel=1e-13, abs=0.0)
 
     def test_infinite_and_underflowing_ends_give_no_nan_or_warning(self):
         a = np.array([0.0, 1.0, 3.0, 30.0, 35.0])
@@ -295,7 +295,7 @@ class TestCellSecondMoment:
             warnings.simplefilter("error")
             got = cell_second_moment(UNIT, a, b, y)
             scalar = cell_second_moment(UNIT, 2.0, math.inf, 2.4)
-            tails = [tail_second_moment(UNIT, *args) for args in zip(a.tolist(), y.tolist())]
+            tails = [cell_second_moment(UNIT, lo, math.inf, v) for lo, v in zip(a.tolist(), y.tolist())]
         assert np.isfinite(got).all() and (got > 0.0).all()
         assert math.isfinite(scalar) and scalar > 0.0
         assert all(math.isfinite(t) and t > 0.0 for t in tails)
@@ -358,11 +358,10 @@ class TestCellSecondMoment:
     def test_sigma_scaling(self):
         # X = sigma Z: the moment about sigma y over [sigma a, sigma b] is sigma^2 times
         wide = SourceModel(2.5)
-        for a, b, y in ((0.0, 0.3, 0.1), (1.0, 2.0, 1.4), (2.5, 4.0, 2.9), (3.0, 40.0, 3.2)):
+        cells = ((0.0, 0.3, 0.1), (1.0, 2.0, 1.4), (2.5, 4.0, 2.9), (3.0, 40.0, 3.2), (2.5, math.inf, 2.9))
+        for a, b, y in cells:
             got = cell_second_moment(wide, 2.5 * a, 2.5 * b, 2.5 * y)
             assert got == pytest.approx(6.25 * cell_second_moment(UNIT, a, b, y), rel=1e-13)
-        got = tail_second_moment(wide, 2.5 * 2.5, 2.5 * 2.9)
-        assert got == pytest.approx(6.25 * tail_second_moment(UNIT, 2.5, 2.9), rel=1e-13)
 
 
 class TestIntegrate:

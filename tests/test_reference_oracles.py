@@ -12,7 +12,7 @@ import splinequant as sq
 from splinequant import SourceModel, exact_compressor_sqnr, lloyd_max, mc_distortion, true_distortion
 from splinequant.quantizer_design import _granular, _half_step_grid, _model_reports
 from splinequant import reference_oracles
-from splinequant.gauss_analytics import _cell_terms, erf
+from splinequant.gauss_analytics import _cell_terms, cell_second_moment, erf
 from splinequant.reference_oracles import (
     _MC_BLOCK,
     _SHARD_SIZE,
@@ -24,6 +24,7 @@ from _oracles import (
     mp_cell_distortion,
     mp_exact_compressor_report,
     mp_invert_compressor,
+    mp_tail_second_moment,
     reference_lloyd_iterates,
     reference_lloyd_max,
     unsorted_mc_distortion,
@@ -570,12 +571,31 @@ class TestTrueDistortion:
         identity = sq.QuadraticSpline(np.array([[0.0], [1.0], [0.0], [0.0], [x_max]]))
         self._check_against_mpmath(sq.build(identity, config))
 
+    def test_one_cell_rule_call_over_every_positive_cell(self, designs, monkeypatch):
+        # the N/2 positive cells, the overload cell [x_max, inf) last, in one
+        # call of the cell rule, doubled for the negative half
+        calls = []
+
+        def counted(source, a, b, y):
+            calls.append((np.shape(a), b[-1], y[-1]))
+            return cell_second_moment(source, a, b, y)
+
+        monkeypatch.setattr(reference_oracles, "cell_second_moment", counted)
+        for q in designs.values():
+            calls.clear()
+            got = true_distortion(q)
+            n = q.config.n_levels
+            assert calls == [((n // 2,), math.inf, q.overload_level)]
+            bounds = np.array((0.0,) + q.thresholds + (math.inf,))
+            levels = np.array(q.levels + (q.overload_level,))
+            assert got == 2.0 * float(np.sum(cell_second_moment(UNIT, bounds[:-1], bounds[1:], levels)))
+
     @staticmethod
     def _check_against_mpmath(q):
         bounds = (0.0,) + q.thresholds + (math.inf,)
         want = 2.0 * mp_cell_distortion(bounds, q.levels + (q.overload_level,))
-        # the 24-point rule on the finite cells, the closed form on the tail:
-        # at most 1.6e-14 off at N = 6 ... 512
+        # the 24-point rule on every cell, the tail too: at most 6.0e-15 off
+        # at N = 6 ... 512
         assert true_distortion(q) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -631,16 +651,23 @@ class TestExactCompressorModel:
 
     @pytest.mark.parametrize("n_levels", [4, 6, 8, 10, 16, 32, 64, 100, 128, 256, 512, 1000, 1024])
     def test_matches_mpmath(self, n_levels):
-        # the exact overload term is a difference of nearly equal terms whose
-        # relative error grows like x_max^6 * 1e-16 (``tail_second_moment``):
-        # 3.3e-12 at the N = 1024 edge, so it gets the 5e-12 bound documented
-        # up to 6 sigma
+        # the exact overload term is the tail's cell moment by the 24-point
+        # rule, a sum of positive terms that does not cancel
         pytest.importorskip("mpmath")
         granular, overload_exact, sqnr_db = mp_exact_compressor_report(n_levels)
         report = exact_compressor_sqnr(UNIT, n_levels)
         assert report.granular == pytest.approx(granular, rel=1e-12, abs=0.0)
         assert report.sqnr_db == pytest.approx(sqnr_db, rel=1e-12, abs=0.0)
-        assert report.overload_exact == pytest.approx(overload_exact, rel=5e-12, abs=0.0)
+        assert report.overload_exact == pytest.approx(overload_exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n_levels", [4096, 65_536])
+    def test_overload_exact_matches_mpmath_at_far_edges(self, n_levels):
+        # the support edges at 6.4 and 7.5 sigma, past the codebooks that
+        # mp_exact_compressor_report can afford
+        pytest.importorskip("mpmath")
+        x_max = sq.support_threshold(UNIT, n_levels)
+        got = exact_compressor_sqnr(UNIT, n_levels).overload_exact
+        assert got == pytest.approx(2.0 * mp_tail_second_moment(x_max), rel=1e-13, abs=0.0)
 
     def test_model_value_sits_below_fitted_designs(self, sweep16, sweep32):
         # the fitted curves beat the ideal compressor under the companding

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -511,6 +512,27 @@ class TestSourceScale:
         assert refined.interior == unit_refined.interior
         assert refined.sqnr_db == pytest.approx(unit_refined.sqnr_db, rel=1e-9, abs=0.0)
         assert refined.x1 / sigma == pytest.approx(unit_refined.x1, abs=1e-4)
+
+    @pytest.mark.parametrize("sigma", [2.0**-511, 1.3e154, math.sqrt(sys.float_info.max)])
+    def test_whole_chain_at_the_ends_of_the_sigma_range(self, sigma, sweep16, lloyd16):
+        # no square of an amplitude leaves the float range: the granular
+        # constant is formed in units of sigma, and every cell, the tail too,
+        # by the cell rule in units of sigma
+        source, unit_source = sq.SourceModel(sigma), sq.SourceModel()
+        unit = sq.evaluate_candidate(16, 0.6 * sq.support_threshold(unit_source, 16))
+        q = sq.evaluate_candidate(16, 0.6 * sq.support_threshold(source, 16), source)
+        assert q.report.sqnr_db == pytest.approx(unit.report.sqnr_db, rel=0.0, abs=1e-9)
+        scaled = sq.true_distortion(q) / sigma**2
+        assert math.isfinite(scaled)
+        assert scaled == pytest.approx(sq.true_distortion(unit), rel=1e-12, abs=0.0)
+        scaled_mc = sq.mc_distortion(q, 10_000, 1).mean_distortion / sigma**2
+        assert scaled_mc == pytest.approx(sq.mc_distortion(unit, 10_000, 1).mean_distortion, rel=1e-12)
+        swept = sweep(16, source=source)
+        assert swept.best_sqnr_db == pytest.approx(sweep16.best_sqnr_db, rel=0.0, abs=1e-9)
+        assert refine(swept).sqnr_db == pytest.approx(refine(sweep16).sqnr_db, rel=0.0, abs=1e-9)
+        exact = sq.exact_compressor_sqnr(source, 16).sqnr_db
+        assert exact == pytest.approx(sq.exact_compressor_sqnr(unit_source, 16).sqnr_db, rel=0.0, abs=1e-9)
+        assert sq.lloyd_max(source, 16).sqnr_db == pytest.approx(lloyd16.sqnr_db, rel=0.0, abs=1e-9)
 
     def test_knots_that_meet_in_units_of_sigma_fail_the_design(self):
         # 5e-324 / 10 rounds to 0: the unit fit has an empty first segment
