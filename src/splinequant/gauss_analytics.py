@@ -1,8 +1,8 @@
 """Gaussian source model: density, tail statistics, the SQNR-optimal compressor,
 cell second moments, and the batched adaptive quadrature that computes the
 spline fit's target moments.  One 24-point Gauss-Legendre rule integrates every
-cell, the tail [a, inf) included: for the exact overload term,
-``true_distortion`` and Lloyd-Max alike."""
+cell: cut where the density is negligible for the tail [a, inf) and
+``true_distortion``, uncut on Lloyd-Max's cells, the last ending at y + 12."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "SourceModel",
     "QuadratureError",
     "pdf",
-    "upper_tail",
     "compressor",
     "compressor_derivative",
     "support_threshold",
@@ -69,18 +68,10 @@ class QuadratureError(ArithmeticError):
 
 
 def pdf(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
-    """Gaussian density of ``model`` at amplitude ``x``, a float or an array."""
+    """Gaussian density of ``model`` at amplitude ``x``, a float or an array; NaN at NaN."""
     z = x / model.sigma
     exp = np.exp if isinstance(x, np.ndarray) else math.exp
     return exp(-0.5 * z * z) / (model.sigma * _SQRT_2PI)
-
-
-def upper_tail(model: SourceModel, x: float | np.ndarray) -> float | np.ndarray:
-    """P(X > x) at a float or elementwise over an array; computed through
-    erfc so large x does not cancel, with ``math.erfc`` mapped over the floats
-    of x, so an array gets the scalar function's bits."""
-    q = 0.5 * _elementwise(math.erfc, x / (model.sigma * math.sqrt(2.0)))
-    return q if isinstance(x, np.ndarray) else float(q)
 
 
 def cell_second_moment(
@@ -114,17 +105,11 @@ def _cell_terms(a, b, y) -> np.ndarray:
 
 
 def erf(z: np.ndarray) -> np.ndarray:
-    """``math.erf`` applied elementwise: bit-identical to the scalar function.
-    A float or a 0-d array gives a 0-d array."""
-    return _elementwise(math.erf, z)
-
-
-def _elementwise(fn: Callable[[float], float], z: float | np.ndarray) -> np.ndarray:
-    """The scalar ``fn`` mapped over the floats of ``z``, in an array of its
-    shape: numpy has no erf, and a ``map`` over the Python floats is the
-    cheapest way to call ``math``'s."""
+    """``math.erf`` mapped over the floats of ``z``, bit-identical to the scalar
+    function, in an array of its shape (a float gives a 0-d array): numpy has
+    no erf, and a ``map`` over the Python floats is the cheapest way to call it."""
     z = np.asarray(z, dtype=float)
-    return np.fromiter(map(fn, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    return np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -134,26 +119,32 @@ def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float
     x_max * sgn(x) * erf(|x| / (sigma*sqrt(6))) / erf(x_max / (sigma*sqrt(6))),
     the closed form of the normalized cube-root-density integral.  A float
     gives a float and an array is mapped elementwise, with ``math.erf``'s bits;
-    x_max must be positive and finite, and |x| at most x_max (NaN is not)."""
-    if not 0.0 < x_max < math.inf:
-        raise ValueError(f"x_max must be positive and finite, got {x_max}")
+    |x| must be at most x_max (NaN is not), and x_max finite and >= sigma/1000:
+    a smaller edge underflows x_max * erf(...) (support edges exceed 0.97 sigma)."""
+    if not model.sigma / 1000.0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, at least sigma/1000, got {x_max}")
     s = model.sigma * _SQRT6
     size = np.abs(x)
     if not (size <= x_max * (1.0 + 1e-12)).all():
         raise ValueError(f"|x|={np.max(size)} outside compressor domain [0, {x_max}]")
-    y = np.copysign(x_max, x) * erf(size / s) / math.erf(x_max / s)
+    with np.errstate(over="ignore"):  # |x|/s past the float range has erf 1
+        y = np.copysign(x_max, x) * erf(size / s) / math.erf(x_max / s)
     return y if isinstance(x, np.ndarray) else float(y)
 
 
 def compressor_derivative(model: SourceModel, x_max: float, x: float) -> float:
-    """Slope of the optimal compressor, on ``compressor``'s domain; positive."""
-    if not 0.0 < x_max < math.inf:
-        raise ValueError(f"x_max must be positive and finite, got {x_max}")
+    """Slope of the optimal compressor, positive, on ``compressor``'s domain and
+    edges; OverflowError where x_max * 2/sqrt(pi) or the slope overflows."""
+    if not model.sigma / 1000.0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, at least sigma/1000, got {x_max}")
     s = model.sigma * _SQRT6
     if not abs(x) <= x_max * (1.0 + 1e-12):
         raise ValueError(f"|x|={abs(x)} outside compressor domain [0, {x_max}]")
     z = x / s
-    return x_max * (2.0 / math.sqrt(math.pi)) * math.exp(-z * z) / (s * math.erf(x_max / s))
+    slope = x_max * (2.0 / math.sqrt(math.pi)) * math.exp(-z * z) / (s * math.erf(x_max / s))
+    if not math.isfinite(slope):
+        raise OverflowError(f"compressor slope overflows at x={x} for x_max={x_max}")
+    return slope
 
 
 def support_threshold(model: SourceModel, n_levels: int) -> float:
@@ -183,7 +174,7 @@ def tail_centroid(model: SourceModel, x_max: float) -> float:
         raise OverflowError(
             f"tail centroid not computable beyond {TAIL_CENTROID_CUTOFF} standard deviations"
         )
-    return model.sigma**2 * pdf(model, x_max) / upper_tail(model, x_max)
+    return model.sigma**2 * pdf(model, x_max) / (0.5 * math.erfc(x_max / (model.sigma * math.sqrt(2.0))))
 
 
 def integrate(

@@ -314,10 +314,15 @@ def overload_distortion_exact(q: CompandingQuantizer) -> float:
 
 def overload_distortion_closed(x_max: float) -> float:
     """Asymptotic overload noise power for the unit-variance source:
-    sqrt(2/pi) * x_max^-3 * exp(-x_max^2/2)."""
+    sqrt(2/pi) * x_max^-3 * exp(-x_max^2/2); OverflowError where the term or
+    x_max^3 overflows, for x_max below about 1.64e-103 or above 5.6e102."""
     if not x_max > 0.0:
         raise ValueError(f"x_max must be positive, got {x_max}")
-    return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x_max * x_max) / x_max**3
+    cube = x_max**3
+    term = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x_max * x_max) / cube if cube else math.inf
+    if term == math.inf:
+        raise OverflowError(f"overload term overflows at x_max={x_max}")
+    return term
 
 
 def sqnr(q: CompandingQuantizer) -> DistortionReport:

@@ -19,7 +19,6 @@ lo, hi, c0, c1, c2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,10 +31,6 @@ __all__ = [
     "QuadraticSpline",
     "fit",
 ]
-
-
-class InversionError(ValueError):
-    """Raised by ``invert_segment``: a segment does not increase or does not reach a target."""
 
 
 @dataclass(frozen=True)
@@ -139,18 +134,16 @@ def target_moments(
 def fit_batch(knots: Sequence[Sequence[float]], moments: np.ndarray) -> np.ndarray:
     """Per-segment least-squares quadratics for many fits at once.
 
-    ``knots`` holds one strictly increasing knot vector per row, ``moments``
-    the matching ``target_moments`` array.  Returns a (rows, 5, n_segments)
-    array: for each fit the table that ``QuadraticSpline.coefficients``
-    holds, rows c0, c1, c2, lo, hi.  Each segment's fit is the closed-form
-    projection onto the Legendre polynomials in u = (x - m)/h, with midpoint
-    m and half-width h, rewritten as monomials in x; no linear solve.
+    ``knots`` holds one strictly increasing knot vector per row (the callers
+    check), ``moments`` the matching ``target_moments`` array.  Returns a
+    (rows, 5, n_segments) array: for each fit the table that
+    ``QuadraticSpline.coefficients`` holds, rows c0, c1, c2, lo, hi.  Each
+    segment's fit is the closed-form projection onto the Legendre polynomials
+    in u = (x - m)/h, with midpoint m and half-width h, rewritten as
+    monomials in x; no linear solve.
     """
     knots = np.asarray(knots, dtype=float)
     lo, hi = knots[:, :-1], knots[:, 1:]
-    rising = (hi > lo).all(axis=1)
-    if not rising.all():
-        raise ValueError(f"knots must be strictly increasing, got {knots[np.argmin(rising)].tolist()}")
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     m0, m1, m2 = np.moveaxis(np.asarray(moments, dtype=float), -1, 0)
     # h or h*h underflowing to 0 gives a non-finite table; the curve checks report it
@@ -192,7 +185,7 @@ def segment_inverse(rows, target):
     the result is min(lo + u, hi).  A target below v(lo), inside an upward
     jump at the left knot, maps to lo, the generalized inverse of the jump.
     The caller guarantees a positive slope at both ends and a target below
-    v(hi); ``invert_segment`` checks both.
+    v(hi).
     """
     _, _, c2, lo, hi = rows
     s = curve_slope(rows, lo)
@@ -201,18 +194,6 @@ def segment_inverse(rows, target):
 
 
 def invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:
-    """Solve segment polynomial == target inside that segment's interval by
-    ``segment_inverse``; off the public surface, kept because the benchmark's
-    tracer binds it.
-
-    Raises InversionError when the segment's slope is not positive at both
-    ends, or the target lies outside the segment's values [v(lo), v(hi)].
-    """
-    i, t = operator.index(segment_index), float(target)
-    col = spline.coefficients[:, i]
-    (s_lo, s_hi), (v_lo, v_hi) = (f(col, col[3:]).tolist() for f in (curve_slope, curve_value))
-    if not (s_lo > 0.0 and s_hi > 0.0):
-        raise InversionError(f"segment {i} not increasing (end slopes {s_lo:.3e}, {s_hi:.3e})")
-    if not v_lo <= t <= v_hi:
-        raise InversionError(f"target {t} outside the values [{v_lo}, {v_hi}] of segment {i}")
-    return float(segment_inverse(col, t))
+    """``segment_inverse`` on one segment of ``spline``; off the public
+    surface, kept because the benchmark's tracer binds it."""
+    return float(segment_inverse(spline.coefficients[:, segment_index], target))

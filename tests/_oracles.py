@@ -71,7 +71,6 @@ from splinequant.reference_oracles import (
     _invert_compressor,
 )
 from splinequant.spline_fit import (
-    InversionError,
     KnotVector,
     QuadraticSpline,
     target_moments,
@@ -246,6 +245,16 @@ def mp_cell_distortion(bounds, levels) -> float:
         return float(total)
 
 
+def mp_tail_centroid(a: float) -> float:
+    """The standard normal's mean beyond ``a``, phi(a) / Q(a) (the inverse
+    Mills ratio), at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(MP_DIGITS):
+        a = mpmath.mpf(a)
+        return float(mpmath.exp(-a * a / 2) / mpmath.sqrt(2 * mpmath.pi) / (mpmath.erfc(a / mpmath.sqrt(2)) / 2))
+
+
 def mp_overload_closed(x_max: float) -> float:
     """sqrt(2/pi) * x_max^-3 * exp(-x_max^2/2) at 50 digits."""
     import mpmath
@@ -372,8 +381,14 @@ def recursive_simpson(
     return result
 
 
+class InversionError(ValueError):
+    """Raised by ``scalar_invert_segment``: no single root of the segment
+    polynomial for the target inside the segment."""
+
+
 def scalar_invert_segment(spline: QuadraticSpline, segment_index: int, target: float) -> float:
-    """One point of ``invert_segment``: the per-point scalar solve."""
+    """The preimage of ``target`` on one segment by the per-point scalar
+    solve of both roots, the reference for ``segment_inverse``."""
     c0, c1, c2, lo, hi = segment_rows(spline)[segment_index]
     a, b, c = c2, c1, c0 - target
     if abs(a) < 1e-12 * abs(b):

@@ -13,13 +13,13 @@ from splinequant import (
     pdf,
     support_threshold,
     tail_centroid,
-    upper_tail,
 )
 from splinequant import gauss_analytics
 from splinequant.gauss_analytics import TAIL_CENTROID_CUTOFF, cell_second_moment, integrate
 from splinequant.reference_oracles import _initial_levels
 
-from _oracles import gaussian_cell_distortion, gl_integrate, mp_cell_distortion, mp_tail_second_moment
+from _oracles import gaussian_cell_distortion, gl_integrate, mp_cell_distortion, mp_tail_centroid
+from _oracles import mp_tail_second_moment
 from _oracles import recursive_simpson
 
 UNIT = SourceModel()
@@ -158,6 +158,35 @@ class TestCompressor:
             assert compressor_derivative(UNIT, self.X_MAX, x) > 0.0
             compressor(UNIT, self.X_MAX, x)
 
+    @pytest.mark.parametrize("x_max, x", [(1e-300, 5e-301), (5e-324, 2.5e-324), (5e-324, 0.0), (1e-4, 0.0)])
+    def test_rejects_an_edge_below_a_thousandth_of_sigma(self, x_max, x):
+        # x_max * erf(...) underflowed: the first three gave 0, nan with a
+        # RuntimeWarning, and for the slope a bare ZeroDivisionError
+        for fn in (compressor, compressor_derivative):
+            with pytest.raises(ValueError, match="at least sigma/1000"):
+                fn(UNIT, x_max, x)
+        # the bound is in units of sigma
+        tiny = SourceModel(1e-150)
+        assert compressor(tiny, 1e-153, 5e-154) == pytest.approx(5e-154, rel=1e-6)
+        with pytest.raises(ValueError, match="at least sigma/1000"):
+            compressor(tiny, 1e-154, 5e-155)
+
+    def test_smallest_support_edge_keeps_the_closed_form_bits(self):
+        # N = 4 gives the smallest edge any design uses, 0.976 sigma
+        x_max, s = support_threshold(UNIT, 4), math.sqrt(6.0)
+        for x in (0.0, 1e-300, 0.3, x_max):
+            want = x_max * math.erf(x / s) / math.erf(x_max / s)
+            assert compressor(UNIT, x_max, x) == want
+            slope = x_max * (2.0 / math.sqrt(math.pi)) * math.exp(-(x / s) ** 2) / (s * math.erf(x_max / s))
+            assert compressor_derivative(UNIT, x_max, x) == slope
+
+    def test_slope_overflow_is_an_overflow_error(self):
+        # x_max * 2/sqrt(pi) overflows: the slope used to be inf, or nan at x = x_max
+        for x in (0.0, sys.float_info.max):
+            with pytest.raises(OverflowError, match="compressor slope overflows"):
+                compressor_derivative(UNIT, sys.float_info.max, x)
+        assert compressor(UNIT, sys.float_info.max, sys.float_info.max) == sys.float_info.max
+
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for x in [0.2, 1.0, 2.0]:
@@ -231,24 +260,14 @@ class TestTailCentroid:
         wide = SourceModel(3.0)
         assert tail_centroid(wide, 3.0) == pytest.approx(3.0 * tail_centroid(UNIT, 1.0), rel=1e-12)
 
-
-class TestUpperTail:
-    def test_median(self):
-        assert upper_tail(UNIT, 0.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_far_tail_no_cancellation(self):
-        assert 0.0 < upper_tail(UNIT, 30.0) < 1e-190
-
-    def test_math_erfc_bits_for_floats_and_arrays(self):
-        xs = [-3.0, -0.0, 0.0, 1e-9, 0.7, 2.5, 30.0, math.inf]
-        expected = [0.5 * math.erfc(x / math.sqrt(2.0)) for x in xs]
-        for x, want in zip(xs, expected):
-            got = upper_tail(UNIT, x)
-            assert type(got) is float and got == want
-            got = upper_tail(UNIT, np.array(x))
-            assert np.ndim(got) == 0 and float(got) == want
-        got = upper_tail(UNIT, np.array(xs))
-        assert isinstance(got, np.ndarray) and got.tolist() == expected
+    def test_matches_mpmath_inverse_mills_ratio_up_to_the_cutoff(self):
+        # phi(x)/Q(x) with Q through erfc: no cancellation however far out,
+        # only the rounding of x^2/2 in the exponent, which grows with x^2
+        # (measured 1.1e-16 at 2.4744, 5.5e-15 at 8, 1.3e-13 at 35)
+        pytest.importorskip("mpmath")
+        for x in (0.0, 1e-9, 0.5, 2.4744, 4.0, 8.0, 20.0, TAIL_CENTROID_CUTOFF):
+            bound = 4.0 * 2.0**-53 * (1.0 + x * x)
+            assert tail_centroid(UNIT, x) == pytest.approx(mp_tail_centroid(x), rel=bound, abs=0.0), x
 
 
 class TestErf:

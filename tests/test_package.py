@@ -24,10 +24,10 @@ def test_every_name_resolves_on_the_root():
 
 
 # off the public surface but still defined: the benchmark's tracer binds the
-# report shims and the checked inverse, and target_moments uses integrate
+# report shims and the one-segment inverse, and target_moments uses integrate
 DEMOTED = {
     gauss_analytics: ("integrate",),
-    spline_fit: ("invert_segment", "InversionError"),
+    spline_fit: ("invert_segment",),
     quantizer_design: ("sqnr", "granular_distortion", "overload_distortion_exact"),
 }
 

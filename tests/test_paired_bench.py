@@ -1,6 +1,6 @@
 """The verdict rule of tools/paired_bench.py, one case per label, the JSON
-table its last line prints and the per-op latency medians it reads from each
-run's result record."""
+table its last line prints, the per-op latency medians it reads from each
+run's result record and the line counts of both trees' sources."""
 
 import importlib.util
 from pathlib import Path
@@ -176,3 +176,41 @@ def test_tier1_without_a_summary_line_stops(tmp_path, monkeypatch):
     monkeypatch.setattr(paired_bench, "TIER1_COMMAND", [paired_bench.sys.executable, "-c", "print('crashed')"])
     with pytest.raises(SystemExit, match="no summary"):
         paired_bench.run_tier1(tmp_path)
+
+
+def _write_sources(tree, files):
+    package = tree / "src" / "splinequant"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+
+
+def test_src_lines_counts_the_package_modules_of_each_tree(tmp_path):
+    # only src/splinequant/*.py counts, newline by newline as wc -l does
+    base, change = tmp_path / "base", tmp_path / "change"
+    _write_sources(base, {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n", "notes.txt": "1\n2\n3\n"})
+    _write_sources(change, {"a.py": "x = 1\n", "b.py": "z = 3"})
+    (base / "tests").mkdir()
+    (base / "tests" / "test_a.py").write_text("assert True\n" * 5)
+    assert paired_bench.src_lines(base) == 3
+    assert paired_bench.src_lines(change) == 1
+    assert paired_bench.src_lines(tmp_path / "empty") == 0
+
+
+def test_src_lines_of_both_trees_are_printed_and_in_the_json(monkeypatch, capsys):
+    spec = paired_bench.json.loads((paired_bench.ROOT / "BENCHMARK.json").read_text())
+
+    def fake_run(tree, workload, seed, seconds):
+        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+        return {"correct": True, "failed": 0, "metrics": metrics, "env": {}, "typical_op_ms": {}}
+
+    export = lambda commit, into: _write_sources(paired_bench.Path(into), {"a.py": "1\n2\n3\n4\n"})
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    monkeypatch.setattr(paired_bench, "export", export)
+    monkeypatch.setattr(paired_bench, "git", lambda *args: "")
+    assert paired_bench.main(["--pairs", "10", "--workload", "encode-stream"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    change = paired_bench.src_lines(paired_bench.ROOT)
+    assert change > 0
+    assert paired_bench.json.loads(out[-1])["src_lines"] == {"base": 4, "change": change}
+    assert f"src/splinequant/*.py lines: base 4 | change {change}" in out

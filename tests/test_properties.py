@@ -1,13 +1,17 @@
-"""Property tests of the one-threshold design: random even level counts,
-thresholds and source scales, drawn by hypothesis with a fixed derandomized
-seed so that every run checks the same draws."""
+"""Property tests, drawn by hypothesis with a fixed derandomized seed so that
+every run checks the same draws: the one-threshold design over random even
+level counts, thresholds and source scales, and the Gaussian helpers over
+every float, the zeros, subnormals, huge values, infinities and NaN
+included."""
 
 import math
+import sys
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import splinequant as sq  # noqa: E402
 from splinequant.quantizer_design import score_batch  # noqa: E402
@@ -66,3 +70,61 @@ def test_design_properties():
     # a quarter of the draws or more reach the properties of a valid design
     # (31 of 100: most x1 at N >= 128 give a curve that is not increasing)
     assert len(valid) >= 100 and sum(valid) >= len(valid) // 4, (sum(valid), len(valid))
+
+
+# the edges where the helpers' closed forms leave the float range, then any float
+SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 5e-301, 1e-104, 1e-110, 0.5, 0.976,
+    35.0, 40.0, 1e300, -1e300, sys.float_info.max, math.inf, -math.inf, math.nan,
+]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+@st.composite
+def helper_inputs(draw):
+    """sigma at either end of the admitted range or 1, an edge x_max, an
+    abscissa that is any float or a fraction of x_max, and a level count
+    that is any integer or float."""
+    sigma = draw(st.sampled_from([2.0**-511, 1.0, math.sqrt(sys.float_info.max)]))
+    x_max = draw(FLOATS)
+    x = draw(st.one_of(FLOATS, st.floats(-1.0, 1.0).map(lambda f: f * x_max)))
+    return sigma, x_max, x, draw(st.one_of(st.integers(), FLOATS))
+
+
+def _finite_or_typed_error(fn, *args):
+    """``fn(*args)``, which must be a float, or None where it raised
+    ValueError, TypeError or OverflowError; any other exception or warning
+    fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = fn(*args)
+        except (ValueError, TypeError, OverflowError):
+            return None
+    assert type(value) is float, (fn.__name__, args, value)
+    return value
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(helper_inputs())
+# a tiny support edge used to give 0, nan, a bare ZeroDivisionError or inf
+@example((1.0, 1e-300, 5e-301, 4))
+@example((1.0, 5e-324, 2.5e-324, 4))
+@example((1.0, 5e-324, 0.0, 4))
+@example((1.0, 1e-104, 0.0, 4))
+@example((1.0, 1e-110, 0.0, 4))
+def test_gaussian_helpers_give_a_finite_float_or_a_typed_error(inputs):
+    sigma, x_max, x, n_levels = inputs
+    model = sq.SourceModel(sigma)
+    density = _finite_or_typed_error(sq.pdf, model, x)
+    # the density of NaN is NaN, the one non-finite value a helper returns
+    assert math.isnan(x) or math.isfinite(density), (x, density)
+    for fn, args in (
+        (sq.compressor, (model, x_max, x)),
+        (sq.compressor_derivative, (model, x_max, x)),
+        (sq.support_threshold, (model, n_levels)),
+        (sq.tail_centroid, (model, x_max)),
+        (sq.overload_distortion_closed, (x_max,)),
+    ):
+        value = _finite_or_typed_error(fn, *args)
+        assert value is None or math.isfinite(value), (fn.__name__, args, value)

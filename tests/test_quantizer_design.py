@@ -32,6 +32,7 @@ from _oracles import (
     gaussian_cell_distortion,
     knot_values,
     make_spline,
+    mp_overload_closed,
     mp_segment_root,
     per_level_build,
     scalar_slope,
@@ -440,6 +441,20 @@ class TestOverloadDistortion:
         for x_max in (0.0, math.nan):
             with pytest.raises(ValueError, match="x_max must be positive"):
                 overload_distortion_closed(x_max)
+
+    @pytest.mark.parametrize("x_max", [1.6e-103, 1e-104, 1e-105, 1e-108, 1e-110, 5e-324])
+    def test_overflowing_term_is_an_overflow_error(self, x_max):
+        # the term passes the largest float below about 1.64e-103; it used to
+        # be inf there, and a bare ZeroDivisionError once x_max^3 underflowed
+        with pytest.raises(OverflowError, match="overload term overflows"):
+            overload_distortion_closed(x_max)
+
+    def test_term_just_inside_the_float_range_keeps_its_bits(self):
+        pytest.importorskip("mpmath")
+        for x_max in (1.7e-103, 1e-50, 0.5, 2.4744, 8.0):
+            want = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x_max * x_max) / x_max**3
+            assert overload_distortion_closed(x_max) == want
+            assert want == pytest.approx(mp_overload_closed(x_max), rel=1e-14)
 
 
 class TestSqnr:

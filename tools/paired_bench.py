@@ -27,6 +27,9 @@ the op's typical latency (``typical_op_ms`` in the run's
 ``.perfbench_out/result-<workload>-seed<n>-trace0.json``), so a change can be
 traced to the ops that moved.
 
+It also prints the line count of ``src/splinequant/*.py`` in the base tree
+and in the working tree, as ``wc -l`` counts it.
+
 With ``--tier1 K`` (K >= 2) it also runs the tier-1 suite, ROADMAP's
 ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``, K
 times per side, alternating which side runs first, and prints each side's
@@ -37,8 +40,9 @@ The last line of stdout is the same table as one JSON object: for every
 workload and metric both sides' medians and quartiles, the change/base ratio,
 the pairs won and the verdict, the per-op medians, plus the seeds, the host
 details the runs reported, the base commit and the working tree's commit (and
-whether it had uncommitted changes), and with ``--tier1`` the suite's figures
-under ``tier1``.  Commit it as ``BENCH_<n>.json``.
+whether it had uncommitted changes), both line counts under ``src_lines``,
+and with ``--tier1`` the suite's figures under ``tier1``.  Commit it as
+``BENCH_<n>.json``.
 
 Standard library only.
 """
@@ -109,6 +113,11 @@ def summarize_tier1(runs: dict) -> dict:
         out[side] = {"wall_s": {"median": med, "q1": q1, "q3": q3}, "runs": len(results),
                      **{k: [r[k] for r in results] for k in ("passed", "failed", "error")}}
     return out
+
+
+def src_lines(tree: Path) -> int:
+    """The newlines in ``tree``'s ``src/splinequant/*.py``, the total of ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "splinequant").glob("*.py"))
 
 
 def export(commit: str, into: str) -> None:
@@ -203,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
         export(args.base, tmp)
         trees = {"base": Path(tmp), "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in args.workload or names:
             runs[workload] = {"base": [], "change": []}
             for i in range(args.pairs):
@@ -221,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     tier1 = summarize_tier1(suite) if args.tier1 else None
 
     print(f"base {args.base} vs working tree, {args.pairs} pairs, {spec['run_seconds']:g} s runs")
+    print(f"src/splinequant/*.py lines: base {lines['base']} | change {lines['change']}")
     print("workload metric: base median [q1, q3] | change median [q1, q3] | change/base | wins | verdict")
     for workload, row in table.items():
         print(f"{workload}: every run correct with 0 failed ops: {row['every_run_correct']}")
@@ -249,6 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "run_seconds": spec["run_seconds"],
         "seeds": [args.seed + i for i in range(args.pairs)],
+        "src_lines": lines,
         "host": first["env"],
         "workloads": table,
         **({"tier1": tier1} if tier1 else {}),
