@@ -119,23 +119,22 @@ def compressor(model: SourceModel, x_max: float, x: float | np.ndarray) -> float
     x_max * sgn(x) * erf(|x| / (sigma*sqrt(6))) / erf(x_max / (sigma*sqrt(6))),
     the closed form of the normalized cube-root-density integral.  A float
     gives a float and an array is mapped elementwise, with ``math.erf``'s bits;
-    |x| must be at most x_max (NaN is not), and x_max finite and >= sigma/1000:
+    |x| must be at most x_max (NaN is not), and x_max/sigma finite and >= 1/1000:
     a smaller edge underflows x_max * erf(...) (support edges exceed 0.97 sigma)."""
-    if not model.sigma / 1000.0 <= x_max < math.inf:
+    if not 1e-3 <= x_max / model.sigma < math.inf:
         raise ValueError(f"x_max must be positive and finite, at least sigma/1000, got {x_max}")
     s = model.sigma * _SQRT6
     size = np.abs(x)
     if not (size <= x_max * (1.0 + 1e-12)).all():
         raise ValueError(f"|x|={np.max(size)} outside compressor domain [0, {x_max}]")
-    with np.errstate(over="ignore"):  # |x|/s past the float range has erf 1
-        y = np.copysign(x_max, x) * erf(size / s) / math.erf(x_max / s)
+    y = np.copysign(x_max, x) * erf(size / s) / math.erf(x_max / s)
     return y if isinstance(x, np.ndarray) else float(y)
 
 
 def compressor_derivative(model: SourceModel, x_max: float, x: float) -> float:
     """Slope of the optimal compressor, positive, on ``compressor``'s domain and
     edges; OverflowError where x_max * 2/sqrt(pi) or the slope overflows."""
-    if not model.sigma / 1000.0 <= x_max < math.inf:
+    if not 1e-3 <= x_max / model.sigma < math.inf:
         raise ValueError(f"x_max must be positive and finite, at least sigma/1000, got {x_max}")
     s = model.sigma * _SQRT6
     if not abs(x) <= x_max * (1.0 + 1e-12):
