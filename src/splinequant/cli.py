@@ -45,7 +45,7 @@ EXIT_DESIGN_FAILURE = 3
 
 TABLE1_LEVELS = (16, 32)
 
-# --samples ceiling: about 0.03 s of Monte-Carlo work per 10^6 samples
+# --samples ceiling: about 0.02 s of Monte-Carlo work per 10^6 samples
 MAX_SAMPLES = 10**9
 
 # --levels ceiling: work and memory grow with N (the half-step grid alone

@@ -314,12 +314,17 @@ def overload_distortion_exact(q: CompandingQuantizer) -> float:
 
 def overload_distortion_closed(x_max: float) -> float:
     """Asymptotic overload noise power for the unit-variance source:
-    sqrt(2/pi) * x_max^-3 * exp(-x_max^2/2); OverflowError where the term or
-    x_max^3 overflows, for x_max below about 1.64e-103 or above 5.6e102."""
+    sqrt(2/pi) * x_max^-3 * exp(-x_max^2/2); 0.0 once exp(-x_max^2/2)
+    underflows (x_max above about 38.6, up to inf), before x_max^3 is formed;
+    OverflowError where the term overflows, for x_max below about
+    1.64e-103."""
     if not x_max > 0.0:
         raise ValueError(f"x_max must be positive, got {x_max}")
+    density = math.exp(-0.5 * x_max * x_max)
+    if density == 0.0:
+        return 0.0
     cube = x_max**3
-    term = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x_max * x_max) / cube if cube else math.inf
+    term = math.sqrt(2.0 / math.pi) * density / cube if cube else math.inf
     if term == math.inf:
         raise OverflowError(f"overload term overflows at x_max={x_max}")
     return term

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
+from queue import SimpleQueue
 from statistics import NormalDist
 
 import numpy as np
@@ -48,11 +50,12 @@ __all__ = [
 
 _SHARD_SIZE = 1_000_000
 # mc_distortion consumes a shard in blocks of max(_MC_BLOCK, _MC_BLOCK_PER_LEVEL
-# * N) draws for N levels, at most a shard: 512 KB blocks stay in cache at
-# small N, and at large N a block spans enough draws per level that the O(N)
-# search and level repeat of each block stay a small share of its work
-_MC_BLOCK = 2**16
-_MC_BLOCK_PER_LEVEL = 16
+# * N) draws for N levels, at most a shard: two 256 KB blocks and the repeated
+# levels stay in cache at small N, and at large N a block spans enough draws
+# per level that the O(N) search and level repeat of each block stay a small
+# share of its work
+_MC_BLOCK = 2**15
+_MC_BLOCK_PER_LEVEL = 8
 _LLOYD_MAX_ITERATIONS = 10_000
 # Lloyd-Max stops once its distortion changes by less than this, relative
 _LLOYD_MAX_TOLERANCE = 1e-12
@@ -86,18 +89,23 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
     """Mean squared quantization error over seeded Gaussian draws.
 
     Samples are generated in shards of 10^6 draws whose generators are seeded
-    from (seed, shard index), so the estimate depends only on the arguments,
-    never on how the shards are scheduled.  A shard is drawn block by block
-    into one preallocated buffer, the same draws as one call per shard.  Each
-    block is sorted in place and cut into cells at the boundaries by one
-    search; a draw equal to a boundary falls in the cell to its right, as in
-    ``encode``.  The block's squared errors, then their squares, are formed in
-    place and added to the running totals by pairwise sums, so the working set
-    is one block and its repeated levels at any ``n_samples``.  ``n_samples``
-    and ``seed`` must be integers (``operator.index``), checked before any
-    draw.  The draws are unit normals, cut at boundaries/sigma and measured
-    from levels/sigma; the mean and its standard error are scaled by sigma^2
-    once.
+    from (seed, shard index).  A shard is drawn block by block, the same draws
+    as one call per shard, by one worker thread into two preallocated
+    buffers: it draws block k + 1 into one while the caller's thread scores
+    block k in the other.  Each block is drawn from its shard's generator and
+    summed in the order of the draws, whichever thread runs first, so the
+    estimate depends only on ``n_samples`` and ``seed``, never on scheduling.
+    The caller sorts each block in place and cuts it into cells at the
+    boundaries by one search; a draw equal to a boundary falls in the cell to
+    its right, as in ``encode``.  The block's squared errors, then their
+    squares, are formed in place and added to the running totals by pairwise
+    sums, so the working set is two blocks and one block's repeated levels at
+    any ``n_samples``.  An error while drawing is raised in the caller with
+    its own type; on any error the worker is stopped, and it is joined before
+    the call returns or raises.  ``n_samples`` and ``seed`` must be integers
+    (``operator.index``), checked before any draw.  The draws are unit
+    normals, cut at boundaries/sigma and measured from levels/sigma; the mean
+    and its standard error are scaled by sigma^2 once.
     """
     n_samples = operator.index(n_samples)
     seed = operator.index(seed)
@@ -106,15 +114,18 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
     sigma = q.config.source.sigma
     boundaries = np.asarray(q.all_boundaries, dtype=float) / sigma
     levels = np.asarray(q.all_levels, dtype=float) / sigma
-    block = np.empty(min(n_samples, _SHARD_SIZE, max(_MC_BLOCK, _MC_BLOCK_PER_LEVEL * levels.size)))
+    size = min(n_samples, _SHARD_SIZE, max(_MC_BLOCK, _MC_BLOCK_PER_LEVEL * levels.size))
+    free, drawn = SimpleQueue(), SimpleQueue()
+    free.put(np.empty(size))
+    free.put(np.empty(size))
+    worker = threading.Thread(target=_draw_blocks, args=(n_samples, seed, free, drawn))
+    worker.start()
     total = 0.0
     total_sq = 0.0
-    for shard, start in enumerate(range(0, n_samples, _SHARD_SIZE)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
-        shard_size = min(_SHARD_SIZE, n_samples - start)
-        for offset in range(0, shard_size, block.size):
-            x = block[: min(block.size, shard_size - offset)]
-            rng.standard_normal(out=x)
+    try:
+        while (x := drawn.get()) is not None:
+            if isinstance(x, BaseException):
+                raise x
             x.sort()
             cuts = np.searchsorted(x, boundaries, side="left")
             x -= np.repeat(levels, np.diff(cuts, prepend=0, append=x.size))
@@ -122,10 +133,38 @@ def mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstima
             total += float(x.sum())
             x *= x
             total_sq += float(x.sum())
+            free.put(x.base)  # x is a view of one of the two buffers
+    finally:
+        free.put(None)
+        worker.join()
     mean = total / n_samples
     variance = max(total_sq / n_samples - mean * mean, 0.0)
     std_error = math.sqrt(variance / n_samples)
     return McEstimate(mean * sigma**2, std_error * sigma**2, n_samples, seed)
+
+
+def _draw_blocks(n_samples: int, seed: int, free: SimpleQueue, drawn: SimpleQueue) -> None:
+    """``mc_distortion``'s worker: each shard's draws, block by block in
+    order, into the buffers taken from ``free``; each block goes to
+    ``drawn`` as a view of its buffer, then None after the last.  It stops at
+    a None from ``free``, and hands an error to ``drawn`` in place of a
+    block."""
+    try:
+        for shard, start in enumerate(range(0, n_samples, _SHARD_SIZE)):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
+            shard_size = min(_SHARD_SIZE, n_samples - start)
+            offset = 0
+            while offset < shard_size:
+                buffer = free.get()
+                if buffer is None:
+                    return
+                x = buffer[: min(buffer.size, shard_size - offset)]
+                rng.standard_normal(out=x)
+                drawn.put(x)
+                offset += x.size
+        drawn.put(None)
+    except BaseException as error:  # the caller raises it, and would wait forever without it
+        drawn.put(error)
 
 
 def true_distortion(q: CompandingQuantizer) -> float:

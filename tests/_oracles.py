@@ -25,7 +25,10 @@ by its own ``_score_knots`` call on one knot row, the reference for the
 library's refinement, which scores the points of three steps in one call.
 ``unsorted_mc_distortion`` assigns each Monte-Carlo draw to its cell by
 searching the boundaries draw by draw, as ``encode`` does, the reference for
-the library's sort-and-cut of each shard.
+the library's sort-and-cut of each shard; ``serial_mc_distortion`` draws and
+scores the library's blocks one after another in one thread, the bit-for-bit
+reference for the library's worker thread, which draws the next block while
+the caller scores the current one.
 ``make_spline`` builds a spline from per-segment rows (c0, c1, c2, lo, hi);
 ``segment_rows``, ``scalar_value``, ``scalar_slope`` and ``knot_values`` read
 them back for the scalar references.  The ``mp_`` helpers evaluate closed
@@ -64,6 +67,8 @@ from splinequant.quantizer_design import (
     step_size,
 )
 from splinequant.reference_oracles import (
+    _MC_BLOCK,
+    _MC_BLOCK_PER_LEVEL,
     _SHARD_SIZE,
     ConvergenceError,
     LloydMaxResult,
@@ -767,3 +772,32 @@ def unsorted_mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) ->
     variance = max(total_sq / n_samples - mean * mean, 0.0)
     std_error = math.sqrt(variance / n_samples)
     return McEstimate(mean, std_error, n_samples, seed)
+
+
+def serial_mc_distortion(q: CompandingQuantizer, n_samples: int, seed: int) -> McEstimate:
+    """Monte-Carlo distortion with the library's shards, blocks and sums, each
+    block drawn, sorted, cut and summed before the next is drawn, in one
+    thread and one buffer."""
+    sigma = q.config.source.sigma
+    boundaries = np.asarray(q.all_boundaries, dtype=float) / sigma
+    levels = np.asarray(q.all_levels, dtype=float) / sigma
+    block = np.empty(min(n_samples, _SHARD_SIZE, max(_MC_BLOCK, _MC_BLOCK_PER_LEVEL * levels.size)))
+    total = 0.0
+    total_sq = 0.0
+    for shard, start in enumerate(range(0, n_samples, _SHARD_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
+        shard_size = min(_SHARD_SIZE, n_samples - start)
+        for offset in range(0, shard_size, block.size):
+            x = block[: min(block.size, shard_size - offset)]
+            rng.standard_normal(out=x)
+            x.sort()
+            cuts = np.searchsorted(x, boundaries, side="left")
+            x -= np.repeat(levels, np.diff(cuts, prepend=0, append=x.size))
+            x *= x
+            total += float(x.sum())
+            x *= x
+            total_sq += float(x.sum())
+    mean = total / n_samples
+    variance = max(total_sq / n_samples - mean * mean, 0.0)
+    std_error = math.sqrt(variance / n_samples)
+    return McEstimate(mean * sigma**2, std_error * sigma**2, n_samples, seed)

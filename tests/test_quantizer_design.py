@@ -1,5 +1,6 @@
 import bisect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -448,6 +449,12 @@ class TestOverloadDistortion:
         # be inf there, and a bare ZeroDivisionError once x_max^3 underflowed
         with pytest.raises(OverflowError, match="overload term overflows"):
             overload_distortion_closed(x_max)
+
+    @pytest.mark.parametrize("x_max", [1e103, 1e200, sys.float_info.max])
+    def test_huge_edge_gives_zero(self, x_max):
+        # exp(-x_max^2/2) underflows from about 38.6, long before x_max^3
+        # overflows from about 5.6e102: the term is 0 there, not an error
+        assert overload_distortion_closed(x_max) == 0.0
 
     def test_term_just_inside_the_float_range_keeps_its_bits(self):
         pytest.importorskip("mpmath")

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -27,6 +29,7 @@ from _oracles import (
     mp_tail_second_moment,
     reference_lloyd_iterates,
     reference_lloyd_max,
+    serial_mc_distortion,
     unsorted_mc_distortion,
 )
 
@@ -468,31 +471,33 @@ def _uniform_stub(n_levels):
     return SimpleNamespace(all_boundaries=boundaries, all_levels=levels, config=SimpleNamespace(source=UNIT))
 
 
+@pytest.fixture(scope="module")
+def quantizers():
+    # N <= 256 draws in blocks of _MC_BLOCK; N = 65,536 in blocks of
+    # _MC_BLOCK_PER_LEVEL * N, about half a shard
+    designs = {n: sq.evaluate_candidate(n, 0.6 * sq.support_threshold(UNIT, n)) for n in (16, 64, 256)}
+    return {**designs, 65_536: _uniform_stub(65_536)}
+
+
+SAMPLE_COUNTS = [
+    1,
+    999_999,
+    1_000_001,
+    2_500_000,
+    _MC_BLOCK - 1,
+    _MC_BLOCK,
+    _MC_BLOCK + 1,
+    # a partial last block inside the second shard
+    _SHARD_SIZE + 2 * _MC_BLOCK + 17,
+]
+
+
 class TestMcDistortionSortedShards:
     """Sorting each block of a shard and cutting it at the boundaries
     reproduces the draw-by-draw cell lookup; only the order of the sums
     differs."""
 
-    @pytest.fixture(scope="class")
-    def quantizers(self):
-        # N <= 256 draws in blocks of _MC_BLOCK; N = 65,536 in whole shards
-        designs = {n: sq.evaluate_candidate(n, 0.6 * sq.support_threshold(UNIT, n)) for n in (16, 64, 256)}
-        return {**designs, 65_536: _uniform_stub(65_536)}
-
-    @pytest.mark.parametrize(
-        "n_samples",
-        [
-            1,
-            999_999,
-            1_000_001,
-            2_500_000,
-            _MC_BLOCK - 1,
-            _MC_BLOCK,
-            _MC_BLOCK + 1,
-            # a partial last block inside the second shard
-            _SHARD_SIZE + 2 * _MC_BLOCK + 17,
-        ],
-    )
+    @pytest.mark.parametrize("n_samples", SAMPLE_COUNTS)
     @pytest.mark.parametrize("n_levels", [16, 64, 256, 65_536])
     def test_matches_unsorted_assignment(self, quantizers, n_levels, n_samples):
         q = quantizers[n_levels]
@@ -516,20 +521,111 @@ class TestMcDistortionSortedShards:
         assert est.mean_distortion == pytest.approx(float(np.mean((draws - right) ** 2)), rel=1e-14, abs=0.0)
         assert est.mean_distortion != pytest.approx(float(np.mean((draws - left) ** 2)), rel=1e-3)
 
-    def test_working_set(self, quantizers):
-        # one block of _MC_BLOCK draws (512 KB), sorted and squared in place,
-        # plus its repeated levels (512 KB): about 1.06 MB, the same for one
-        # shard or two (a whole sorted shard and its levels took 16 MB)
-        q = quantizers[256]
+    @pytest.mark.parametrize(
+        "n_levels, n_samples_list, bound",
+        [
+            # two buffers of _MC_BLOCK draws (256 KB each), one drawn while
+            # the other is sorted and squared in place, plus one block's
+            # repeated levels (256 KB): about 0.80 MB, the same for one shard
+            # or two (one 512 KB block and its levels took 1.06 MB; a whole
+            # sorted shard and its levels 16 MB)
+            (256, (_SHARD_SIZE, 2 * _SHARD_SIZE), 1_500_000),
+            # blocks of 8 N = 524,288 draws (4 MB): two buffers, the repeated
+            # levels and the boundaries and levels over sigma, about 14.7 MB
+            # (whole-shard blocks of 8 MB took 18.1 MB)
+            (65_536, (2 * _SHARD_SIZE,), 16_000_000),
+        ],
+    )
+    def test_working_set(self, quantizers, n_levels, n_samples_list, bound):
+        q = quantizers[n_levels]
         mc_distortion(q, 10, 0)
-        for n_samples in (_SHARD_SIZE, 2 * _SHARD_SIZE):
+        for n_samples in n_samples_list:
             tracemalloc.start()
             try:
                 mc_distortion(q, n_samples, 42)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1_500_000, (n_samples, peak)
+            assert peak <= bound, (n_samples, peak)
+
+
+class _DrawError(RuntimeError):
+    """Raised by a faked generator in place of a draw."""
+
+
+class TestMcDistortionWorker:
+    """One worker thread draws the next block while the caller scores the
+    current one: the same bits as drawing and scoring one block at a time,
+    and no thread outlives the call, whether it returns or raises."""
+
+    @pytest.mark.parametrize(
+        "n_samples",
+        # four blocks in one shard: both buffers are drawn into twice
+        SAMPLE_COUNTS + [3 * _MC_BLOCK + 5],
+    )
+    @pytest.mark.parametrize("n_levels", [16, 64, 256, 65_536])
+    def test_same_bits_as_serial_blocks(self, quantizers, n_levels, n_samples):
+        q = quantizers[n_levels]
+        assert mc_distortion(q, n_samples, 42) == serial_mc_distortion(q, n_samples, 42)
+
+    @pytest.mark.parametrize("failing_draw", [1, 3, 4])
+    def test_draw_error_reaches_the_caller(self, quantizers, monkeypatch, failing_draw):
+        real = np.random.default_rng
+        draws = []
+
+        class FailingGenerator:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, out):
+                draws.append(out.size)
+                if len(draws) == failing_draw:
+                    raise _DrawError(f"draw {failing_draw}")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        before = threading.enumerate()
+        with pytest.raises(_DrawError, match=f"draw {failing_draw}"):
+            mc_distortion(quantizers[16], 3 * _MC_BLOCK + 5, 42)
+        assert threading.enumerate() == before
+        assert len(draws) == failing_draw
+
+    def test_caller_error_stops_the_worker(self):
+        # one level short: np.repeat of the levels by the cell counts raises
+        full = _uniform_stub(16)
+        short = SimpleNamespace(
+            all_boundaries=full.all_boundaries, all_levels=full.all_levels[:-1], config=full.config
+        )
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match="broadcast"):
+            mc_distortion(short, 2 * _SHARD_SIZE, 42)
+        assert threading.enumerate() == before
+
+    def test_concurrent_calls_give_the_serial_bits(self, quantizers):
+        # three calls at once, each with its worker: six threads on two cores,
+        # switching every microsecond, must still give each call its own bits
+        n_samples = _SHARD_SIZE + 2 * _MC_BLOCK + 17
+        jobs = [(quantizers[16], 7), (quantizers[256], 8), (quantizers[16], 9)]
+        start = threading.Barrier(len(jobs), timeout=60)
+        got = [None] * len(jobs)
+
+        def run(i):
+            q, seed = jobs[i]
+            start.wait()
+            got[i] = mc_distortion(q, n_samples, seed)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [serial_mc_distortion(q, n_samples, seed) for q, seed in jobs]
 
 
 class TestTrueDistortion:

@@ -4,8 +4,8 @@
 
 For each layer it prints the median and the interquartile range (IQR) of
 ``--repeat`` timed calls, in microseconds per element for ``erf``, per
-sample for ``encode`` and ``decode``, per 10^6 samples for ``mc_distortion``
-and in milliseconds for the rest:
+sample for ``encode`` and ``decode``, per 10^6 samples for ``mc_draws`` and
+``mc_distortion`` and in milliseconds for the rest:
 
 * ``erf``: ``gauss_analytics.erf`` at 65 and at 40,000 elements;
 * ``target_moments``: the fit moments of every knot row of ``sweep(N)``, the
@@ -28,6 +28,10 @@ and in milliseconds for the rest:
   ``ConvergenceError``, and ``us_per_iteration``, the median over
   ``iterations`` in microseconds, so that a change to the step shows apart
   from a change in the iteration count;
+* ``mc_draws``: the seeded draws of that ``mc_distortion`` call alone, with
+  the library's shard and block layout, one block after another into one
+  buffer: the floor that ``mc_distortion``, whose scoring runs while the next
+  block is drawn, cannot go below;
 * ``mc_distortion``: 10^6 seeded samples through the quantizer at
   x1 = 0.6 x_max, built by ``evaluate_candidate`` as the benchmark's
   ``validate`` ops build theirs; skipped where it does not build (N >= 512);
@@ -70,6 +74,21 @@ def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
     return {"median": statistics.median(times), "iqr": q3 - q1}
 
 
+def seeded_draws(oracles, n_samples: int, seed: int, n_levels: int) -> None:
+    """The draws of ``oracles.mc_distortion(q, n_samples, seed)`` for a
+    quantizer of ``n_levels`` levels, in its shards and blocks, into one
+    buffer; nothing is scored."""
+    import numpy as np
+
+    size = min(n_samples, oracles._SHARD_SIZE, max(oracles._MC_BLOCK, oracles._MC_BLOCK_PER_LEVEL * n_levels))
+    block = np.empty(size)
+    for shard, start in enumerate(range(0, n_samples, oracles._SHARD_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, shard)))
+        shard_size = min(oracles._SHARD_SIZE, n_samples - start)
+        for offset in range(0, shard_size, size):
+            rng.standard_normal(out=block[: min(size, shard_size - offset)])
+
+
 def refine_counts(opt, result) -> dict[str, int]:
     """The ``_score_knots`` calls and the knot rows they score in one
     ``refine(result)``, counted on an untimed call."""
@@ -87,7 +106,7 @@ def layers(levels, repeat: int) -> list[dict]:
     """One row per (layer, size): its name, size, unit and ``spread``."""
     import numpy as np
 
-    from splinequant import gauss_analytics, threshold_optimizer as opt
+    from splinequant import gauss_analytics, reference_oracles, threshold_optimizer as opt
     from splinequant.quantizer_design import DesignError, build, decode, encode, standard_config
     from splinequant.reference_oracles import ConvergenceError, exact_compressor_sqnr, lloyd_max
     from splinequant.reference_oracles import mc_distortion, true_distortion
@@ -158,6 +177,8 @@ def layers(levels, repeat: int) -> list[dict]:
             q = opt.evaluate_candidate(n, 0.6 * gauss_analytics.support_threshold(unit, n), unit)
         except DesignError:
             continue
+        cost = spread(lambda: seeded_draws(reference_oracles, 10**6, 42, len(q.all_levels)), repeat)
+        rows.append({"layer": "mc_draws", "size": n, "unit": "ms/1e6 samples", **cost})
         cost = spread(lambda: mc_distortion(q, 10**6, 42), repeat)
         rows.append({"layer": "mc_distortion", "size": n, "unit": "ms/1e6 samples", **cost})
         cost = spread(lambda: true_distortion(q), repeat)
