@@ -92,7 +92,7 @@ def test_seeded_draws_are_the_draws_mc_distortion_scores(monkeypatch):
     record(library)
     reference_oracles.mc_distortion(q, n_samples, 42)
     record(tool)
-    layer_times.seeded_draws(reference_oracles, n_samples, 42, len(q.all_levels))
+    layer_times.seeded_draws(n_samples, 42, len(q.all_levels))
     assert tool == library
     assert tool[:2] == [("rng", (42, 0)), ("draw", reference_oracles._MC_BLOCK)]
     assert tool[-2:] == [("rng", (42, 1)), ("draw", 5)]

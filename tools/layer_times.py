@@ -74,11 +74,13 @@ def spread(fn, repeat: int, scale: float = 1e3) -> dict[str, float]:
     return {"median": statistics.median(times), "iqr": q3 - q1}
 
 
-def seeded_draws(oracles, n_samples: int, seed: int, n_levels: int) -> None:
-    """The draws of ``oracles.mc_distortion(q, n_samples, seed)`` for a
-    quantizer of ``n_levels`` levels, in its shards and blocks, into one
-    buffer; nothing is scored."""
+def seeded_draws(n_samples: int, seed: int, n_levels: int) -> None:
+    """The draws of ``mc_distortion(q, n_samples, seed)`` for a quantizer of
+    ``n_levels`` levels, in its shards and blocks, into one buffer; nothing
+    is scored."""
     import numpy as np
+
+    from splinequant import reference_oracles as oracles
 
     size = min(n_samples, oracles._SHARD_SIZE, max(oracles._MC_BLOCK, oracles._MC_BLOCK_PER_LEVEL * n_levels))
     block = np.empty(size)
@@ -106,7 +108,7 @@ def layers(levels, repeat: int) -> list[dict]:
     """One row per (layer, size): its name, size, unit and ``spread``."""
     import numpy as np
 
-    from splinequant import gauss_analytics, reference_oracles, threshold_optimizer as opt
+    from splinequant import gauss_analytics, threshold_optimizer as opt
     from splinequant.quantizer_design import DesignError, build, decode, encode, standard_config
     from splinequant.reference_oracles import ConvergenceError, exact_compressor_sqnr, lloyd_max
     from splinequant.reference_oracles import mc_distortion, true_distortion
@@ -177,7 +179,7 @@ def layers(levels, repeat: int) -> list[dict]:
             q = opt.evaluate_candidate(n, 0.6 * gauss_analytics.support_threshold(unit, n), unit)
         except DesignError:
             continue
-        cost = spread(lambda: seeded_draws(reference_oracles, 10**6, 42, len(q.all_levels)), repeat)
+        cost = spread(lambda: seeded_draws(10**6, 42, len(q.all_levels)), repeat)
         rows.append({"layer": "mc_draws", "size": n, "unit": "ms/1e6 samples", **cost})
         cost = spread(lambda: mc_distortion(q, 10**6, 42), repeat)
         rows.append({"layer": "mc_distortion", "size": n, "unit": "ms/1e6 samples", **cost})
